@@ -112,11 +112,13 @@ def _validate_config_names(cfg: AnalysisConfig, program: Program) -> None:
 
 
 def _budget(cfg: AnalysisConfig, max_depth_flag: Optional[int]) -> SearchBudget:
+    if max_depth_flag is not None and max_depth_flag < 0:
+        raise ValueError("--max-depth must be non-negative")
+    default = SearchBudget()
+    max_depth = max_depth_flag if max_depth_flag is not None else cfg.max_depth
     return SearchBudget(
-        max_depth=max_depth_flag
-        if max_depth_flag is not None
-        else (cfg.max_depth if cfg.max_depth is not None else 8),
-        max_states=cfg.max_states if cfg.max_states is not None else 2000,
+        max_depth=default.max_depth if max_depth is None else max_depth,
+        max_states=default.max_states if cfg.max_states is None else cfg.max_states,
     )
 
 
@@ -128,6 +130,8 @@ def _emit(report: Report, cfg: AnalysisConfig, format_flag: Optional[str]) -> No
 
 
 def _cmd_peaks(args) -> int:
+    if len(args.files) > 2:
+        raise ValueError("peaks takes one or two program files")
     programs = [parse_program_file(f) for f in args.files]
     _check_cross_arities(programs)
     cfg = load_config_file(args.config) if args.config else AnalysisConfig()

@@ -3,6 +3,8 @@ from __future__ import annotations
 import subprocess
 import sys
 
+import pytest
+
 from chrdc.cli import main
 from conftest import fixture_path
 
@@ -179,3 +181,45 @@ def test_text_output_deterministic_across_processes():
     ]
     runs = [subprocess.run(cmd, capture_output=True).stdout for _ in range(2)]
     assert runs[0] == runs[1]
+
+
+def _q_arity_pair(tmp_path):
+    one = tmp_path / "q1.chr"
+    one.write_text("r1 @ q(X) <=> true.\n")
+    two = tmp_path / "q2.chr"
+    two.write_text("r2 @ q(X,Y) <=> true.\n")
+    return str(one), str(two)
+
+
+@pytest.mark.parametrize("command", [["check", "--mode", "modular"], ["peaks"]])
+def test_cross_file_predicate_clash_names_the_predicate(tmp_path, command):
+    code, out, err = run_cli(*command, *_q_arity_pair(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert "predicate q" in err
+
+
+def test_run_query_clash_names_the_predicate():
+    code, out, err = run_cli("run", fixture_path("leq.chr"), "--query", "leq(X) # globals: X")
+    assert code == 2
+    assert out == ""
+    assert "predicate leq" in err
+
+
+def test_peaks_rejects_a_third_file():
+    code, out, err = run_cli(
+        "peaks", fixture_path("mod_splus.chr"), fixture_path("mod_sminus.chr"),
+        fixture_path("mod_dup.chr"),
+    )
+    assert code == 2
+    assert out == ""
+    assert "one or two program files" in err
+
+
+def test_negative_max_depth_flag_exits_2():
+    code, out, err = run_cli(
+        "check", "--mode", "local", fixture_path("leq.chr"), "--max-depth", "-2"
+    )
+    assert code == 2
+    assert out == ""
+    assert "max-depth must be non-negative" in err
