@@ -1,9 +1,10 @@
 """Joinability search, the decreasing-diagram pattern, and the four criteria.
 
 A closing of a peak is searched by a bidirectional bounded BFS from
-the two reducts. Each side carries a small trace automaton that
-constrains the labels a closing may use, so invalid reductions are
-pruned instead of post-filtered:
+the two reducts. Each side is a program and a small trace automaton
+that constrains the labels a closing may use, so invalid reductions are
+pruned instead of post-filtered. Every criterion is one pattern, a pair
+of such sides:
 
   * `any`             unrestricted labels, any length,
   * `single_step_eq`  at most one step,
@@ -11,6 +12,8 @@ pruned instead of post-filtered:
                       prefix strictly below the peak's own label, at
                       most one label below-or-equal the opposite label,
                       and a tail strictly below one of the two,
+  * `modular`         steps of one program on the left, at most one step
+                      of the other program on the right,
   * tactics           user-supplied label sequences, tried first.
 
 Certificates are deterministic: the valley with the smallest combined
@@ -23,7 +26,7 @@ are definite.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .engine import Derivation, applicable_steps
 from .orders import (
@@ -44,7 +47,6 @@ from .syntax import Program
 class SearchBudget:
     max_depth: int = 8
     max_states: int = 2000
-    max_valleys: int = 1
 
 
 @dataclass
@@ -61,7 +63,7 @@ class PeakVerdict:
     index: int
     rule_left: str
     rule_right: str
-    status: str  # JOINABLE | DECREASING | STRONGLY_JOINABLE | NOT_CLOSED | REFUTED
+    status: str  # JOINABLE | DECREASING | STRONGLY_JOINABLE | NOT_CLOSED
     valley: Optional[Valley] = None
     notes: tuple[str, ...] = ()
     exhausted: bool = False
@@ -70,44 +72,6 @@ class PeakVerdict:
     @property
     def closed(self) -> bool:
         return self.status in ("JOINABLE", "DECREASING", "STRONGLY_JOINABLE")
-
-
-# ---------------------------------------------------------------------------
-# The decreasingness pattern on label sequences
-
-def _star_side_ok(
-    labels: Sequence[str], primary: str, secondary: str, order: RulePreorder
-) -> bool:
-    below_primary = order.down_strict([primary])
-    below_eq_secondary = order.down_eq([secondary])
-    tail_set = order.down_strict([primary, secondary])
-    n = len(labels)
-    for i in range(n + 1):
-        if any(l not in below_primary for l in labels[:i]):
-            break
-        for j in (i, i + 1):
-            if j > n:
-                continue
-            mid = labels[i:j]
-            if mid and mid[0] not in below_eq_secondary:
-                continue
-            if all(l in tail_set for l in labels[j:]):
-                return True
-    return False
-
-
-def matches_star(
-    left_labels: Sequence[str],
-    right_labels: Sequence[str],
-    alpha: str,
-    beta: str,
-    order: RulePreorder,
-) -> bool:
-    """Whether a valley's label traces witness a decreasing diagram for
-    a peak whose sides were produced by `alpha` (left) and `beta` (right)."""
-    return _star_side_ok(left_labels, alpha, beta, order) and _star_side_ok(
-        right_labels, beta, alpha, order
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +158,28 @@ class _TrieAuto:
 
     def accepting(self, phase) -> bool:
         return phase in self.seqs
+
+
+def _accepts(auto, labels: Sequence[str]) -> bool:
+    """Whether some run of the automaton reads `labels` and ends accepting."""
+    phases = {auto.start}
+    for label in labels:
+        phases = {nxt for phase in phases for nxt in auto.next(phase, label)}
+    return any(auto.accepting(phase) for phase in phases)
+
+
+def matches_star(
+    left_labels: Sequence[str],
+    right_labels: Sequence[str],
+    alpha: str,
+    beta: str,
+    order: RulePreorder,
+) -> bool:
+    """Whether a valley's label traces witness a decreasing diagram for
+    a peak whose sides were produced by `alpha` (left) and `beta` (right)."""
+    return _accepts(_StarAuto(alpha, beta, order), left_labels) and _accepts(
+        _StarAuto(beta, alpha, order), right_labels
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -317,52 +303,43 @@ def _closing_search(
 
 
 # ---------------------------------------------------------------------------
-# Per-peak joinability
+# Patterns and the per-peak search
 
-def _failure_notes(program: Program, peak: CriticalPeak) -> tuple[str, ...]:
-    notes = []
-    if not applicable_steps(program, peak.left):
-        notes.append("left_reduct_admits_no_step")
-    if not applicable_steps(program, peak.right):
-        notes.append("right_reduct_admits_no_step")
-    return tuple(notes)
-
-
-def _pattern_sides(program, peak, allowed, pattern):
-    if pattern[0] == "any":
-        auto = _AnyAuto(allowed)
-        return _Side(program, auto, peak.left), _Side(program, auto, peak.right)
-    if pattern[0] == "single_step_eq":
-        return (
-            _Side(program, _CappedAuto(allowed, 1), peak.left),
-            _Side(program, _CappedAuto(allowed, 1), peak.right),
-        )
-    if pattern[0] == "star":
-        order = pattern[1]
-        alpha, beta = peak.rule_left, peak.rule_right
-        return (
-            _Side(program, _StarAuto(alpha, beta, order), peak.left),
-            _Side(program, _StarAuto(beta, alpha, order), peak.right),
-        )
-    raise ValueError(f"unknown pattern {pattern[0]!r}")
+@dataclass(frozen=True)
+class _Pattern:
+    status: str
+    # (program, peak, allowed labels, *pattern arguments) -> the left and
+    # right sides, each a (program, trace automaton) pair
+    sides: Callable[..., tuple[tuple[Program, object], tuple[Program, object]]]
+    notes: tuple[str, str] = ("left_reduct_admits_no_step", "right_reduct_admits_no_step")
 
 
-_STATUS_FOR_PATTERN = {
-    "any": "JOINABLE",
-    "single_step_eq": "STRONGLY_JOINABLE",
-    "star": "DECREASING",
+_PATTERNS = {
+    "any": _Pattern(
+        "JOINABLE",
+        lambda prog, pk, allowed: ((prog, _AnyAuto(allowed)), (prog, _AnyAuto(allowed))),
+    ),
+    "single_step_eq": _Pattern(
+        "STRONGLY_JOINABLE",
+        lambda prog, pk, allowed: (
+            (prog, _CappedAuto(allowed, 1)), (prog, _CappedAuto(allowed, 1))
+        ),
+    ),
+    "star": _Pattern(
+        "DECREASING",
+        lambda prog, pk, allowed, order: (
+            (prog, _StarAuto(pk.rule_left, pk.rule_right, order)),
+            (prog, _StarAuto(pk.rule_right, pk.rule_left, order)),
+        ),
+    ),
+    # `("modular", p)` with program q: q-steps on the left, at most one
+    # p-step on the right; each side's program limits its own labels.
+    "modular": _Pattern(
+        "JOINABLE",
+        lambda q, pk, allowed, p: ((q, _AnyAuto(allowed)), (p, _CappedAuto(allowed, 1))),
+        ("left_reduct_admits_no_q_step", "right_reduct_admits_no_p_step"),
+    ),
 }
-
-
-def _valley_fits(valley: Valley, peak: CriticalPeak, allowed, pattern) -> bool:
-    lt, rt = valley.labels()
-    if pattern[0] == "any":
-        return all(l in allowed for l in lt + rt)
-    if pattern[0] == "single_step_eq":
-        return len(lt) <= 1 and len(rt) <= 1 and all(l in allowed for l in lt + rt)
-    if pattern[0] == "star":
-        return matches_star(lt, rt, peak.rule_left, peak.rule_right, pattern[1])
-    return False
 
 
 def join_search(
@@ -374,41 +351,59 @@ def join_search(
     index: int = 0,
     tactic: Optional[tuple[list, list]] = None,
 ) -> PeakVerdict:
-    """Search one closing of `peak` whose label traces satisfy `pattern`."""
-    allowed = frozenset(allowed)
+    """Search one closing of `peak` whose label traces satisfy `pattern`.
+
+    A tactic's label sequences are searched first; their valley counts
+    only when the pattern's automata accept its traces."""
+    entry = _PATTERNS[pattern[0]]
+    sides = entry.sides(program, peak, frozenset(allowed), *pattern[1:])
+    attempts = [(sides, ())]
     if tactic is not None:
-        left_seqs, right_seqs = tactic
-        valley, _ = _closing_search(
-            _Side(program, _TrieAuto(left_seqs), peak.left),
-            _Side(program, _TrieAuto(right_seqs), peak.right),
-            budget,
+        tactic_sides = tuple(
+            (prog, _TrieAuto(seqs)) for (prog, _), seqs in zip(sides, tactic)
         )
-        if valley is not None and _valley_fits(valley, peak, allowed, pattern):
-            return PeakVerdict(
-                index,
-                peak.rule_left,
-                peak.rule_right,
-                _STATUS_FOR_PATTERN[pattern[0]],
-                valley,
-                notes=("tactic",),
-            )
-    left_side, right_side = _pattern_sides(program, peak, allowed, pattern)
-    valley, definite = _closing_search(left_side, right_side, budget)
-    if valley is not None:
-        return PeakVerdict(
-            index, peak.rule_left, peak.rule_right,
-            _STATUS_FOR_PATTERN[pattern[0]], valley,
+        attempts.insert(0, (tactic_sides, ("tactic",)))
+    for (left, right), notes in attempts:
+        valley, exhausted = _closing_search(
+            _Side(*left, peak.left), _Side(*right, peak.right), budget
+        )
+        if valley is not None and all(
+            _accepts(auto, labels) for (_, auto), labels in zip(sides, valley.labels())
+        ):
+            break
+    if valley is None:
+        notes = tuple(
+            note
+            for note, (prog, _), reduct in zip(entry.notes, sides, (peak.left, peak.right))
+            if not applicable_steps(prog, reduct)
         )
     return PeakVerdict(
         index,
         peak.rule_left,
         peak.rule_right,
-        "NOT_CLOSED",
-        None,
-        notes=_failure_notes(program, peak),
-        exhausted=definite,
-        bounds=(budget.max_depth, budget.max_states),
+        "NOT_CLOSED" if valley is None else entry.status,
+        valley,
+        notes=notes,
+        exhausted=exhausted,
+        bounds=None if valley is not None else (budget.max_depth, budget.max_states),
     )
+
+
+def _join_peaks(
+    program: Program,
+    peaks: Sequence[CriticalPeak],
+    indices: Iterable[int],
+    pattern: tuple,
+    allowed: Iterable[str],
+    budget: SearchBudget,
+    tactics: Optional[dict[int, tuple[list, list]]] = None,
+) -> dict[int, PeakVerdict]:
+    """The per-peak loop every criterion runs: one verdict per index."""
+    tactics = tactics or {}
+    return {
+        i: join_search(program, peaks[i], allowed, pattern, budget, i, tactics.get(i))
+        for i in indices
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -429,11 +424,35 @@ class Report:
     peaks: tuple[CriticalPeak, ...] = ()
     classifications: tuple[str, ...] = ()
     verdicts: tuple[PeakVerdict, ...] = ()
-    notes: tuple[str, ...] = ()
 
 
-def _outcome(established: bool) -> str:
-    return "CONFLUENT" if established else "NOT_ESTABLISHED"
+def _report(
+    mode: str,
+    criterion: str,
+    peaks: Sequence[CriticalPeak],
+    classifications: Iterable[str],
+    verdicts: dict[int, PeakVerdict],
+    holds: bool = True,
+    assumptions: tuple[str, ...] = (),
+    **fields,
+) -> Report:
+    """A criterion's report: established when `holds` and every verdict
+    closed; an assumed termination is echoed as an assumption."""
+    established = holds and all(v.closed for v in verdicts.values())
+    term = fields.get("termination")
+    if term is not None and term.status == "ASSUMED":
+        assumptions = ("termination_assumed",)
+    return Report(
+        mode=mode,
+        criterion=criterion,
+        established=established,
+        outcome="CONFLUENT" if established else "NOT_ESTABLISHED",
+        assumptions=assumptions,
+        peaks=tuple(peaks),
+        classifications=tuple(classifications),
+        verdicts=tuple(verdicts[i] for i in sorted(verdicts)),
+        **fields,
+    )
 
 
 def check_local_confluence(
@@ -443,45 +462,25 @@ def check_local_confluence(
     part = Partition.for_program(program)
     term = check_inductive_termination(program, part, assume_terminating)
     peaks = critical_peaks(program, program)
-    allowed = program.rule_names()
-    verdicts = tuple(
-        join_search(program, pk, allowed, ("any",), budget, index=i)
-        for i, pk in enumerate(peaks)
+    verdicts = _join_peaks(
+        program, peaks, range(len(peaks)), ("any",), program.rule_names(), budget
     )
-    established = term.acceptable and all(v.closed for v in verdicts)
-    assumptions = ("termination_assumed",) if term.status == "ASSUMED" else ()
-    return Report(
-        mode="local",
-        criterion="locally_confluent",
-        established=established,
-        outcome=_outcome(established),
-        assumptions=assumptions,
-        partition=part,
-        termination=term,
-        peaks=tuple(peaks),
-        classifications=tuple(classify(pk, part) for pk in peaks),
-        verdicts=verdicts,
+    return _report(
+        "local", "locally_confluent", peaks, (classify(pk, part) for pk in peaks),
+        verdicts, holds=term.acceptable, partition=part, termination=term,
     )
 
 
 def check_strong_confluence(program: Program, budget: SearchBudget) -> Report:
     part = Partition.for_program(program)
     peaks = critical_peaks(program, program)
-    allowed = program.rule_names()
-    verdicts = tuple(
-        join_search(program, pk, allowed, ("single_step_eq",), budget, index=i)
-        for i, pk in enumerate(peaks)
+    verdicts = _join_peaks(
+        program, peaks, range(len(peaks)), ("single_step_eq",), program.rule_names(),
+        budget,
     )
-    established = all(v.closed for v in verdicts)
-    return Report(
-        mode="strong",
-        criterion="strongly_confluent",
-        established=established,
-        outcome=_outcome(established),
-        partition=part,
-        peaks=tuple(peaks),
-        classifications=tuple(classify(pk, part) for pk in peaks),
-        verdicts=verdicts,
+    return _report(
+        "strong", "strongly_confluent", peaks, (classify(pk, part) for pk in peaks),
+        verdicts, partition=part,
     )
 
 
@@ -498,17 +497,6 @@ def check_rule_decreasing(
     peaks = critical_peaks(program, program)
     classes = [classify(pk, part) for pk in peaks]
     term = check_inductive_termination(program, part, assume_terminating)
-    tactics = tactics or {}
-
-    base = dict(
-        mode="decreasing",
-        criterion=criterion,
-        partition=part,
-        termination=term,
-        peaks=tuple(peaks),
-        classifications=tuple(classes),
-    )
-    assumptions = ("termination_assumed",) if term.status == "ASSUMED" else ()
 
     admissible_fields: tuple[tuple[str, str], ...] = ()
     if order is not None:
@@ -523,76 +511,47 @@ def check_rule_decreasing(
         adm = is_admissible(fallback, part)
         orders_to_try = [fallback] if adm.ok else []
 
-    if not adm.ok or not term.acceptable or not orders_to_try:
-        return Report(
-            established=False,
-            outcome="NOT_ESTABLISHED",
-            assumptions=assumptions,
-            order=order,
-            admissibility=adm,
-            admissible_fields=admissible_fields,
-            verdicts=(),
-            **base,
+    def report(verdicts, holds, shown_order, fields) -> Report:
+        return _report(
+            "decreasing", criterion, peaks, classes, verdicts, holds=holds,
+            partition=part, termination=term, order=shown_order,
+            admissibility=adm, admissible_fields=fields,
         )
 
-    allowed_all = program.rule_names()
-    inductive_verdicts: dict[int, PeakVerdict] = {}
-    for i, (pk, cls) in enumerate(zip(peaks, classes)):
-        if cls == "inductive":
-            inductive_verdicts[i] = join_search(
-                program, pk, sorted(part.inductive), ("any",), budget,
-                index=i, tactic=tactics.get(i),
-            )
-    inductive_ok = all(v.closed for v in inductive_verdicts.values())
+    if not adm.ok or not term.acceptable or not orders_to_try:
+        return report({}, False, order, admissible_fields)
 
-    chosen_order: Optional[RulePreorder] = None
-    chosen: dict[int, PeakVerdict] = {}
-    first_attempt: Optional[tuple[RulePreorder, dict[int, PeakVerdict]]] = None
+    inductive = [i for i, cls in enumerate(classes) if cls == "inductive"]
+    coinductive = [i for i, cls in enumerate(classes) if cls == "coinductive"]
+    verdicts = _join_peaks(
+        program, peaks, inductive, ("any",), sorted(part.inductive), budget, tactics
+    )
+    inductive_ok = all(v.closed for v in verdicts.values())
+
+    chosen: Optional[tuple[RulePreorder, dict[int, PeakVerdict]]] = None
     for cand in orders_to_try:
-        co: dict[int, PeakVerdict] = {}
-        ok = True
-        for i, (pk, cls) in enumerate(zip(peaks, classes)):
-            if cls != "coinductive":
-                continue
-            v = join_search(
-                program, pk, allowed_all, ("star", cand), budget,
-                index=i, tactic=tactics.get(i),
-            )
-            co[i] = v
-            if not v.closed:
-                ok = False
-        if first_attempt is None:
-            first_attempt = (cand, co)
-        if ok:
-            chosen_order = cand
-            chosen = co
+        co = _join_peaks(
+            program, peaks, coinductive, ("star", cand), program.rule_names(), budget,
+            tactics,
+        )
+        if all(v.closed for v in co.values()):
+            chosen = (cand, co)
             break
+        chosen = chosen or (cand, co)
         if not inductive_ok:
             break  # enumeration cannot help once an inductive peak failed
-    if chosen_order is None and first_attempt is not None:
-        chosen_order, chosen = first_attempt
+    chosen_order, co = chosen
+    verdicts.update(co)
 
-    verdicts = tuple(
-        inductive_verdicts[i] if classes[i] == "inductive" else chosen[i]
-        for i in range(len(peaks))
-    )
-    established = inductive_ok and all(v.closed for v in verdicts)
+    established = all(v.closed for v in verdicts.values())
     if enumerate_orders and order is None:
-        found = "true" if established else "false"
-        admissible_fields = admissible_fields + (("found", found),)
-        if established and chosen_order is not None:
-            admissible_fields = admissible_fields + (
+        admissible_fields += (("found", "true" if established else "false"),)
+        if established:
+            admissible_fields += (
                 ("order", ",".join(chosen_order.pairs_text()) or "discrete"),
             )
-    return Report(
-        established=established,
-        outcome=_outcome(established),
-        assumptions=assumptions,
-        order=chosen_order if order is None else order,
-        admissibility=adm,
-        admissible_fields=admissible_fields,
-        verdicts=verdicts,
-        **base,
+    return report(
+        verdicts, True, chosen_order if order is None else order, admissible_fields
     )
 
 
@@ -603,36 +562,11 @@ def check_modularity(p: Program, q: Program, budget: SearchBudget) -> Report:
     if overlap:
         raise ValueError(f"programs share rule names: {sorted(overlap)}")
     peaks = critical_peaks(p, q)
-    verdicts = []
-    for i, pk in enumerate(peaks):
-        left_side = _Side(q, _AnyAuto(q.rule_names()), pk.left)
-        right_side = _Side(p, _CappedAuto(p.rule_names(), 1), pk.right)
-        valley, definite = _closing_search(left_side, right_side, budget)
-        if valley is not None:
-            verdicts.append(
-                PeakVerdict(i, pk.rule_left, pk.rule_right, "JOINABLE", valley)
-            )
-        else:
-            notes = []
-            if not applicable_steps(q, pk.left):
-                notes.append("left_reduct_admits_no_q_step")
-            if not applicable_steps(p, pk.right):
-                notes.append("right_reduct_admits_no_p_step")
-            verdicts.append(
-                PeakVerdict(
-                    i, pk.rule_left, pk.rule_right, "NOT_CLOSED", None,
-                    notes=tuple(notes), exhausted=definite,
-                    bounds=(budget.max_depth, budget.max_states),
-                )
-            )
-    established = all(v.closed for v in verdicts)
-    return Report(
-        mode="modular",
-        criterion="modular_union_confluent",
-        established=established,
-        outcome=_outcome(established),
+    verdicts = _join_peaks(
+        q, peaks, range(len(peaks)), ("modular", p), p.rule_names() + q.rule_names(),
+        budget,
+    )
+    return _report(
+        "modular", "modular_union_confluent", peaks, ["cross"] * len(peaks), verdicts,
         assumptions=("p_confluent", "q_confluent"),
-        peaks=tuple(peaks),
-        classifications=tuple("cross" for _ in peaks),
-        verdicts=tuple(verdicts),
     )

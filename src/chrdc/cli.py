@@ -28,75 +28,23 @@ from .config import AnalysisConfig, ConfigError, load_config_file, resolve_tacti
 from .engine import applicable_steps
 from .orders import Partition, RulePreorder
 from .peaks import classify, critical_peaks
-from .state import State, canonical_text, canonicalize
-from .syntax import ParseError, Program, parse_program_file, parse_state
+from .state import canonical_text, canonicalize
+from .syntax import (
+    Arities,
+    ParseError,
+    Program,
+    merge_arities,
+    parse_program_file,
+    parse_state,
+)
 
 
-def _collect_arities(program: Program) -> tuple[dict[str, int], dict[str, int]]:
-    preds: dict[str, int] = {}
-    funs: dict[str, int] = {}
-
-    def walk_term(t) -> None:
-        if hasattr(t, "functor"):
-            prev = funs.get(t.functor)
-            if prev is not None and prev != len(t.args):
-                raise ValueError(
-                    f"functor {t.functor} used at arities {prev} and {len(t.args)}"
-                )
-            funs[t.functor] = len(t.args)
-            for a in t.args:
-                walk_term(a)
-
-    for r in program.rules:
-        for a in r.heads + r.user_body:
-            prev = preds.get(a.pred)
-            if prev is not None and prev != len(a.args):
-                raise ValueError(
-                    f"predicate {a.pred} used at arities {prev} and {len(a.args)}"
-                )
-            preds[a.pred] = len(a.args)
-            for t in a.args:
-                walk_term(t)
-        for e in r.guard + r.builtin_body:
-            walk_term(e.lhs)
-            walk_term(e.rhs)
-    return preds, funs
-
-
-def _check_cross_arities(programs: list[Program]) -> tuple[dict[str, int], dict[str, int]]:
-    preds: dict[str, int] = {}
-    funs: dict[str, int] = {}
+def _parse_programs(files: list[str]) -> list[Program]:
+    programs = [parse_program_file(f) for f in files]
+    seen: Arities = ({}, {})
     for program in programs:
-        p, f = _collect_arities(program)
-        for name, arity in p.items():
-            if preds.setdefault(name, arity) != arity:
-                raise ValueError(f"predicate {name} used at inconsistent arities")
-        for name, arity in f.items():
-            if funs.setdefault(name, arity) != arity:
-                raise ValueError(f"functor {name} used at inconsistent arities")
-    return preds, funs
-
-
-def _check_state_arities(state: State, preds: dict[str, int], funs: dict[str, int]) -> None:
-    def walk_term(t) -> None:
-        if hasattr(t, "functor"):
-            if funs.setdefault(t.functor, len(t.args)) != len(t.args):
-                raise ValueError(
-                    f"functor {t.functor}/{len(t.args)} clashes with the program"
-                )
-            for a in t.args:
-                walk_term(a)
-
-    for atom in state.atoms:
-        if preds.setdefault(atom.pred, len(atom.args)) != len(atom.args):
-            raise ValueError(
-                f"predicate {atom.pred}/{len(atom.args)} clashes with the program"
-            )
-        for t in atom.args:
-            walk_term(t)
-    for e in state.builtins:
-        walk_term(e.lhs)
-        walk_term(e.rhs)
+        merge_arities(seen, program.arities)
+    return programs
 
 
 def _validate_config_names(cfg: AnalysisConfig, program: Program) -> None:
@@ -132,14 +80,13 @@ def _emit(report: Report, cfg: AnalysisConfig, format_flag: Optional[str]) -> No
 def _cmd_peaks(args) -> int:
     if len(args.files) > 2:
         raise ValueError("peaks takes one or two program files")
-    programs = [parse_program_file(f) for f in args.files]
-    _check_cross_arities(programs)
+    programs = _parse_programs(args.files)
     cfg = load_config_file(args.config) if args.config else AnalysisConfig()
     if len(programs) == 1:
         _validate_config_names(cfg, programs[0])
         program = programs[0]
         part = Partition.for_program(program, cfg.inductive, cfg.coinductive)
-        peaks = critical_peaks(program, program, part)
+        peaks = critical_peaks(program, program)
         classifications = tuple(classify(pk, part) for pk in peaks)
     else:
         peaks = critical_peaks(programs[0], programs[1])
@@ -157,8 +104,7 @@ def _cmd_peaks(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    programs = [parse_program_file(f) for f in args.files]
-    _check_cross_arities(programs)
+    programs = _parse_programs(args.files)
     cfg = load_config_file(args.config) if args.config else AnalysisConfig()
     budget = _budget(cfg, args.max_depth)
 
@@ -183,8 +129,11 @@ def _cmd_check(args) -> int:
         order: Optional[RulePreorder] = None
         if cfg.order_decls:
             order = RulePreorder.from_declarations(program.rule_names(), cfg.order_decls)
-        peaks = critical_peaks(program, program, part)
-        tactics = resolve_tactics(cfg, peaks, set(program.rule_names()))
+        tactics = None
+        if cfg.tactics:
+            tactics = resolve_tactics(
+                cfg, critical_peaks(program, program), set(program.rule_names())
+            )
         report = check_rule_decreasing(
             program,
             part,
@@ -200,9 +149,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_run(args) -> int:
     program = parse_program_file(args.file)
-    state = parse_state(args.query)
-    preds, funs = _check_cross_arities([program])
-    _check_state_arities(state, preds, funs)
+    state = parse_state(args.query, program.arities)
     current = canonicalize(state)
     sys.stdout.write(f"0: {canonical_text(current)}\n")
     for i in range(1, args.steps + 1):

@@ -1,4 +1,4 @@
-"""Labeled transition relation and bounded derivation machinery.
+"""Labeled transition relation, derivations and their replay.
 
 A step fires a rule on a canonical state: the rule is renamed apart,
 its head atoms are matched injectively onto distinct store positions
@@ -90,6 +90,16 @@ def _step_for(
     return LabeledStep(rule.name, kept_pos, removed_pos, tuple(bindings), target)
 
 
+def _state_vars(cst: CanonicalState) -> set[str]:
+    """Every variable of the state, which a fired rule is renamed away from."""
+    avoid = set(cst.globals)
+    for a in cst.atoms:
+        avoid.update(a.iter_vars())
+    for e in cst.residuals:
+        avoid.update(e.iter_vars())
+    return avoid
+
+
 def applicable_steps(
     program: Program,
     state: Union[State, CanonicalState],
@@ -105,12 +115,7 @@ def applicable_steps(
     if cst.bottom:
         return []
     allowed_set = set(allowed) if allowed is not None else None
-    avoid = set()
-    for a in cst.atoms:
-        avoid.update(a.iter_vars())
-    for e in cst.residuals:
-        avoid.update(e.iter_vars())
-    avoid |= cst.globals
+    avoid = _state_vars(cst)
 
     out: list[LabeledStep] = []
     for rule in program.rules:
@@ -138,13 +143,7 @@ def _reapply(program: Program, cst: CanonicalState, step: LabeledStep) -> Canoni
         raise ReplayError(f"unknown rule {step.rule_name!r}")
     if cst.bottom:
         raise ReplayError("no steps apply to the inconsistent state")
-    avoid = set()
-    for a in cst.atoms:
-        avoid.update(a.iter_vars())
-    for e in cst.residuals:
-        avoid.update(e.iter_vars())
-    avoid |= cst.globals
-    renaming = fresh_mapping(avoid, rule.variables())
+    renaming = fresh_mapping(_state_vars(cst), rule.variables())
     renamed = rule.subst(renaming)
     positions = step.matched_kept + step.matched_removed
     heads = renamed.kept + renamed.removed
@@ -181,46 +180,3 @@ def replay(program: Program, derivation: Derivation) -> CanonicalState:
     for step in derivation.steps:
         cur = _reapply(program, cur, step)
     return cur
-
-
-@dataclass
-class ReachResult:
-    entries: list[tuple[CanonicalState, Derivation]]
-    depth_truncated: bool = False
-    states_truncated: bool = False
-
-
-def reachable(
-    program: Program,
-    state: Union[State, CanonicalState],
-    allowed: Optional[Iterable[str]] = None,
-    max_depth: int = 8,
-    max_states: int = 2000,
-) -> ReachResult:
-    """Breadth-first closure of the step relation, deduplicated by equivalence."""
-    start = canonicalize(state)
-    result = ReachResult(entries=[(start, Derivation(start))])
-    buckets: dict[tuple, list[int]] = {start.signature(): [0]}
-    frontier = [0]
-    depth = 0
-    while frontier:
-        if depth >= max_depth:
-            result.depth_truncated = True
-            break
-        depth += 1
-        next_frontier: list[int] = []
-        for idx in frontier:
-            cst, deriv = result.entries[idx]
-            for step in applicable_steps(program, cst, allowed):
-                sig = step.target.signature()
-                known = buckets.setdefault(sig, [])
-                if any(equivalent(step.target, result.entries[j][0]) for j in known):
-                    continue
-                if len(result.entries) >= max_states:
-                    result.states_truncated = True
-                    return result
-                result.entries.append((step.target, deriv.extend(step)))
-                known.append(len(result.entries) - 1)
-                next_frontier.append(len(result.entries) - 1)
-        frontier = next_frontier
-    return result

@@ -182,14 +182,8 @@ def _build_peak(
     return CriticalPeak(r1.name, r2.name, ancestor, left, right, sel1, sel2)
 
 
-def critical_peaks(
-    p: Program, q: Program, partition: Optional[Partition] = None
-) -> list[CriticalPeak]:
-    """All critical peaks between `p` and `q`, deterministically ordered.
-
-    `partition` is accepted for interface symmetry with `classify`; the
-    enumeration itself does not depend on it.
-    """
+def critical_peaks(p: Program, q: Program) -> list[CriticalPeak]:
+    """All critical peaks between `p` and `q`, deterministically ordered."""
     same_program = p == q
     out: list[CriticalPeak] = []
     for i1, r1 in enumerate(p.rules):

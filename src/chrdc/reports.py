@@ -8,6 +8,15 @@ comma lists without spaces:
     ADMISSIBLE <true|false|enumerated> [key=value ...]
     VERDICT <criterion> <CONFLUENT|NOT_ESTABLISHED> assumptions=[...]
 
+A `peaks` report holds only PEAK records, whose STATUS is the peak's
+class: INDUCTIVE, COINDUCTIVE or CROSS. In a `check` report a closed
+peak is JOINABLE, STRONGLY_JOINABLE or DECREASING with `left=[...]
+right=[...]`, the valley's rule labels; an open one is NOT_CLOSED with
+`depth=N states=N`, then `exhausted=true` when both search spaces were
+explored and `notes=[...]` when a reduct admits no step. ADMISSIBLE
+carries `witness=`, `orders_tried=`, `found=` and `order=` as they
+apply.
+
 Values are bare tokens or bracketed lists; a report is re-parseable by
 `parse_machine_report` and emission is byte-stable across runs.
 """
@@ -27,7 +36,6 @@ _PEAK_STATUSES = (
     "DECREASING",
     "STRONGLY_JOINABLE",
     "NOT_CLOSED",
-    "REFUTED",
     "INDUCTIVE",
     "COINDUCTIVE",
     "CROSS",
@@ -197,8 +205,6 @@ def text_report(report: Report) -> str:
             lines.append(_verdict_text(v))
         else:
             lines.append("  (not analyzed)")
-    for note in report.notes:
-        lines.append(f"note: {note}")
     lines.append(f"verdict: {report.outcome} ({report.criterion})")
     return "\n".join(lines) + "\n"
 

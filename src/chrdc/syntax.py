@@ -18,7 +18,7 @@ written the same way with an optional `# globals: X, Y` suffix.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Optional
 
 from .terms import Compound, Term, Var, apply, iter_vars, FRESH_PREFIX
@@ -99,9 +99,16 @@ class Rule:
         )
 
 
+# Predicate and functor arity tables, name -> arity, as the parser fills them.
+Arities = tuple[dict[str, int], dict[str, int]]
+
+
 @dataclass(frozen=True)
 class Program:
     rules: tuple[Rule, ...]
+    # The parser's tables, so that other files and queries can be checked
+    # against this program's arities.
+    arities: Arities = field(default_factory=lambda: ({}, {}), compare=False, repr=False)
 
     def rule(self, name: str) -> Rule:
         for r in self.rules:
@@ -117,13 +124,6 @@ class Program:
             if r.name == name:
                 return i
         raise KeyError(name)
-
-    def predicates(self) -> set[str]:
-        preds: set[str] = set()
-        for r in self.rules:
-            for a in r.heads + r.user_body:
-                preds.add(a.pred)
-        return preds
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +418,7 @@ class _Parser:
                 raise ParseError(f"duplicate rule name {rule.name!r}", t.line, t.col)
             names.add(rule.name)
             rules.append(rule)
-        return Program(tuple(rules))
+        return Program(tuple(rules), (self.pred_arity, self.fun_arity))
 
     def parse_state_parts(self):
         atoms: list[Atom] = []
@@ -450,11 +450,31 @@ def parse_program(text: str) -> Program:
     return _Parser(text).parse_program()
 
 
-def parse_state(text: str):
-    """Parse a query state; globals default to all free variables."""
+def merge_arities(into: Arities, other: Arities) -> None:
+    """Add `other`'s arity tables to `into`, which holds those of the
+    program read before it; a name used at two arities is an error."""
+    for kind, table, added in zip(("predicate", "functor"), into, other):
+        for name, arity in added.items():
+            prev = table.setdefault(name, arity)
+            if prev != arity:
+                raise ValueError(
+                    f"{kind} {name}/{arity} clashes with the program read before it"
+                    f" (arities {prev} and {arity})"
+                )
+
+
+def parse_state(text: str, arities: Optional[Arities] = None):
+    """Parse a query state; globals default to all free variables.
+
+    With a program's `arities`, the query must use its names at the same
+    arities."""
     from .state import State
 
-    atoms, eqs, globals_ = _Parser(text).parse_state_parts()
+    parser = _Parser(text)
+    atoms, eqs, globals_ = parser.parse_state_parts()
+    if arities is not None:
+        program_tables = (dict(arities[0]), dict(arities[1]))
+        merge_arities(program_tables, (parser.pred_arity, parser.fun_arity))
     if globals_ is None:
         seen: dict[str, None] = {}
         for a in atoms:

@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Optional
+from dataclasses import dataclass
+from typing import Iterable, Optional, Union
 
+from chrdc.engine import Derivation, applicable_steps
 from chrdc.syntax import Atom, Eq, Program, Rule
-from chrdc.state import State
+from chrdc.state import CanonicalState, State, canonicalize, equivalent
 from chrdc.terms import Compound, Term, Var
 
 
@@ -207,36 +209,32 @@ def enumerate_unifiers(pairs, variables, universe) -> list[dict]:
     return out
 
 
-def equivalent_mod_globals(s1: State, s2) -> bool:
-    """State equivalence up to a bijective renaming of global variables."""
-    from chrdc.state import equivalent
-
-    g1, g2 = sorted(s1.globals), sorted(s2.globals)
+def states_mod_globals(states1, states2) -> bool:
+    """Whether two sequences of states sharing their globals are pairwise
+    equivalent after one bijective renaming of the second's globals,
+    tried exhaustively and applied to every state alike."""
+    g1, g2 = sorted(states1[0].globals), sorted(states2[0].globals)
     if len(g1) != len(g2):
         return False
     for perm in itertools.permutations(g1):
         mapping = {src: Var(dst) for src, dst in zip(g2, perm)}
-        if equivalent(s1, s2.subst(mapping)):
+        if all(equivalent(a, b.subst(mapping)) for a, b in zip(states1, states2)):
             return True
     return False
 
 
+def equivalent_mod_globals(s1: State, s2) -> bool:
+    """State equivalence up to a bijective renaming of global variables."""
+    return states_mod_globals((s1,), (s2,))
+
+
 def peak_like(pk, anc_text: str, left_text: str, right_text: str) -> bool:
     """Whether a peak matches the three states, read up to global renaming
-    applied consistently across the triple."""
-    from chrdc.peaks import CriticalPeak, _peaks_equal
+    applied consistently across the ancestor/left/right triple."""
     from chrdc.syntax import parse_state
 
-    expected = CriticalPeak(
-        pk.rule_left,
-        pk.rule_right,
-        parse_state(anc_text),
-        parse_state(left_text),
-        parse_state(right_text),
-        (),
-        (),
-    )
-    return _peaks_equal(expected, pk, swap_b=False)
+    expected = [parse_state(t) for t in (anc_text, left_text, right_text)]
+    return states_mod_globals(expected, (pk.ancestor, pk.left, pk.right))
 
 
 def random_ground_state(rng: random.Random, max_atoms: int = 3) -> State:
@@ -258,3 +256,49 @@ def random_ground_state(rng: random.Random, max_atoms: int = 3) -> State:
     used = sorted({v for a in atoms for v in a.iter_vars()})
     globals_ = frozenset(v for v in used if rng.random() < 0.6)
     return State(tuple(atoms), (), globals_)
+
+
+# ---------------------------------------------------------------------------
+# Bounded reachability, for oracles that need every reachable state
+
+@dataclass
+class ReachResult:
+    entries: list[tuple[CanonicalState, Derivation]]
+    depth_truncated: bool = False
+    states_truncated: bool = False
+
+
+def reachable(
+    program: Program,
+    state: Union[State, CanonicalState],
+    allowed: Optional[Iterable[str]] = None,
+    max_depth: int = 8,
+    max_states: int = 2000,
+) -> ReachResult:
+    """Breadth-first closure of the step relation, deduplicated by equivalence."""
+    start = canonicalize(state)
+    result = ReachResult(entries=[(start, Derivation(start))])
+    buckets: dict[tuple, list[int]] = {start.signature(): [0]}
+    frontier = [0]
+    depth = 0
+    while frontier:
+        if depth >= max_depth:
+            result.depth_truncated = True
+            break
+        depth += 1
+        next_frontier: list[int] = []
+        for idx in frontier:
+            cst, deriv = result.entries[idx]
+            for step in applicable_steps(program, cst, allowed):
+                sig = step.target.signature()
+                known = buckets.setdefault(sig, [])
+                if any(equivalent(step.target, result.entries[j][0]) for j in known):
+                    continue
+                if len(result.entries) >= max_states:
+                    result.states_truncated = True
+                    return result
+                result.entries.append((step.target, deriv.extend(step)))
+                known.append(len(result.entries) - 1)
+                next_frontier.append(len(result.entries) - 1)
+        frontier = next_frontier
+    return result

@@ -482,7 +482,7 @@ def test_join_search_agrees_with_naive_reachability():
 def test_pminus_confluence_verdict_holds_semantically(pminus):
     # The analyzer reports CONFLUENT for a terminating program; brute-force
     # the claim: every reachable normal form of a state is the same one.
-    from chrdc.engine import reachable
+    from helpers import reachable
     from chrdc.state import State
     from chrdc.syntax import Atom
     from chrdc.terms import Compound
@@ -514,7 +514,7 @@ def test_philos_verdict_matches_sampled_local_peaks(philos):
     # The program is not terminating, so confluence itself is not finitely
     # checkable; sample reachable states and confirm every local peak
     # rejoins, which the decreasing-diagram verdict promises.
-    from chrdc.engine import reachable
+    from helpers import reachable
     from chrdc.syntax import parse_state
 
     init = parse_state("frk(1), thk(1,2,0), frk(2), thk(2,1,0)")
@@ -535,7 +535,7 @@ class _Closer:
     """Tiny joinability probe used by the semantic sampling test."""
 
     def __init__(self, program, left, right, budget):
-        from chrdc.engine import reachable
+        from helpers import reachable
 
         self.a = reachable(program, left, max_depth=budget.max_depth,
                            max_states=budget.max_states)

@@ -8,12 +8,12 @@ from chrdc.engine import (
     Derivation,
     ReplayError,
     applicable_steps,
-    reachable,
     replay,
 )
 from chrdc.state import State, canonicalize, equivalent
 from chrdc.syntax import Atom, parse_program, parse_state
 from chrdc.terms import Compound, Var
+from helpers import reachable
 
 
 def test_leq_query_has_antisymmetry_and_transitivity_steps(leq):

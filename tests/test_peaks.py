@@ -5,10 +5,10 @@ import random
 
 from chrdc.engine import applicable_steps
 from chrdc.orders import Partition
-from chrdc.peaks import classify, critical_peaks, _peaks_equal
+from chrdc.peaks import classify, critical_peaks
 from chrdc.state import canonicalize, equivalent
 from chrdc.syntax import parse_program
-from helpers import peak_like, random_tiny_program
+from helpers import peak_like, random_tiny_program, states_mod_globals
 
 
 def test_pminus_has_a_single_peak(pminus):
@@ -146,7 +146,10 @@ def test_cross_program_peaks_are_mirror_images():
                 for other in bwd
                 if (other.rule_left, other.rule_right)
                 == (pk.rule_right, pk.rule_left)
-                and _peaks_equal(other, pk, swap_b=True)
+                and states_mod_globals(
+                    (other.ancestor, other.left, other.right),
+                    (pk.ancestor, pk.right, pk.left),
+                )
             ]
             assert mirror_hits, pk
             found += 1
