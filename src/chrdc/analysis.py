@@ -39,7 +39,7 @@ from .orders import (
     is_admissible,
 )
 from .peaks import CriticalPeak, classify, critical_peaks
-from .state import CanonicalState, State, canonicalize, equivalent
+from .state import CanonicalState, State, canonicalize
 from .syntax import Program
 
 
@@ -201,7 +201,7 @@ class _Side:
         root = canonicalize(start)
         node = _Node(root, auto.start, Derivation(root), ())
         self.levels: list[list[_Node]] = [[node]]
-        self.by_sig: list[dict[tuple, list[_Node]]] = [{root.signature(): [node]}]
+        self.by_state: list[dict[CanonicalState, list[_Node]]] = [{root: [node]}]
         self.visited: set = {(root, auto.start)}
         self.exhausted_at: Optional[int] = None
         self.truncated = False
@@ -216,7 +216,7 @@ class _Side:
                 return False
             frontier = self.levels[-1]
             new_nodes: list[_Node] = []
-            new_sigs: dict[tuple, list[_Node]] = {}
+            by_state: dict[CanonicalState, list[_Node]] = {}
             for node in frontier:
                 allowed = self.auto.labels(node.phase)
                 if not allowed:
@@ -238,7 +238,7 @@ class _Side:
                             node.trace_key + (self.index[step.rule_name],),
                         )
                         new_nodes.append(child)
-                        new_sigs.setdefault(step.target.signature(), []).append(child)
+                        by_state.setdefault(step.target, []).append(child)
                     if self.truncated:
                         break
                 if self.truncated:
@@ -249,7 +249,7 @@ class _Side:
                 self.exhausted_at = len(self.levels) - 1
                 return False
             self.levels.append(new_nodes)
-            self.by_sig.append(new_sigs)
+            self.by_state.append(by_state)
         return True
 
 
@@ -273,11 +273,8 @@ def _closing_search(
             for lnode in left.levels[l_depth]:
                 if not left.auto.accepting(lnode.phase):
                     continue
-                bucket = right.by_sig[r_depth].get(lnode.state.signature(), [])
-                for rnode in bucket:
-                    if not right.auto.accepting(rnode.phase):
-                        continue
-                    if equivalent(lnode.state, rnode.state):
+                for rnode in right.by_state[r_depth].get(lnode.state, []):
+                    if right.auto.accepting(rnode.phase):
                         candidates.append(
                             (
                                 lnode.trace_key,

@@ -148,6 +148,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_run(args) -> int:
+    if args.steps < 0:
+        raise ValueError("--steps must be non-negative")
     program = parse_program_file(args.file)
     state = parse_state(args.query, program.arities)
     current = canonicalize(state)

@@ -13,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
-from .state import CanonicalState, State, canonicalize, equivalent
+from .state import CanonicalState, State, canonicalize
 from .syntax import Atom, Program, Rule
-from .terms import Subst, Term, Var, apply, fresh_mapping, match
+from .terms import Subst, apply, fresh_mapping, match
 
 
 class ReplayError(Exception):
@@ -27,11 +27,7 @@ class LabeledStep:
     rule_name: str
     matched_kept: tuple[int, ...]
     matched_removed: tuple[int, ...]
-    bindings: tuple[tuple[str, Term], ...]
     target: CanonicalState
-
-    def unifier(self) -> Subst:
-        return dict(self.bindings)
 
 
 @dataclass(frozen=True)
@@ -41,9 +37,6 @@ class Derivation:
 
     def labels(self) -> list[str]:
         return [s.rule_name for s in self.steps]
-
-    def final(self) -> CanonicalState:
-        return self.steps[-1].target if self.steps else self.source
 
     def extend(self, step: LabeledStep) -> "Derivation":
         return Derivation(self.source, self.steps + (step,))
@@ -70,9 +63,7 @@ def _match_heads(
 
 
 def _step_for(
-    rule: Rule,
     renamed: Rule,
-    rename: Subst,
     cst: CanonicalState,
     kept_pos: tuple[int, ...],
     removed_pos: tuple[int, ...],
@@ -83,21 +74,7 @@ def _step_for(
     atoms += [a.subst(theta) for a in renamed.user_body]
     builtins = cst.residuals + tuple(e.subst(theta) for e in renamed.builtin_body)
     target = canonicalize(State(tuple(atoms), builtins, cst.globals))
-    bindings = []
-    for v in rule.variables():
-        image = rename.get(v, Var(v))
-        bindings.append((v, apply(theta, image)))
-    return LabeledStep(rule.name, kept_pos, removed_pos, tuple(bindings), target)
-
-
-def _state_vars(cst: CanonicalState) -> set[str]:
-    """Every variable of the state, which a fired rule is renamed away from."""
-    avoid = set(cst.globals)
-    for a in cst.atoms:
-        avoid.update(a.iter_vars())
-    for e in cst.residuals:
-        avoid.update(e.iter_vars())
-    return avoid
+    return LabeledStep(renamed.name, kept_pos, removed_pos, target)
 
 
 def applicable_steps(
@@ -115,14 +92,13 @@ def applicable_steps(
     if cst.bottom:
         return []
     allowed_set = set(allowed) if allowed is not None else None
-    avoid = _state_vars(cst)
+    avoid = cst.as_state().all_vars()
 
     out: list[LabeledStep] = []
     for rule in program.rules:
         if allowed_set is not None and rule.name not in allowed_set:
             continue
-        renaming = fresh_mapping(avoid, rule.variables())
-        renamed = rule.subst(renaming)
+        renamed = rule.subst(fresh_mapping(avoid, rule.variables()))
         n_kept = len(renamed.kept)
         for pos, theta in _match_heads(renamed.kept + renamed.removed, cst.atoms, {}, ()):
             guard_ok = all(
@@ -131,7 +107,7 @@ def applicable_steps(
             if not guard_ok:
                 continue
             out.append(
-                _step_for(rule, renamed, renaming, cst, pos[:n_kept], pos[n_kept:], theta)
+                _step_for(renamed, cst, pos[:n_kept], pos[n_kept:], theta)
             )
     return out
 
@@ -143,8 +119,7 @@ def _reapply(program: Program, cst: CanonicalState, step: LabeledStep) -> Canoni
         raise ReplayError(f"unknown rule {step.rule_name!r}")
     if cst.bottom:
         raise ReplayError("no steps apply to the inconsistent state")
-    renaming = fresh_mapping(_state_vars(cst), rule.variables())
-    renamed = rule.subst(renaming)
+    renamed = rule.subst(fresh_mapping(cst.as_state().all_vars(), rule.variables()))
     positions = step.matched_kept + step.matched_removed
     heads = renamed.kept + renamed.removed
     if len(positions) != len(heads) or len(set(positions)) != len(positions):
@@ -162,10 +137,8 @@ def _reapply(program: Program, cst: CanonicalState, step: LabeledStep) -> Canoni
     for e in renamed.guard:
         if apply(theta, e.lhs) != apply(theta, e.rhs):
             raise ReplayError(f"guard of rule {rule.name!r} is not entailed")
-    rebuilt = _step_for(
-        rule, renamed, renaming, cst, step.matched_kept, step.matched_removed, theta
-    )
-    if not equivalent(rebuilt.target, step.target):
+    rebuilt = _step_for(renamed, cst, step.matched_kept, step.matched_removed, theta)
+    if rebuilt.target != step.target:
         raise ReplayError(f"step of rule {rule.name!r} reaches a different state")
     return rebuilt.target
 

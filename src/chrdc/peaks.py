@@ -5,10 +5,11 @@ of the two heads and every bijection between them, the induced
 equations plus both guards are solved; a satisfiable, non-trivial
 overlap yields a peak. The solved substitution is applied throughout
 and merged head variables are projected away, so peaks read the way
-diagrams are usually drawn. The emitted list is deduplicated:
+diagrams are usually drawn. The emitted list is deduplicated by a set
+of canonical peak keys (`_peak_key`), one lookup per peak:
 
-  * up to a bijective renaming of the peak's global variables applied
-    to the whole ancestor/left/right triple,
+  * peaks equal up to one bijective renaming of their globals across
+    the whole ancestor/left/right triple are kept once,
   * mirror images are collapsed when analyzing a program against
     itself (the analyses are symmetric in the two sides), and
   * self-overlaps of a rule with itself whose reducts are already
@@ -23,7 +24,7 @@ from typing import Optional
 
 from .orders import Partition
 from .state import State, canonicalize, equivalent, _orient
-from .syntax import Atom, Eq, Program, Rule, atom_text, eq_text
+from .syntax import Atom, Eq, Program, Rule
 from .terms import Subst, Term, Var, apply, fresh_mapping, unify
 
 
@@ -58,41 +59,40 @@ def _cosmetic_rename(globals_order: list[str], states: list[State]) -> list[Stat
     return [s.subst(mapping) for s in states]
 
 
-def _shape(state: State) -> tuple:
-    cst = canonicalize(state)
-    if cst.bottom:
-        return ("<false>",)
-    wild = {v: Var("_") for a in cst.atoms for v in a.iter_vars()}
-    for e in cst.residuals:
-        for v in e.iter_vars():
-            wild[v] = Var("_")
-    atoms = tuple(sorted(atom_text(a.subst(wild)) for a in cst.atoms))
-    eqs = tuple(sorted(eq_text(e.subst(wild)) for e in cst.residuals))
-    return (atoms, eqs)
-
-
-def _peaks_equal(a: CriticalPeak, b: CriticalPeak, swap_b: bool) -> bool:
-    b_left, b_right = (b.right, b.left) if swap_b else (b.left, b.right)
-    ga = sorted(a.ancestor.globals)
-    gb = sorted(b.ancestor.globals)
-    if len(ga) != len(gb):
-        return False
-    if _shape(a.ancestor) != _shape(b.ancestor):
-        return False
-    if _shape(a.left) != _shape(b_left) or _shape(a.right) != _shape(b_right):
-        return False
-    anc_a = canonicalize(a.ancestor)
-    left_a = canonicalize(a.left)
-    right_a = canonicalize(a.right)
-    for perm in itertools.permutations(ga):
-        mapping: Subst = {src: Var(dst) for src, dst in zip(gb, perm)}
-        if not equivalent(anc_a, b.ancestor.subst(mapping)):
+def _peak_key(peak: CriticalPeak, swap: bool = False) -> tuple:
+    """The peak's canonical form up to one renaming of the globals of all
+    three states: atoms tagged by state (left and right swap for the
+    mirror), locals renamed apart, a marker atom per global, all read with
+    no globals. `_orient` names a residual variable class by its smallest
+    member, which a renaming need not keep, so each member is bound to
+    one fresh variable of the class instead."""
+    parts = [peak.ancestor, peak.right, peak.left] if swap else [
+        peak.ancestor, peak.left, peak.right
+    ]
+    globs = sorted(peak.ancestor.globals)
+    atoms = [Atom("#global", (Var(g),)) for g in globs]
+    avoid = set(globs)
+    for i, part in enumerate(parts):
+        c = canonicalize(part)
+        if c.bottom:
+            atoms.append(Atom(f"{i}#false"))
             continue
-        if equivalent(left_a, b_left.subst(mapping)) and equivalent(
-            right_a, b_right.subst(mapping)
-        ):
-            return True
-    return False
+        classes: dict[str, list[str]] = {}
+        for e in c.residuals:
+            if isinstance(e.rhs, Var):
+                classes.setdefault(e.rhs.name, [e.rhs.name]).append(e.lhs.name)
+        names = [v for x in (*c.atoms, *c.residuals) for v in x.iter_vars()]
+        ren = fresh_mapping(avoid, [v for v in names if v not in c.globals] + list(classes))
+        avoid.update(v.name for v in ren.values())
+        for rep, members in classes.items():
+            atoms.extend(Atom(f"{i}#=", (Var(m), ren[rep])) for m in members)
+        atoms.extend(Atom(f"{i}#{a.pred}", a.subst(ren).args) for a in c.atoms)
+        atoms.extend(
+            Atom(f"{i}#=", (e.lhs, apply(ren, e.rhs)))
+            for e in c.residuals
+            if not isinstance(e.rhs, Var)
+        )
+    return (peak.rule_left, peak.rule_right, canonicalize(State(tuple(atoms), (), frozenset())))
 
 
 def _rule_fires_after(rule_copy: Rule, sigma: Subst, taken: set[str]) -> bool:
@@ -186,6 +186,7 @@ def critical_peaks(p: Program, q: Program) -> list[CriticalPeak]:
     """All critical peaks between `p` and `q`, deterministically ordered."""
     same_program = p == q
     out: list[CriticalPeak] = []
+    seen: set[tuple] = set()
     for i1, r1 in enumerate(p.rules):
         for i2, r2 in enumerate(q.rules):
             if same_program and i2 < i1:
@@ -207,19 +208,9 @@ def critical_peaks(p: Program, q: Program) -> list[CriticalPeak]:
                                 continue
                             if same_rule and equivalent(peak.left, peak.right):
                                 continue
-                            duplicate = False
-                            for prev in out:
-                                if (prev.rule_left, prev.rule_right) != (
-                                    peak.rule_left,
-                                    peak.rule_right,
-                                ):
-                                    continue
-                                if _peaks_equal(prev, peak, swap_b=False):
-                                    duplicate = True
-                                    break
-                                if same_rule and _peaks_equal(prev, peak, swap_b=True):
-                                    duplicate = True
-                                    break
-                            if not duplicate:
-                                out.append(peak)
+                            key = _peak_key(peak)
+                            if key in seen or (same_rule and _peak_key(peak, True) in seen):
+                                continue
+                            seen.add(key)
+                            out.append(peak)
     return out

@@ -2,23 +2,29 @@
 
 A state is a user store (multiset of atoms), a built-in store
 (conjunction of equations), and a set of global variables; every other
-variable is local, read existentially. Equivalence is decided by
-bringing states to a canonical form: the built-in store is solved by
-unification, the solution is applied everywhere, the residual
-constraints on globals are kept, live locals are renamed to a fixed
-enumeration, and the store is sorted. Duplicate atoms can make the
-local renaming ambiguous, so the equivalence check falls back to a
-bijection search between local variables when canonical forms differ.
+variable is local, read existentially. Two states are equivalent exactly
+when their canonical forms are equal. To canonicalize, the built-in
+store is solved by unification, the solution is applied everywhere, the
+residual constraints on globals are kept, and the store is sorted.
+
+Locals get a canonical labelling by individualisation and refinement
+(McKay and Piperno, *Practical graph isomorphism II*, 2014), per
+component of atoms linked by shared locals: colour refinement splits
+the locals by how they occur, a class left with several members has
+each individualised in turn, and the smallest form over the leaves
+wins. Two leaves with one form yield an automorphism that prunes its
+orbits. Components are then ordered by form, so identical ones cost no
+permutation search. Only Cai-Fürer-Immerman-style inputs make this
+exponential; states with no locals skip it.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Union
 
 from .syntax import Atom, Eq, atom_text, eq_text
-from .terms import FRESH_PREFIX, Compound, Subst, Term, Var, unify
+from .terms import FRESH_PREFIX, Compound, Subst, Term, Var, apply, unify
 
 
 @dataclass(frozen=True)
@@ -65,31 +71,10 @@ class CanonicalState:
     globals: frozenset[str] = frozenset()
     bottom: bool = False
 
-    def locals(self) -> list[str]:
-        seen: dict[str, None] = {}
-        for a in self.atoms:
-            for v in a.iter_vars():
-                if v not in self.globals:
-                    seen.setdefault(v)
-        for e in self.residuals:
-            for v in e.iter_vars():
-                if v not in self.globals:
-                    seen.setdefault(v)
-        return list(seen)
-
     def as_state(self) -> State:
         if self.bottom:
             return State((), (Eq(Compound("0"), Compound("1")),), frozenset())
         return State(self.atoms, self.residuals, self.globals)
-
-    def signature(self) -> tuple:
-        """Hashable key that is invariant under renaming of locals."""
-        if self.bottom:
-            return ("<false>",)
-        wild = {v: Var("_") for v in self.locals()}
-        atoms = tuple(sorted(atom_text(a.subst(wild)) for a in self.atoms))
-        eqs = tuple(sorted(eq_text(e.subst(wild)) for e in self.residuals))
-        return (atoms, eqs, tuple(sorted(self.globals)))
 
 
 INCONSISTENT = CanonicalState(bottom=True)
@@ -118,34 +103,135 @@ def _orient(sigma: Subst, globals_: frozenset[str]) -> Subst:
     out: Subst = {}
     for v, t in sigma.items():
         if not isinstance(t, Var):
-            out[v] = _apply_rename(rename, t)
+            out[v] = apply(rename, t)
     for v, img in rename.items():
         out[v] = img
     return {v: t for v, t in out.items() if t != Var(v)}
 
 
-def _apply_rename(rename: Subst, t: Term) -> Term:
+def _term_key(t: Term) -> tuple:
     if isinstance(t, Var):
-        r = rename.get(t.name)
-        return r if r is not None else t
-    if not t.args:
-        return t
-    return Compound(t.functor, tuple(_apply_rename(rename, a) for a in t.args))
+        return (0, t.name)
+    return (1, t.functor, len(t.args), tuple(_term_key(a) for a in t.args))
 
 
-def _term_key(t: Term, wild: bool) -> tuple:
+def _atom_key(a: Atom) -> tuple:
+    return (a.pred, len(a.args), tuple(_term_key(x) for x in a.args))
+
+
+def _skeleton(t: Term, globs: frozenset[str]) -> tuple:
+    """The term with every local blanked out; globals keep their names."""
     if isinstance(t, Var):
-        return (0, "" if wild else t.name)
-    return (1, t.functor, len(t.args), tuple(_term_key(a, wild) for a in t.args))
+        return (0, t.name) if t.name in globs else (0,)
+    return (1, t.functor, tuple(_skeleton(a, globs) for a in t.args))
 
 
-def _atom_key(a: Atom, wild: bool) -> tuple:
-    return (a.pred, len(a.args), tuple(_term_key(x, wild) for x in a.args))
+def _positions(values: dict) -> dict:
+    """Each value replaced by the number of strictly smaller values: a
+    colouring that keeps the values' order."""
+    first: dict = {}
+    for i, val in enumerate(sorted(values.values())):
+        first.setdefault(val, i)
+    return {k: first[val] for k, val in values.items()}
+
+
+def _root(parent: dict[str, str], v: str) -> str:
+    """Union-find representative of `v`, halving the path on the way."""
+    while parent[v] != v:
+        parent[v] = v = parent[parent[v]]
+    return v
+
+
+def _label(items: list[tuple[int, tuple[str, ...]]]) -> tuple[tuple, dict[str, int]]:
+    """Smallest form of one component over the leaves of its
+    individualisation-refinement tree, and the labelling that gives it.
+    An item is an atom's skeleton rank and its locals in occurrence order."""
+    occurrences: dict[str, list[tuple[int, int]]] = {}
+    for i, (_, occ) in enumerate(items):
+        for k, v in enumerate(occ):
+            occurrences.setdefault(v, []).append((i, k))
+
+    def refine(colour: dict[str, int]) -> dict[str, int]:
+        while True:
+            keys = [(skel, tuple(colour[v] for v in occ)) for skel, occ in items]
+            new = _positions({
+                v: (colour[v], tuple(sorted((keys[i], k) for i, k in occs)))
+                for v, occs in occurrences.items()
+            })
+            if len(set(new.values())) == len(set(colour.values())):
+                return new
+            colour = new
+
+    leaves: dict[tuple, tuple[list[str], dict[str, int]]] = {}
+    automorphisms: list[dict[str, str]] = []
+
+    def search(colour: dict[str, int], path: list[str]) -> int:
+        """Explore one node; returns the depth the search resumes at."""
+        cells: dict[int, list[str]] = {}
+        for v in sorted(colour):
+            cells.setdefault(colour[v], []).append(v)
+        split = [cell for _, cell in sorted(cells.items()) if len(cell) > 1]
+        if not split:
+            form = tuple(sorted((skel, tuple(colour[v] for v in occ)) for skel, occ in items))
+            if form not in leaves:
+                leaves[form] = (path, colour)
+                return len(path)
+            # Two leaves with one form: the map between them is an
+            # automorphism, taking the earlier branch onto this one.
+            other_path, other = leaves[form]
+            by_label = {i: v for v, i in colour.items()}
+            automorphisms.append({v: by_label[i] for v, i in other.items()})
+            return next(d for d, (u, w) in enumerate(zip(path, other_path)) if u != w)
+        tried: list[str] = []
+        for v in split[0]:
+            orbits = {u: u for u in colour}
+            for g in automorphisms:
+                if all(g[u] == u for u in path):
+                    for x, y in g.items():
+                        orbits[_root(orbits, x)] = _root(orbits, y)
+            if any(_root(orbits, u) == _root(orbits, v) for u in tried):
+                continue
+            tried.append(v)
+            child = {u: c + 1 if c == colour[v] and u != v else c for u, c in colour.items()}
+            resume = search(refine(child), path + [v])
+            if resume < len(path):
+                return resume
+        return len(path)
+
+    search(refine({v: 0 for v in occurrences}), [])
+    form = min(leaves)
+    return form, leaves[form][1]
+
+
+def _canonical_renaming(
+    atoms: list[Atom], residuals: list[Eq], globs: frozenset[str]
+) -> Subst:
+    """Rename the locals to L0, L1, ... (skipping global names): components
+    are labelled apart, then numbered in the order of their forms."""
+    skeletons = [(0, a.pred, tuple(_skeleton(x, globs) for x in a.args)) for a in atoms]
+    skeletons += [(1, _skeleton(e.lhs, globs), _skeleton(e.rhs, globs)) for e in residuals]
+    ranks = _positions(dict(enumerate(skeletons)))
+    occs = [tuple(v for v in x.iter_vars() if v not in globs) for x in [*atoms, *residuals]]
+    parent = {v: v for occ in occs for v in occ}
+    for occ in occs:
+        for v in occ[1:]:
+            parent[_root(parent, v)] = _root(parent, occ[0])
+    components: dict[str, list] = {}
+    for i, occ in enumerate(occs):
+        if occ:
+            components.setdefault(_root(parent, occ[0]), []).append((ranks[i], occ))
+    names = [f"{_LOCAL_PREFIX}{k}" for k in range(len(parent) + len(globs))]
+    names = [n for n in names if n not in globs]
+    renaming: Subst = {}
+    for _, labels in sorted(map(_label, components.values()), key=lambda r: r[0]):
+        offset = len(renaming)
+        renaming.update((v, Var(names[offset + i])) for v, i in labels.items())
+    return renaming
 
 
 def canonicalize(s: Union[State, CanonicalState]) -> CanonicalState:
     if isinstance(s, CanonicalState):
-        s = s.as_state()
+        return s
     sigma = unify([(e.lhs, e.rhs) for e in s.builtins])
     if sigma is None:
         return INCONSISTENT
@@ -161,73 +247,17 @@ def canonicalize(s: Union[State, CanonicalState]) -> CanonicalState:
     for e in residuals:
         alive.update(e.iter_vars())
     globs = frozenset(g for g in s.globals if g in alive)
-
-    # First pass: order atoms with locals treated as equal, then assign
-    # canonical local names by first occurrence in that order.
-    def presort_key(a: Atom) -> tuple:
-        return (_atom_key(a, wild=True), _atom_key(a, wild=False))
-
-    atoms.sort(key=presort_key)
-    renaming: Subst = {}
-    counter = 0
-    def fresh_local() -> str:
-        nonlocal counter
-        while True:
-            cand = f"{_LOCAL_PREFIX}{counter}"
-            counter += 1
-            if cand not in globs:
-                return cand
-    for a in atoms:
-        for v in a.iter_vars():
-            if v not in globs and v not in renaming:
-                renaming[v] = Var(fresh_local())
-    for e in residuals:
-        for v in e.iter_vars():
-            if v not in globs and v not in renaming:
-                renaming[v] = Var(fresh_local())
-
-    atoms = [a.subst(renaming) for a in atoms]
-    atoms.sort(key=lambda a: _atom_key(a, wild=False))
-    residuals = [e.subst(renaming) for e in residuals]
-    residuals.sort(key=lambda e: (_term_key(e.lhs, False), _term_key(e.rhs, False)))
+    if alive - globs:
+        renaming = _canonical_renaming(atoms, residuals, globs)
+        atoms = [a.subst(renaming) for a in atoms]
+        residuals = [e.subst(renaming) for e in residuals]
+    atoms.sort(key=_atom_key)
+    residuals.sort(key=lambda e: (_term_key(e.lhs), _term_key(e.rhs)))
     return CanonicalState(tuple(atoms), tuple(residuals), globs)
 
 
-def _forms_match(c1: CanonicalState, c2: CanonicalState, mapping: Subst) -> bool:
-    atoms = sorted((a.subst(mapping) for a in c2.atoms), key=lambda a: _atom_key(a, False))
-    if tuple(atoms) != c1.atoms:
-        return False
-    eqs = sorted(
-        (e.subst(mapping) for e in c2.residuals),
-        key=lambda e: (_term_key(e.lhs, False), _term_key(e.rhs, False)),
-    )
-    return tuple(eqs) == c1.residuals
-
-
 def equivalent(s1: Union[State, CanonicalState], s2: Union[State, CanonicalState]) -> bool:
-    c1 = canonicalize(s1)
-    c2 = canonicalize(s2)
-    if c1 == c2:
-        return True
-    if c1.bottom or c2.bottom:
-        return False
-    if c1.globals != c2.globals or len(c1.atoms) != len(c2.atoms):
-        return False
-    if len(c1.residuals) != len(c2.residuals):
-        return False
-    if c1.signature() != c2.signature():
-        return False
-    # Canonical labeling of locals is heuristic when duplicate atoms are
-    # present; search local-to-local bijections for an exact witness.
-    loc1 = c1.locals()
-    loc2 = c2.locals()
-    if len(loc1) != len(loc2):
-        return False
-    for perm in itertools.permutations(loc1):
-        mapping = {b: Var(a) for a, b in zip(perm, loc2)}
-        if _forms_match(c1, c2, mapping):
-            return True
-    return False
+    return canonicalize(s1) == canonicalize(s2)
 
 
 def compose(s1: State, s2: State, quantified: frozenset[str] | set[str]) -> State:

@@ -490,8 +490,14 @@ def parse_state(text: str, arities: Optional[Arities] = None):
 
 
 def parse_program_file(path: str) -> Program:
+    """Parse a program file; a parse error's message names the file."""
     with open(path, encoding="utf-8") as fh:
-        return parse_program(fh.read())
+        text = fh.read()
+    try:
+        return parse_program(text)
+    except ParseError as exc:
+        exc.args = (f"{path}:{exc}",)
+        raise
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import os
 import pathlib
 
 import pytest
@@ -7,6 +8,12 @@ import pytest
 from chrdc.syntax import parse_program
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+
+# Tests that start `python -m chrdc.cli` need chrdc importable there too.
+_SRC = str(pathlib.Path(__file__).parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (_SRC, os.environ.get("PYTHONPATH")) if p
+)
 
 
 def fixture_path(name: str) -> str:

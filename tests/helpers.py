@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
 from chrdc.engine import Derivation, applicable_steps
 from chrdc.syntax import Atom, Eq, Program, Rule
 from chrdc.state import CanonicalState, State, canonicalize, equivalent
-from chrdc.terms import Compound, Term, Var
+from chrdc.terms import Compound, Term, Var, iter_vars
 
 
 # ---------------------------------------------------------------------------
@@ -107,6 +108,81 @@ def _match_into(pat: Term, tgt: Term, bind: Optional[dict]) -> Optional[dict]:
         if bind is None:
             return None
     return bind
+
+
+# ---------------------------------------------------------------------------
+# Brute-force state equivalence oracle (every bijection between locals)
+
+BRUTE_MAX_LOCALS = 6
+
+
+def _solved_view(s: State):
+    """The state solved by the oracle unifier: its atoms and the image of
+    every global still constrained, or None when the store is inconsistent."""
+    sigma = naive_unify_pairs([(e.lhs, e.rhs) for e in s.builtins])
+    if sigma is None:
+        return None
+    atoms = [Atom(a.pred, tuple(naive_apply(sigma, t) for t in a.args)) for a in s.atoms]
+    images = {g: naive_apply(sigma, Var(g)) for g in s.globals}
+    counts = Counter(v for a in atoms for v in a.iter_vars())
+    counts.update(v for t in images.values() for v in iter_vars(t))
+    # A global whose image is a variable met nowhere else says nothing.
+    images = {
+        g: t for g, t in images.items() if not (isinstance(t, Var) and counts[t.name] == 1)
+    }
+    return atoms, images
+
+
+def _rename_match(t1: Term, t2: Term, m: Optional[dict]) -> Optional[dict]:
+    """Extend the variable bijection `m` so that it renames t1 into t2."""
+    if m is None:
+        return None
+    if isinstance(t1, Var) and isinstance(t2, Var):
+        if m.get(t1.name, t2.name) != t2.name:
+            return None
+        if t1.name not in m and t2.name in m.values():
+            return None
+        return {**m, t1.name: t2.name}
+    if isinstance(t1, Var) or isinstance(t2, Var):
+        return None
+    if t1.functor != t2.functor or len(t1.args) != len(t2.args):
+        return None
+    for a1, a2 in zip(t1.args, t2.args):
+        m = _rename_match(a1, a2, m)
+    return m
+
+
+def brute_equivalent(s1: State, s2: State) -> bool:
+    """State equivalence by brute force: solve both stores, fix the variables
+    the globals' images force, and try every bijection between the rest."""
+    v1, v2 = _solved_view(s1), _solved_view(s2)
+    if v1 is None or v2 is None:
+        return v1 is None and v2 is None
+    (atoms1, images1), (atoms2, images2) = v1, v2
+    if images1.keys() != images2.keys() or len(atoms1) != len(atoms2):
+        return False
+    pinned: Optional[dict] = {}
+    for g in images1:
+        pinned = _rename_match(images1[g], images2[g], pinned)
+    if pinned is None:
+        return False
+    rest1 = sorted({v for a in atoms1 for v in a.iter_vars()} - pinned.keys())
+    rest2 = sorted({v for a in atoms2 for v in a.iter_vars()} - set(pinned.values()))
+    if len(rest1) != len(rest2):
+        return False
+    assert len(rest1) <= BRUTE_MAX_LOCALS, "too many locals for the brute-force oracle"
+    target = Counter(atoms2)
+    for perm in itertools.permutations(rest2):
+        m = {v: Var(w) for v, w in {**pinned, **dict(zip(rest1, perm))}.items()}
+        renamed = []
+        for atom in atoms1:
+            renamed.append(atom.subst(m))
+            if renamed[-1] not in target:
+                break
+        else:
+            if Counter(renamed) == target:
+                return True
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -275,10 +351,10 @@ def reachable(
     max_depth: int = 8,
     max_states: int = 2000,
 ) -> ReachResult:
-    """Breadth-first closure of the step relation, deduplicated by equivalence."""
+    """Breadth-first closure of the step relation, deduplicated by canonical form."""
     start = canonicalize(state)
     result = ReachResult(entries=[(start, Derivation(start))])
-    buckets: dict[tuple, list[int]] = {start.signature(): [0]}
+    seen = {start}
     frontier = [0]
     depth = 0
     while frontier:
@@ -290,15 +366,13 @@ def reachable(
         for idx in frontier:
             cst, deriv = result.entries[idx]
             for step in applicable_steps(program, cst, allowed):
-                sig = step.target.signature()
-                known = buckets.setdefault(sig, [])
-                if any(equivalent(step.target, result.entries[j][0]) for j in known):
+                if step.target in seen:
                     continue
                 if len(result.entries) >= max_states:
                     result.states_truncated = True
                     return result
                 result.entries.append((step.target, deriv.extend(step)))
-                known.append(len(result.entries) - 1)
+                seen.add(step.target)
                 next_frontier.append(len(result.entries) - 1)
         frontier = next_frontier
     return result

@@ -396,10 +396,10 @@ def _brute_minimal_valley(program, peak, allowed, depth, accept):
     right = _all_traces(program, peak.right, allowed, depth)
     buckets = {}
     for trace, state in right:
-        buckets.setdefault(state.signature(), []).append((trace, state))
+        buckets.setdefault(state, []).append((trace, state))
     best = None
     for lt, ls in left:
-        for rt, rs in buckets.get(ls.signature(), []):
+        for rt, rs in buckets.get(ls, []):
             if not accept(lt, rt):
                 continue
             if not equivalent(ls, rs):
@@ -545,9 +545,9 @@ class _Closer:
     def meets(self) -> bool:
         seen = {}
         for c, _ in self.a.entries:
-            seen.setdefault(c.signature(), []).append(c)
+            seen.setdefault(c, []).append(c)
         for c, _ in self.b.entries:
-            for other in seen.get(c.signature(), []):
+            for other in seen.get(c, []):
                 if equivalent(c, other):
                     return True
         return False

@@ -223,3 +223,22 @@ def test_negative_max_depth_flag_exits_2():
     assert code == 2
     assert out == ""
     assert "max-depth must be non-negative" in err
+
+
+def test_negative_steps_flag_exits_2():
+    code, out, err = run_cli(
+        "run", fixture_path("pminus.chr"), "--query", "p(s(a))", "--steps", "-1"
+    )
+    assert code == 2
+    assert out == ""
+    assert "--steps must be non-negative" in err
+
+
+def test_parse_error_names_the_file_at_fault(tmp_path):
+    bad = tmp_path / "bad.chr"
+    bad.write_text("r @ p(X) <=> X = f(a) | q(f(a, b)).\n")
+    code, out, err = run_cli("peaks", fixture_path("pminus.chr"), str(bad))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {bad}:1:")
+    assert "clashes" in err

@@ -1,13 +1,15 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 
 from chrdc.engine import applicable_steps
 from chrdc.orders import Partition
-from chrdc.peaks import classify, critical_peaks
+from chrdc.peaks import _peak_key, classify, critical_peaks
 from chrdc.state import canonicalize, equivalent
 from chrdc.syntax import parse_program
+from chrdc.terms import Var
 from helpers import peak_like, random_tiny_program, states_mod_globals
 
 
@@ -121,6 +123,42 @@ def test_every_peak_replays_both_one_step_reducts(leq, philos, pminus, pplus):
             assert any(equivalent(s.target, pk.right) for s in right_steps), pk
             checked += 2
     assert checked >= 60
+
+
+def test_peak_key_ignores_how_the_globals_are_named(leq, philos, pminus, pplus):
+    rng = random.Random(67)
+    checked = 0
+    for program in (leq, philos, pminus, pplus):
+        for pk in critical_peaks(program, program):
+            globs = sorted(pk.ancestor.globals)
+            for _ in range(5):
+                images = globs[:]
+                rng.shuffle(images)
+                ren = {g: Var(h) for g, h in zip(globs, images)}
+                renamed = dataclasses.replace(
+                    pk,
+                    ancestor=pk.ancestor.subst(ren),
+                    left=pk.left.subst(ren),
+                    right=pk.right.subst(ren),
+                )
+                assert _peak_key(renamed) == _peak_key(pk)
+                assert _peak_key(renamed, True) == _peak_key(pk, True)
+                checked += 1
+    assert checked >= 90
+
+
+def test_kept_peaks_differ_up_to_global_renaming(leq, philos, pminus, pplus):
+    rng = random.Random(71)
+    programs = [leq, philos, pminus, pplus] + [random_tiny_program(rng) for _ in range(20)]
+    for program in programs:
+        peaks = critical_peaks(program, program)
+        for a, b in itertools.combinations(peaks, 2):
+            if (a.rule_left, a.rule_right) != (b.rule_left, b.rule_right):
+                continue
+            triple = (a.ancestor, a.left, a.right)
+            assert not states_mod_globals(triple, (b.ancestor, b.left, b.right))
+            if a.rule_left == a.rule_right:
+                assert not states_mod_globals(triple, (b.ancestor, b.right, b.left))
 
 
 def test_cross_program_peaks_are_mirror_images():

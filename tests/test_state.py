@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
@@ -15,7 +16,7 @@ from chrdc.state import (
 )
 from chrdc.syntax import Atom, Eq, parse_state
 from chrdc.terms import Compound, Var
-from helpers import random_state
+from helpers import brute_equivalent, random_state
 
 
 a, b = Compound("a"), Compound("b")
@@ -122,10 +123,10 @@ def test_duplicate_atom_ambiguity_falls_back_to_bijection():
 
 
 def test_directed_path_needs_the_bijection_fallback():
-    # The two-edge path written forwards and backwards: first-occurrence
-    # labeling produces different canonical forms, so only the bijection
-    # search can certify equivalence. A fork of the same shape must still
-    # be distinguished.
+    # The two-edge path written forwards and backwards. Labelling locals
+    # by first occurrence gave these two different forms; a canonical
+    # labelling gives one. A fork of the same shape must still be
+    # distinguished.
     path = State(
         (Atom("e", (Var("X"), Var("Y"))), Atom("e", (Var("Y"), Var("Z")))),
         (),
@@ -141,7 +142,7 @@ def test_directed_path_needs_the_bijection_fallback():
         (),
         frozenset(),
     )
-    assert canonicalize(path) != canonicalize(reversed_path)
+    assert canonicalize(path) == canonicalize(reversed_path)
     assert equivalent(path, reversed_path)
     assert not equivalent(path, fork)
 
@@ -178,6 +179,136 @@ def test_equivalence_relation_properties_sampled():
         assert equivalent(s, s_alpha)
         assert equivalent(s_alpha, s_shuf)
         assert equivalent(s, s_shuf)
+
+
+def _random_store(rng: random.Random) -> State:
+    """Up to six locals and two globals: edges, marks, duplicated atoms
+    and sometimes a residual equation."""
+    locals_ = [f"X{i}" for i in range(rng.randint(1, 6))]
+    pool = locals_ + ["G", "H"]
+    atoms = []
+    for _ in range(rng.randint(1, 7)):
+        roll = rng.random()
+        if roll < 0.5:
+            atoms.append(Atom("e", (Var(rng.choice(pool)), Var(rng.choice(locals_)))))
+        elif roll < 0.8:
+            atoms.append(Atom("p", (Var(rng.choice(locals_)),)))
+        else:
+            v = rng.choice(pool)
+            atoms.append(Atom("q", (Var(v), Compound("f", (Var(v),)))))
+        if rng.random() < 0.3:
+            atoms.append(atoms[-1])
+    eqs = []
+    if rng.random() < 0.4:
+        eqs.append(Eq(Var(rng.choice(["G", "H"])), rng.choice([Var(rng.choice(pool)), a])))
+    return State(tuple(atoms), tuple(eqs), frozenset({"G", "H"}))
+
+
+def _successor_store(rng: random.Random, size: int = 6, most: int = 2) -> State:
+    """Locals each with as many out-edges as in-edges: the edges of one to
+    `most` random permutations. Colour refinement alone cannot split them,
+    and with two or more permutations the locals are rarely all alike."""
+    names = [f"X{i}" for i in range(size)]
+    atoms = []
+    for _ in range(rng.randint(1, most)):
+        succ = names[:]
+        rng.shuffle(succ)
+        atoms += [Atom("e", (Var(x), Var(y))) for x, y in zip(names, succ)]
+    return State(tuple(atoms), (), frozenset())
+
+
+def _variant(rng: random.Random, s: State) -> State:
+    """The same state with its locals renamed and its stores shuffled."""
+    locs = sorted(s.free_vars() - s.globals)
+    images = [f"R{i}" for i in range(len(locs))]
+    rng.shuffle(images)
+    t = s.subst({v: Var(w) for v, w in zip(locs, images)})
+    atoms, eqs = list(t.atoms), list(t.builtins)
+    rng.shuffle(atoms)
+    rng.shuffle(eqs)
+    return State(tuple(atoms), tuple(eqs), t.globals)
+
+
+def _mutant(rng: random.Random, s: State) -> State:
+    """The state with one atom replaced by a copy of another, or rewired."""
+    atoms = list(s.atoms)
+    i = rng.randrange(len(atoms))
+    if rng.random() < 0.5:
+        atoms[i] = atoms[rng.randrange(len(atoms))]
+    elif atoms[i].args:
+        names = sorted(s.free_vars()) or ["X0"]
+        args = list(atoms[i].args)
+        args[rng.randrange(len(args))] = Var(rng.choice(names))
+        atoms[i] = Atom(atoms[i].pred, tuple(args))
+    return State(tuple(atoms), s.builtins, s.globals)
+
+
+def test_equivalent_agrees_with_brute_force_oracle():
+    rng = random.Random(89)
+    outcomes = {True: 0, False: 0}
+    for n in range(200):
+        s = _successor_store(rng) if n % 4 == 0 else _random_store(rng)
+        c = canonicalize(s)
+        assert canonicalize(c) is c
+        assert canonicalize(c.as_state()) == c
+        others = [_variant(rng, s), _mutant(rng, s), _mutant(rng, _variant(rng, s))]
+        if n % 4 == 0:
+            others.append(_successor_store(rng))
+        for t in others:
+            expected = brute_equivalent(s, t)
+            assert equivalent(s, t) == expected, (canonical_text(c), canonical_text(canonicalize(t)))
+            assert equivalent(t, s) == expected
+            outcomes[expected] += 1
+    assert min(outcomes.values()) >= 100, outcomes
+
+
+def test_canonical_form_ignores_names_beyond_the_oracle():
+    rng = random.Random(97)
+    for _ in range(60):
+        s = _successor_store(rng, size=rng.randint(7, 9), most=3)
+        c = canonicalize(s)
+        for _ in range(3):
+            assert canonicalize(_variant(rng, s)) == c
+
+
+def test_canonical_form_with_repeated_shapes_is_a_fixpoint():
+    # First-occurrence labelling gave this state a form that
+    # canonicalized again to a different one.
+    c = canonicalize(
+        st("p(f(a)), q(X, g(a, b)), q(Y, Y), q(W, X), q(W, Z), p(f(b)) # globals: W, Z")
+    )
+    assert canonicalize(c.as_state()) == c
+    assert canonicalize(c) is c
+
+
+def _cycle(names: list[str]) -> tuple[Atom, ...]:
+    return tuple(Atom("p", (Var(x), Var(y))) for x, y in zip(names, names[1:] + names[:1]))
+
+
+def _names(n: int, prefix: str = "X") -> list[str]:
+    return [f"{prefix}{i}" for i in range(n)]
+
+
+def _hung_cycles(prefix: str) -> State:
+    hub = Var(f"{prefix}H")
+    atoms = [Atom("h", (hub,))]
+    for k in range(5):
+        ring = _names(3, f"{prefix}{k}_")
+        atoms += _cycle(ring) + (Atom("r", (hub, Var(ring[0]))),)
+    return State(tuple(atoms), (), frozenset())
+
+
+@pytest.mark.parametrize("left, right, expected", [
+    (_cycle(_names(9)), _cycle(_names(4)) + _cycle(_names(5, "Y")), False),
+    (sum((_cycle(_names(3, f"C{k}_")) for k in range(4)), ()), _cycle(_names(12)), False),
+    (_hung_cycles("A").atoms, _hung_cycles("B").atoms[::-1], True),
+    (tuple(Atom("q", (Var(v),)) for v in _names(8)),
+     tuple(Atom("q", (Var(v),)) for v in _names(8, "Y")[::-1]), True),
+], ids=["9-cycle", "3-cycles", "hung-cycles", "8-copies"])
+def test_symmetric_stores_are_compared_quickly(left, right, expected):
+    start = time.perf_counter()
+    assert equivalent(State(left, (), frozenset()), State(right, (), frozenset())) == expected
+    assert time.perf_counter() - start < 1.0
 
 
 def test_state_text_renames_internal_locals():
