@@ -25,17 +25,20 @@ are definite.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .engine import Derivation, applicable_steps
 from .orders import (
+    MAX_ORDERS,
     AdmissibilityResult,
     Partition,
     RulePreorder,
     TerminationResult,
     admissible_total_preorders,
     check_inductive_termination,
+    fubini,
     is_admissible,
 )
 from .peaks import CriticalPeak, classify, critical_peaks
@@ -395,7 +398,7 @@ def _join_peaks(
     budget: SearchBudget,
     tactics: Optional[dict[int, tuple[list, list]]] = None,
 ) -> dict[int, PeakVerdict]:
-    """The per-peak loop every criterion runs: one verdict per index."""
+    """The per-peak loop of a criterion: one verdict per index."""
     tactics = tactics or {}
     return {
         i: join_search(program, peaks[i], allowed, pattern, budget, i, tactics.get(i))
@@ -481,6 +484,35 @@ def check_strong_confluence(program: Program, budget: SearchBudget) -> Report:
     )
 
 
+def live_rules(program: Program, states: Iterable[State]) -> frozenset[str]:
+    """Rules that may fire from some state reachable from `states`: the least
+    set whose rules' head predicates all occur in `states` or in the user
+    body of a rule of the set. Any other rule never yields a step there."""
+    preds = {a.pred for s in states for a in s.atoms}
+    live: set[str] = set()
+    grew = True
+    while grew:
+        grew = False
+        for rule in program.rules:
+            if rule.name not in live and all(a.pred in preds for a in rule.heads):
+                live.add(rule.name)
+                preds.update(a.pred for a in rule.user_body)
+                grew = True
+    return frozenset(live)
+
+
+def _star_key(peak: CriticalPeak, order: RulePreorder, live: frozenset[str]) -> tuple:
+    """What the star pattern of `order` can matter for on `peak`: both
+    sides' down-sets restricted to the peak's live rules."""
+    return tuple(
+        (auto.prefix & live, auto.middle & live, auto.tail & live)
+        for auto in (
+            _StarAuto(peak.rule_left, peak.rule_right, order),
+            _StarAuto(peak.rule_right, peak.rule_left, order),
+        )
+    )
+
+
 def check_rule_decreasing(
     program: Program,
     part: Partition,
@@ -489,24 +521,32 @@ def check_rule_decreasing(
     tactics: Optional[dict[int, tuple[list, list]]] = None,
     enumerate_orders: bool = False,
     assume_terminating: bool = False,
+    peaks: Optional[Sequence[CriticalPeak]] = None,
 ) -> Report:
+    """`peaks`, when given, must be `critical_peaks(program, program)`."""
     criterion = "strongly_rule_decreasing" if not part.inductive else "rule_decreasing"
-    peaks = critical_peaks(program, program)
+    if peaks is None:
+        peaks = critical_peaks(program, program)
     classes = [classify(pk, part) for pk in peaks]
     term = check_inductive_termination(program, part, assume_terminating)
 
     admissible_fields: tuple[tuple[str, str], ...] = ()
     if order is not None:
         adm = is_admissible(order, part)
-        orders_to_try = [order] if adm.ok else []
-    elif enumerate_orders and len(part.coinductive) <= 5:
-        orders_to_try = list(admissible_total_preorders(program, part))
+        orders_to_try: Iterable[RulePreorder] = [order]
+    elif enumerate_orders:
         adm = AdmissibilityResult(True)
-        admissible_fields = (("orders_tried", str(len(orders_to_try))),)
+        total = fubini(len(part.inductive)) * fubini(len(part.coinductive))
+        orders_to_try = itertools.islice(
+            admissible_total_preorders(program, part), MAX_ORDERS
+        )
+        admissible_fields = (("orders_tried", str(total)),)
+        if total > MAX_ORDERS:
+            admissible_fields += (("truncated", "true"),)
     else:
         fallback = RulePreorder.discrete(program.rule_names())
         adm = is_admissible(fallback, part)
-        orders_to_try = [fallback] if adm.ok else []
+        orders_to_try = [fallback]
 
     def report(verdicts, holds, shown_order, fields) -> Report:
         return _report(
@@ -515,9 +555,10 @@ def check_rule_decreasing(
             admissibility=adm, admissible_fields=fields,
         )
 
-    if not adm.ok or not term.acceptable or not orders_to_try:
+    if not adm.ok or not term.acceptable:
         return report({}, False, order, admissible_fields)
 
+    tactics = tactics or {}
     inductive = [i for i, cls in enumerate(classes) if cls == "inductive"]
     coinductive = [i for i, cls in enumerate(classes) if cls == "coinductive"]
     verdicts = _join_peaks(
@@ -525,12 +566,21 @@ def check_rule_decreasing(
     )
     inductive_ok = all(v.closed for v in verdicts.values())
 
+    # Orders that agree on a peak's live rules give it the same verdict,
+    # so each peak's star search runs once per distinct key.
+    live = {i: live_rules(program, (peaks[i].left, peaks[i].right)) for i in coinductive}
+    searched: dict[tuple, PeakVerdict] = {}
     chosen: Optional[tuple[RulePreorder, dict[int, PeakVerdict]]] = None
     for cand in orders_to_try:
-        co = _join_peaks(
-            program, peaks, coinductive, ("star", cand), program.rule_names(), budget,
-            tactics,
-        )
+        co = {}
+        for i in coinductive:
+            key = (i, _star_key(peaks[i], cand, live[i]))
+            if key not in searched:
+                searched[key] = join_search(
+                    program, peaks[i], program.rule_names(), ("star", cand), budget, i,
+                    tactics.get(i),
+                )
+            co[i] = searched[key]
         if all(v.closed for v in co.values()):
             chosen = (cand, co)
             break

@@ -129,11 +129,10 @@ def _cmd_check(args) -> int:
         order: Optional[RulePreorder] = None
         if cfg.order_decls:
             order = RulePreorder.from_declarations(program.rule_names(), cfg.order_decls)
+        peaks = critical_peaks(program, program)
         tactics = None
         if cfg.tactics:
-            tactics = resolve_tactics(
-                cfg, critical_peaks(program, program), set(program.rule_names())
-            )
+            tactics = resolve_tactics(cfg, peaks, set(program.rule_names()))
         report = check_rule_decreasing(
             program,
             part,
@@ -142,6 +141,7 @@ def _cmd_check(args) -> int:
             tactics=tactics,
             enumerate_orders=cfg.enumerate_orders,
             assume_terminating=cfg.assume_terminating,
+            peaks=peaks,
         )
     _emit(report, cfg, args.format)
     return 0 if report.established else 1

@@ -8,7 +8,7 @@ verify needs an explicit assumption flag, which is echoed in reports.
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
@@ -53,22 +53,33 @@ class Partition:
 
 
 class RulePreorder:
-    """Reflexive-transitive closure of declared pairs on a finite carrier."""
+    """Reflexive-transitive closure of declared pairs on a finite carrier,
+    kept as each element's down-set."""
 
-    def __init__(self, carrier: Iterable[str], geq_pairs: Iterable[tuple[str, str]]):
+    def __init__(
+        self,
+        carrier: Iterable[str],
+        geq_pairs: Iterable[tuple[str, str]],
+        transitive: bool = False,
+    ):
+        """The pairs relate carrier elements. `transitive` promises that they
+        are closed under composition, so only reflexive pairs are added."""
         self.carrier = tuple(carrier)
-        base = {(a, a) for a in self.carrier}
-        base.update(geq_pairs)
-        # Warshall-style closure.
-        changed = True
+        below = {a: {a} for a in self.carrier}
+        for a, b in geq_pairs:
+            below[a].add(b)
+        changed = not transitive
         while changed:
             changed = False
-            for a, b in list(base):
-                for c, d in list(base):
-                    if b == c and (a, d) not in base:
-                        base.add((a, d))
-                        changed = True
-        self._geq = frozenset(base)
+            for a, bs in below.items():
+                closed = bs.union(*(below[b] for b in bs))
+                if len(closed) > len(bs):
+                    below[a] = closed
+                    changed = True
+        self._down_eq = {a: frozenset(bs) for a, bs in below.items()}
+        self._down_strict = {
+            a: frozenset(c for c in bs if a not in below[c]) for a, bs in below.items()
+        }
 
     @staticmethod
     def from_declarations(
@@ -95,21 +106,26 @@ class RulePreorder:
 
     @staticmethod
     def discrete(carrier: Iterable[str]) -> "RulePreorder":
-        return RulePreorder(carrier, ())
+        return RulePreorder(carrier, (), transitive=True)
+
+    @staticmethod
+    def from_levels(carrier: Iterable[str], level: dict[str, int]) -> "RulePreorder":
+        """The total preorder `a >= b` iff `level[a] >= level[b]`."""
+        carrier = tuple(carrier)
+        pairs = [(a, b) for a in carrier for b in carrier if level[a] >= level[b]]
+        return RulePreorder(carrier, pairs, transitive=True)
 
     def geq(self, a: str, b: str) -> bool:
-        return (a, b) in self._geq
+        return b in self._down_eq[a]
 
     def strictly_greater(self, a: str, b: str) -> bool:
-        return (a, b) in self._geq and (b, a) not in self._geq
+        return b in self._down_strict[a]
 
     def down_strict(self, keys: Iterable[str]) -> frozenset[str]:
-        ks = tuple(keys)
-        return frozenset(c for c in self.carrier if any(self.strictly_greater(k, c) for k in ks))
+        return frozenset().union(*(self._down_strict[k] for k in keys))
 
     def down_eq(self, keys: Iterable[str]) -> frozenset[str]:
-        ks = tuple(keys)
-        return frozenset(c for c in self.carrier if any(self.geq(k, c) for k in ks))
+        return frozenset().union(*(self._down_eq[k] for k in keys))
 
     def pairs_text(self) -> list[str]:
         """Strict pairs of the closure, a compact printable summary."""
@@ -136,33 +152,77 @@ def is_admissible(order: RulePreorder, part: Partition) -> AdmissibilityResult:
     return AdmissibilityResult(True)
 
 
+# Enumeration tries at most this many orders; the report says `truncated`
+# when the admissible space is larger.
+MAX_ORDERS = 10_000
+
+
+def fubini(n: int) -> int:
+    """Number of total preorders (ordered set partitions) of n elements."""
+    counts = [1]
+    for i in range(1, n + 1):
+        counts.append(sum(math.comb(i, j) * counts[i - j] for j in range(1, i + 1)))
+    return counts[n]
+
+
+def _admissible_levels(coinductive: list[bool], k: int) -> Iterator[list[int]]:
+    """Surjective maps onto range(k) that put every coinductive position
+    above every inductive one, in lexicographic order.
+
+    Levels are assigned left to right; a branch is cut as soon as no
+    completion exists. In a completion the inductive rules fill exactly
+    the levels below some threshold t and the coinductive ones the rest,
+    so a branch lives while some t fits between the levels used so far
+    and leaves no more free levels on either side than rules remain."""
+    n = len(coinductive)
+    rest_co = [sum(coinductive[i:]) for i in range(n + 1)]
+    rest_ind = [n - i - rest_co[i] for i in range(n + 1)]
+    t_min = 1 if rest_ind[0] else 0
+    t_max = k - 1 if rest_co[0] else k
+    used = [0] * k
+    levels: list[int] = []
+
+    def completable(i: int, top_ind: int, bottom_co: int) -> bool:
+        for t in range(max(t_min, top_ind + 1), min(t_max, bottom_co) + 1):
+            if used[:t].count(0) <= rest_ind[i] and used[t:].count(0) <= rest_co[i]:
+                return True
+        return False
+
+    def extend(i: int, top_ind: int, bottom_co: int) -> Iterator[list[int]]:
+        if i == n:
+            yield levels
+            return
+        for lv in range(k):
+            if coinductive[i]:
+                top, bottom = top_ind, min(bottom_co, lv)
+            else:
+                top, bottom = max(top_ind, lv), bottom_co
+            used[lv] += 1
+            levels.append(lv)
+            if completable(i + 1, top, bottom):
+                yield from extend(i + 1, top, bottom)
+            levels.pop()
+            used[lv] -= 1
+
+    yield from extend(0, -1, k)
+
+
 def admissible_total_preorders(program: Program, part: Partition) -> Iterator[RulePreorder]:
-    """All admissible total preorders on the rule names, as level maps.
+    """All admissible total preorders on the rule names, lazily, as level
+    maps in lexicographic order of the level tuples for k = 0, 1, ...
+    levels. An admissible order stacks a total preorder of the coinductive
+    rules on one of the inductive rules, so there are Fubini(#inductive) *
+    Fubini(#coinductive) of them.
 
     Enumerating total preorders is complete here: any admissible preorder
     extends to a total one that preserves its strict pairs, and the
     decreasingness conditions only gain from added comparabilities.
     """
     names = program.rule_names()
-    n = len(names)
-    for k in range(1, n + 1):
-        for levels in itertools.product(range(k), repeat=n):
-            if set(levels) != set(range(k)):
-                continue
-            level = dict(zip(names, levels))
-            if any(
-                level[rc] <= level[ri]
-                for rc in part.coinductive
-                for ri in part.inductive
-            ):
-                continue
-            pairs = [
-                (a, b)
-                for a in names
-                for b in names
-                if a != b and level[a] >= level[b]
-            ]
-            yield RulePreorder(names, pairs)
+    coinductive = [name in part.coinductive for name in names]
+    for k in range(len(names) + 1):
+        for levels in _admissible_levels(coinductive, k):
+            yield RulePreorder.from_levels(names, dict(zip(names, levels)))
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,10 @@ peak is JOINABLE, STRONGLY_JOINABLE or DECREASING with `left=[...]
 right=[...]`, the valley's rule labels; an open one is NOT_CLOSED with
 `depth=N states=N`, then `exhausted=true` when both search spaces were
 explored and `notes=[...]` when a reduct admits no step. ADMISSIBLE
-carries `witness=`, `orders_tried=`, `found=` and `order=` as they
-apply.
+carries `witness=`, `orders_tried=`, `truncated=`, `found=` and `order=`
+as they apply: `orders_tried` is the number of admissible orders, and
+`truncated=true` says that only the first `orders.MAX_ORDERS` of them
+were tried.
 
 Values are bare tokens or bracketed lists; a report is re-parseable by
 `parse_machine_report` and emission is byte-stable across runs.

@@ -7,6 +7,7 @@ matcher, and brute-force enumerators.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from collections import Counter
@@ -332,6 +333,36 @@ def random_ground_state(rng: random.Random, max_atoms: int = 3) -> State:
     used = sorted({v for a in atoms for v in a.iter_vars()})
     globals_ = frozenset(v for v in used if rng.random() < 0.6)
     return State(tuple(atoms), (), globals_)
+
+
+# ---------------------------------------------------------------------------
+# Admissible total preorders by brute force
+
+@functools.lru_cache(maxsize=None)
+def _surjective_levels(n: int, k: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(
+        levels
+        for levels in itertools.product(range(k), repeat=n)
+        if set(levels) == set(range(k))
+    )
+
+
+def product_admissible_levels(names: list[str], part) -> Iterable[tuple[int, ...]]:
+    """Level tuples of the admissible total preorders on `names`: every
+    tuple of `itertools.product(range(k), repeat=n)` for k = 1..n, kept
+    when it uses every level and puts each coinductive rule strictly above
+    each inductive one."""
+    n = len(names)
+    for k in range(1, n + 1):
+        for levels in _surjective_levels(n, k):
+            level = dict(zip(names, levels))
+            if any(
+                level[rc] <= level[ri]
+                for rc in part.coinductive
+                for ri in part.inductive
+            ):
+                continue
+            yield levels
 
 
 # ---------------------------------------------------------------------------

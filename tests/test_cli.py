@@ -242,3 +242,28 @@ def test_parse_error_names_the_file_at_fault(tmp_path):
     assert out == ""
     assert err.startswith(f"error: {bad}:1:")
     assert "clashes" in err
+
+
+def test_decreasing_with_tactics_enumerates_peaks_once(monkeypatch):
+    import chrdc.analysis
+    import chrdc.cli
+    import chrdc.peaks
+    from conftest import FIXTURES
+
+    original = chrdc.peaks.critical_peaks
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    # Modules that imported the name hold their own binding to it.
+    for module in (chrdc.peaks, chrdc.cli, chrdc.analysis):
+        monkeypatch.setattr(module, "critical_peaks", counting)
+    code, out, _ = run_cli(
+        "check", "--mode", "decreasing", fixture_path("philos.chr"),
+        "--config", fixture_path("philos_tactic.cfg"),
+    )
+    assert code == 0
+    assert len(calls) == 1
+    assert out == (FIXTURES / "golden" / "philos_tactic.txt").read_text(encoding="utf-8")

@@ -2,17 +2,27 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 
 import pytest
 
+from chrdc import analysis
+from chrdc.analysis import SearchBudget, check_rule_decreasing, join_search, live_rules
+from chrdc.cli import main
+from chrdc.config import load_config_file, resolve_tactics
 from chrdc.orders import (
+    MAX_ORDERS,
     Partition,
     RulePreorder,
     admissible_total_preorders,
     check_inductive_termination,
+    fubini,
     is_admissible,
 )
-from chrdc.syntax import parse_program
+from chrdc.peaks import classify, critical_peaks
+from chrdc.syntax import parse_program, parse_state
+from conftest import FIXTURES, fixture_path
+from helpers import product_admissible_levels
 
 
 def test_partition_fills_missing_side(leq):
@@ -155,3 +165,189 @@ def test_size_measure_counts_variable_occurrences():
     assert check_inductive_termination(kept_var, Partition.for_program(kept_var)).status == "REFUTED"
     fresh_var = parse_program("r @ p(s(X)) <=> p(Y).")
     assert check_inductive_termination(fresh_var, Partition.for_program(fresh_var)).status == "VERIFIED"
+
+
+# ---------------------------------------------------------------------------
+# Admissible order enumeration and the order search
+
+def _with_fresh(core: str, m: int):
+    """A core program plus m fresh terminating rules `ri @ ai(X) <=> true.`"""
+    return parse_program(core + "".join(f"r{i} @ a{i}(X) <=> true.\n" for i in range(m)))
+
+
+def _same_relation(order: RulePreorder, names, level: dict) -> bool:
+    return all(order.geq(a, b) == (level[a] >= level[b]) for a in names for b in names)
+
+
+def _order_count(part: Partition) -> int:
+    return fubini(len(part.inductive)) * fubini(len(part.coinductive))
+
+
+def test_fubini_numbers():
+    assert [fubini(n) for n in range(8)] == [1, 1, 3, 13, 75, 541, 4683, 47293]
+
+
+def test_admissible_orders_follow_the_product_oracle():
+    for n in range(1, 7):
+        program = _with_fresh("", n)
+        names = program.rule_names()
+        for mask in range(2 ** n):
+            co = [name for i, name in enumerate(names) if mask >> i & 1]
+            part = Partition.for_program(program, coinductive=co)
+            expected = list(product_admissible_levels(names, part))
+            got = list(admissible_total_preorders(program, part))
+            assert len(got) == len(expected) == _order_count(part)
+            for order, levels in zip(got, expected):
+                assert _same_relation(order, names, dict(zip(names, levels)))
+
+
+def test_admissible_orders_are_generated_lazily():
+    program = _with_fresh("", 8)
+    part = Partition.for_program(program, coinductive=["r7"])
+    start = time.perf_counter()
+    first = next(admissible_total_preorders(program, part))
+    assert time.perf_counter() - start < 0.1
+    names = program.rule_names()
+    assert _same_relation(first, names, {n: int(n == "r7") for n in names})
+
+
+def test_empty_program_has_one_admissible_order():
+    empty = parse_program("% empty")
+    part = Partition.for_program(empty)
+    assert len(list(admissible_total_preorders(empty, part))) == 1
+    rep = check_rule_decreasing(empty, part, None, SearchBudget(), enumerate_orders=True)
+    assert rep.established
+    assert dict(rep.admissible_fields) == {
+        "orders_tried": "1", "found": "true", "order": "discrete"
+    }
+
+
+def test_live_rules():
+    program = parse_program(
+        "a @ p(X) <=> q(X).\n"
+        "b @ q(X) <=> true.\n"
+        "c @ p(X), r(X) <=> true.\n"
+        "d @ s(X) ==> r(X).\n"
+    )
+    # b fires only on what a produces; c also needs r, which only d
+    # produces, and d needs s.
+    assert live_rules(program, [parse_state("p(a)")]) == {"a", "b"}
+    assert live_rules(program, [parse_state("p(a)"), parse_state("s(a)")]) == {
+        "a", "b", "c", "d"
+    }
+    assert live_rules(program, [parse_state("r(a)")]) == frozenset()
+
+
+def _walk_orders(program, part, budget, tactics):
+    """The check's choice by a plain walk over the oracle's orders with one
+    star search per coinductive peak and order: the first order that closes
+    every coinductive peak, else the first order."""
+    names = program.rule_names()
+    peaks = critical_peaks(program, program)
+    co = [i for i, pk in enumerate(peaks) if classify(pk, part) == "coinductive"]
+    first = None
+    for levels in itertools.islice(product_admissible_levels(names, part), MAX_ORDERS):
+        level = dict(zip(names, levels))
+        order = RulePreorder(names, [(a, b) for a in names for b in names if level[a] >= level[b]])
+        verdicts = {
+            i: join_search(program, peaks[i], names, ("star", order), budget, i, tactics.get(i))
+            for i in co
+        }
+        if all(v.closed for v in verdicts.values()):
+            return level, verdicts
+        first = first or (level, verdicts)
+    return first
+
+
+@pytest.mark.parametrize("core,coinductive,m", [
+    ("pplus.chr", ["splus"], 0),
+    ("pplus.chr", ["splus"], 1),
+    ("pplus.chr", ["splus"], 2),
+    ("pplus.chr", ["duplicate", "splus"], 1),
+    ("leq.chr", ["transitivity"], 1),
+    ("leq.chr", ["transitivity"], 2),
+    ("leq.chr", ["transitivity"], 3),
+    ("philos.chr", ["eat", "thk"], 0),
+    ("philos.chr", ["eat", "thk"], 2),
+    # r0 never fires on a philos peak, so orders that differ only in r0's
+    # place share a search before eat > thk closes the peaks.
+    ("philos.chr", ["eat", "thk", "r0"], 2),
+])
+def test_order_search_matches_a_plain_walk(core, coinductive, m):
+    program = _with_fresh((FIXTURES / core).read_text(), m)
+    part = Partition.for_program(program, coinductive=coinductive)
+    tactics = {}
+    if core == "philos.chr":
+        cfg = load_config_file(fixture_path("philos_tactic.cfg"))
+        tactics = resolve_tactics(
+            cfg, critical_peaks(program, program), set(program.rule_names())
+        )
+    budget = SearchBudget()
+    rep = check_rule_decreasing(
+        program, part, None, budget, tactics=tactics, enumerate_orders=True
+    )
+    level, verdicts = _walk_orders(program, part, budget, tactics)
+    assert _same_relation(rep.order, program.rule_names(), level)
+    assert {v.index: v for v in rep.verdicts if v.index in verdicts} == verdicts
+    assert dict(rep.admissible_fields)["orders_tried"] == str(_order_count(part))
+
+
+def test_closing_order_among_4683_is_found_quickly(monkeypatch):
+    pulled = []
+
+    def counting(*args):
+        for order in admissible_total_preorders(*args):
+            pulled.append(order)
+            yield order
+
+    monkeypatch.setattr(analysis, "admissible_total_preorders", counting)
+    program = _with_fresh((FIXTURES / "leq.chr").read_text(), 3)
+    part = Partition.for_program(program, coinductive=["transitivity"])
+    start = time.perf_counter()
+    rep = check_rule_decreasing(program, part, None, SearchBudget(), enumerate_orders=True)
+    assert time.perf_counter() - start < 1.0
+    assert rep.established
+    fields = dict(rep.admissible_fields)
+    assert fields["orders_tried"] == "4683" and fields["found"] == "true"
+    assert len(pulled) == 1  # the first order closes, so no other is built
+
+
+def test_541_failing_orders_share_one_star_search(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return join_search(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "join_search", counting)
+    program = _with_fresh((FIXTURES / "pplus.chr").read_text(), 4)
+    part = Partition.for_program(program, coinductive=["splus"])
+    start = time.perf_counter()
+    rep = check_rule_decreasing(program, part, None, SearchBudget(), enumerate_orders=True)
+    assert time.perf_counter() - start < 1.0
+    assert not rep.established
+    fields = dict(rep.admissible_fields)
+    assert fields["orders_tried"] == "541" and fields["found"] == "false"
+    assert len(calls) == len(rep.peaks) == 1
+
+
+def test_order_enumeration_past_the_bound_is_truncated(tmp_path, capsys):
+    program = tmp_path / "p.chr"
+    program.write_text(
+        (FIXTURES / "pplus.chr").read_text()
+        + "".join(f"r{i} @ a{i}(X) <=> true.\n" for i in range(6))
+    )
+    cfg = tmp_path / "p.cfg"
+    cfg.write_text("[partition]\ncoinductive = splus\n[options]\nenumerate_orders = true\n")
+    start = time.perf_counter()
+    code = main(["check", "--mode", "decreasing", str(program), "--config", str(cfg),
+                 "--format", "machine"])
+    assert time.perf_counter() - start < 2.0
+    assert code == 1
+    out = capsys.readouterr().out
+    assert "ADMISSIBLE enumerated orders_tried=47293 truncated=true found=false\n" in out
+    code = main(["check", "--mode", "decreasing", str(program), "--config", str(cfg)])
+    assert code == 1
+    assert "admissible: yes orders_tried=47293 truncated=true found=false\n" in (
+        capsys.readouterr().out
+    )
