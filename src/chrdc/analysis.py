@@ -587,6 +587,8 @@ def check_rule_decreasing(
         chosen = chosen or (cand, co)
         if not inductive_ok:
             break  # enumeration cannot help once an inductive peak failed
+    # orders_to_try is never empty: even the empty program has its
+    # Fubini(0) * Fubini(0) = 1 admissible order.
     chosen_order, co = chosen
     verdicts.update(co)
 

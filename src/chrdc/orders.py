@@ -56,19 +56,12 @@ class RulePreorder:
     """Reflexive-transitive closure of declared pairs on a finite carrier,
     kept as each element's down-set."""
 
-    def __init__(
-        self,
-        carrier: Iterable[str],
-        geq_pairs: Iterable[tuple[str, str]],
-        transitive: bool = False,
-    ):
-        """The pairs relate carrier elements. `transitive` promises that they
-        are closed under composition, so only reflexive pairs are added."""
+    def __init__(self, carrier: Iterable[str], geq_pairs: Iterable[tuple[str, str]]):
         self.carrier = tuple(carrier)
         below = {a: {a} for a in self.carrier}
         for a, b in geq_pairs:
             below[a].add(b)
-        changed = not transitive
+        changed = True
         while changed:
             changed = False
             for a, bs in below.items():
@@ -106,14 +99,21 @@ class RulePreorder:
 
     @staticmethod
     def discrete(carrier: Iterable[str]) -> "RulePreorder":
-        return RulePreorder(carrier, (), transitive=True)
+        return RulePreorder(carrier, ())
 
     @staticmethod
     def from_levels(carrier: Iterable[str], level: dict[str, int]) -> "RulePreorder":
-        """The total preorder `a >= b` iff `level[a] >= level[b]`."""
+        """The total preorder `a >= b` iff `level[a] >= level[b]`. It is
+        transitive already, so its down-sets are read off the level map
+        without the closure loop."""
         carrier = tuple(carrier)
-        pairs = [(a, b) for a in carrier for b in carrier if level[a] >= level[b]]
-        return RulePreorder(carrier, pairs, transitive=True)
+        eq = {lv: frozenset(b for b in carrier if level[b] <= lv) for lv in set(level.values())}
+        strict = {lv: frozenset(b for b in carrier if level[b] < lv) for lv in eq}
+        order = RulePreorder.__new__(RulePreorder)
+        order.carrier = carrier
+        order._down_eq = {a: eq[level[a]] for a in carrier}
+        order._down_strict = {a: strict[level[a]] for a in carrier}
+        return order
 
     def geq(self, a: str, b: str) -> bool:
         return b in self._down_eq[a]

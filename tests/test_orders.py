@@ -176,7 +176,11 @@ def _with_fresh(core: str, m: int):
 
 
 def _same_relation(order: RulePreorder, names, level: dict) -> bool:
-    return all(order.geq(a, b) == (level[a] >= level[b]) for a in names for b in names)
+    return all(
+        order.geq(a, b) == (level[a] >= level[b])
+        and order.strictly_greater(a, b) == (level[a] > level[b])
+        for a in names for b in names
+    )
 
 
 def _order_count(part: Partition) -> int:
