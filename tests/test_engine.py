@@ -188,3 +188,54 @@ def test_step_targets_stable_under_equivalence(leq, philos):
             else:
                 raise AssertionError("target multiset mismatch")
         assert not unmatched
+
+
+def _one_step(program, text, rule):
+    src = canonicalize(parse_state(text))
+    (step,) = applicable_steps(program, src, allowed={rule})
+    return src, step
+
+
+def test_replay_rejects_a_position_out_of_range(pminus):
+    from dataclasses import replace
+
+    src, step = _one_step(pminus, "p(s(a)) # globals:", "sminus")
+    with pytest.raises(ReplayError):
+        replay(pminus, Derivation(src, (replace(step, matched_removed=(1,)),)))
+
+
+def test_replay_rejects_a_repeated_position(pminus):
+    from dataclasses import replace
+
+    src = canonicalize(parse_state("p(a), p(a) # globals:"))
+    step = applicable_steps(pminus, src, allowed={"duplicate"})[0]
+    assert replay(pminus, Derivation(src, (step,))) == step.target
+    repeated = replace(step, matched_removed=step.matched_kept)
+    with pytest.raises(ReplayError):
+        replay(pminus, Derivation(src, (repeated,)))
+
+
+def test_replay_rejects_a_guard_that_no_longer_holds():
+    fires = parse_program("r @ p(X) <=> X = a | q(X).")
+    blocked = parse_program("r @ p(X) <=> X = b | q(X).")
+    src, step = _one_step(fires, "p(a) # globals:", "r")
+    assert replay(fires, Derivation(src, (step,))) == step.target
+    with pytest.raises(ReplayError):
+        replay(blocked, Derivation(src, (step,)))
+
+
+def test_replay_rejects_a_changed_target(pminus):
+    from dataclasses import replace
+
+    src, step = _one_step(pminus, "p(s(a)) # globals:", "sminus")
+    other = canonicalize(parse_state("p(b) # globals:"))
+    with pytest.raises(ReplayError):
+        replay(pminus, Derivation(src, (replace(step, target=other),)))
+
+
+def test_replay_rejects_a_step_from_the_inconsistent_state(pminus):
+    _, step = _one_step(pminus, "p(s(a)) # globals:", "sminus")
+    bottom = canonicalize(parse_state("p(s(a)), false # globals:"))
+    assert bottom.bottom
+    with pytest.raises(ReplayError):
+        replay(pminus, Derivation(bottom, (step,)))

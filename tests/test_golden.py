@@ -48,6 +48,9 @@ SCENARIOS = {
         ["peaks", fixture_path("mod_splus.chr"), fixture_path("mod_sminus.chr")], 0
     ),
     "philos_tactic": (_check("decreasing", "philos.chr", config="philos_tactic.cfg"), 0),
+    "philos_enumerate": (
+        _check("decreasing", "philos.chr", config="philos_enumerate.cfg"), 0
+    ),
     "exhaust_local": (_check("local", "exhaust.chr", config="exhaust.cfg"), 1),
 }
 
