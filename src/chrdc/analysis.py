@@ -206,13 +206,13 @@ class _Side:
         self.levels: list[list[_Node]] = [[node]]
         self.by_state: list[dict[CanonicalState, list[_Node]]] = [{root: [node]}]
         self.visited: set = {(root, auto.start)}
-        self.exhausted_at: Optional[int] = None
+        self.exhausted = False
         self.truncated = False
 
     def ensure_level(self, depth: int, budget: SearchBudget, counter: dict) -> bool:
         """Compute levels up to `depth`; True when that level exists."""
         while len(self.levels) <= depth:
-            if self.exhausted_at is not None or self.truncated:
+            if self.exhausted or self.truncated:
                 return False
             if len(self.levels) > budget.max_depth:
                 self.truncated = True
@@ -249,7 +249,7 @@ class _Side:
             if self.truncated:
                 return False
             if not new_nodes:
-                self.exhausted_at = len(self.levels) - 1
+                self.exhausted = True
                 return False
             self.levels.append(new_nodes)
             self.by_state.append(by_state)
@@ -264,8 +264,7 @@ def _closing_search(
     The failure flag is True only when both search spaces were fully
     explored without truncation, making the non-joinability exact."""
     counter = {"states": 2}
-    max_total = 2 * budget.max_depth
-    for total in range(max_total + 1):
+    for total in itertools.count():
         candidates: list[tuple[tuple, tuple, Valley]] = []
         for l_depth in range(total + 1):
             r_depth = total - l_depth
@@ -288,18 +287,11 @@ def _closing_search(
         if candidates:
             candidates.sort(key=lambda c: (c[0], c[1]))
             return candidates[0][2], False
-        if (
-            left.exhausted_at is not None
-            and right.exhausted_at is not None
-            and total >= left.exhausted_at + right.exhausted_at
-        ):
-            return None, True
-        if (left.truncated or left.exhausted_at is not None) and (
-            right.truncated or right.exhausted_at is not None
-        ):
-            if total >= (len(left.levels) - 1) + (len(right.levels) - 1):
-                return None, False
-    return None, False
+        # A stopped side has all its levels; past their summed depths no
+        # pair of levels is left to compare.
+        stopped = [side.truncated or side.exhausted for side in (left, right)]
+        if all(stopped) and total >= len(left.levels) + len(right.levels) - 2:
+            return None, left.exhausted and right.exhausted
 
 
 # ---------------------------------------------------------------------------
@@ -581,6 +573,8 @@ def check_rule_decreasing(
                     tactics.get(i),
                 )
             co[i] = searched[key]
+            if chosen is not None and not co[i].closed:
+                break  # only the first order's verdicts are shown when none closes
         if all(v.closed for v in co.values()):
             chosen = (cand, co)
             break

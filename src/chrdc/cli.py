@@ -47,16 +47,16 @@ def _parse_programs(files: list[str]) -> list[Program]:
     return programs
 
 
-def _validate_config_names(cfg: AnalysisConfig, program: Program) -> None:
-    names = set(program.rule_names())
-    for group in (cfg.inductive, cfg.coinductive):
-        for n in group or ():
-            if n not in names:
-                raise ConfigError(f"unknown rule name in partition: {n!r}")
-    for a, _, b in cfg.order_decls:
-        for n in (a, b):
-            if n not in names:
-                raise ConfigError(f"unknown rule name in order: {n!r}")
+def _declared(
+    cfg: AnalysisConfig, program: Program
+) -> tuple[Partition, Optional[RulePreorder]]:
+    """The config's partition and declared order on `program`; their
+    constructors reject rule names the program lacks."""
+    part = Partition.for_program(program, cfg.inductive, cfg.coinductive)
+    order = None
+    if cfg.order_decls:
+        order = RulePreorder.from_declarations(program.rule_names(), cfg.order_decls)
+    return part, order
 
 
 def _budget(cfg: AnalysisConfig, max_depth_flag: Optional[int]) -> SearchBudget:
@@ -83,9 +83,8 @@ def _cmd_peaks(args) -> int:
     programs = _parse_programs(args.files)
     cfg = load_config_file(args.config) if args.config else AnalysisConfig()
     if len(programs) == 1:
-        _validate_config_names(cfg, programs[0])
         program = programs[0]
-        part = Partition.for_program(program, cfg.inductive, cfg.coinductive)
+        part, _ = _declared(cfg, program)
         peaks = critical_peaks(program, program)
         classifications = tuple(classify(pk, part) for pk in peaks)
     else:
@@ -118,17 +117,13 @@ def _cmd_check(args) -> int:
     if len(programs) != 1:
         raise ValueError(f"mode {args.mode} needs exactly one program file")
     program = programs[0]
-    _validate_config_names(cfg, program)
+    part, order = _declared(cfg, program)
 
     if args.mode == "local":
         report = check_local_confluence(program, budget, cfg.assume_terminating)
     elif args.mode == "strong":
         report = check_strong_confluence(program, budget)
     else:
-        part = Partition.for_program(program, cfg.inductive, cfg.coinductive)
-        order: Optional[RulePreorder] = None
-        if cfg.order_decls:
-            order = RulePreorder.from_declarations(program.rule_names(), cfg.order_decls)
         peaks = critical_peaks(program, program)
         tactics = None
         if cfg.tactics:

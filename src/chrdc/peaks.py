@@ -35,8 +35,6 @@ class CriticalPeak:
     ancestor: State
     left: State
     right: State
-    overlap_left: tuple[int, ...]
-    overlap_right: tuple[int, ...]
 
 
 def classify(peak: CriticalPeak, partition: Partition) -> str:
@@ -179,7 +177,7 @@ def _build_peak(
         globs,
     )
     ancestor, left, right = _cosmetic_rename(globals_order, [ancestor, left, right])
-    return CriticalPeak(r1.name, r2.name, ancestor, left, right, sel1, sel2)
+    return CriticalPeak(r1.name, r2.name, ancestor, left, right)
 
 
 def critical_peaks(p: Program, q: Program) -> list[CriticalPeak]:

@@ -19,9 +19,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Optional
+from typing import Callable, Iterator, Mapping, Optional, TypeVar
 
 from .terms import Compound, Term, Var, apply, iter_vars, FRESH_PREFIX
+
+
+T = TypeVar("T")
 
 
 class ParseError(Exception):
@@ -109,12 +112,6 @@ class Program:
     # The parser's tables, so that other files and queries can be checked
     # against this program's arities.
     arities: Arities = field(default_factory=lambda: ({}, {}), compare=False, repr=False)
-
-    def rule(self, name: str) -> Rule:
-        for r in self.rules:
-            if r.name == name:
-                return r
-        raise KeyError(name)
 
     def rule_names(self) -> list[str]:
         return [r.name for r in self.rules]
@@ -346,17 +343,17 @@ class _Parser:
             return ("atom", self.parse_atom())
         raise self.error(f"expected an atom or equation, found {t.value!r}")
 
-    def parse_items(self) -> list[tuple[str, object]]:
-        items: list[tuple[str, object]] = []
-        item = self.parse_item()
-        if item is not None:
-            items.append(item)
-        while self.peek().kind in ("COMMA", "SEMI"):
+    def parse_list(self, parse_one: Callable[[], T], seps=("COMMA",)) -> list[T]:
+        """`parse_one`, then again after each separator."""
+        out = [parse_one()]
+        while self.peek().kind in seps:
             self.next()
-            item = self.parse_item()
-            if item is not None:
-                items.append(item)
-        return items
+            out.append(parse_one())
+        return out
+
+    def parse_items(self) -> list[tuple[str, object]]:
+        items = self.parse_list(self.parse_item, ("COMMA", "SEMI"))
+        return [item for item in items if item is not None]
 
     # -- rules -------------------------------------------------------------
 
@@ -365,19 +362,13 @@ class _Parser:
         self.expect("AT")
         if self.peek().kind in ("SIMP", "PROP"):
             raise ParseError("both heads empty", name_tok.line, name_tok.col)
-        first = [self.parse_atom()]
-        while self.peek().kind == "COMMA":
-            self.next()
-            first.append(self.parse_atom())
+        first = self.parse_list(self.parse_atom)
         kept: list[Atom] = []
         removed: list[Atom] = []
         if self.peek().kind == "BSLASH":
             self.next()
             kept = first
-            removed = [self.parse_atom()]
-            while self.peek().kind == "COMMA":
-                self.next()
-                removed.append(self.parse_atom())
+            removed = self.parse_list(self.parse_atom)
             arrow = self.expect("SIMP")
         elif self.peek().kind == "SIMP":
             removed = first
@@ -438,10 +429,7 @@ class _Parser:
             self.expect("COLON")
             globals_ = []
             if self.peek().kind == "VAR":
-                globals_.append(self.parse_var().name)
-                while self.peek().kind == "COMMA":
-                    self.next()
-                    globals_.append(self.parse_var().name)
+                globals_ = [v.name for v in self.parse_list(self.parse_var)]
         self.expect("EOF")
         return tuple(atoms), tuple(eqs), globals_
 
@@ -476,17 +464,8 @@ def parse_state(text: str, arities: Optional[Arities] = None):
         program_tables = (dict(arities[0]), dict(arities[1]))
         merge_arities(program_tables, (parser.pred_arity, parser.fun_arity))
     if globals_ is None:
-        seen: dict[str, None] = {}
-        for a in atoms:
-            for v in a.iter_vars():
-                seen.setdefault(v)
-        for e in eqs:
-            for v in e.iter_vars():
-                seen.setdefault(v)
-        gset = frozenset(seen)
-    else:
-        gset = frozenset(globals_)
-    return State(atoms, eqs, gset)
+        globals_ = State(atoms, eqs, frozenset()).free_vars()
+    return State(atoms, eqs, frozenset(globals_))
 
 
 def parse_program_file(path: str) -> Program:

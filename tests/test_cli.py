@@ -95,6 +95,24 @@ def test_config_error_exits_2(tmp_path):
     assert "unknown rule name" in err
 
 
+def test_local_mode_rejects_a_partition_with_a_rule_in_both_parts(tmp_path):
+    cfg = tmp_path / "both.cfg"
+    cfg.write_text("[partition]\ninductive = duplicate\ncoinductive = duplicate\n")
+    code, _, err = run_cli(
+        "check", "--mode", "local", fixture_path("leq.chr"), "--config", str(cfg)
+    )
+    assert code == 2
+    assert "both parts" in err
+
+
+def test_peaks_rejects_an_unknown_rule_in_the_order(tmp_path):
+    cfg = tmp_path / "order.cfg"
+    cfg.write_text("[order]\nduplicate > nosuchrule\n")
+    code, _, err = run_cli("peaks", fixture_path("leq.chr"), "--config", str(cfg))
+    assert code == 2
+    assert "unknown rule name" in err
+
+
 def test_missing_file_exits_2():
     code, _, err = run_cli("peaks", "does_not_exist.chr")
     assert code == 2

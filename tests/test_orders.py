@@ -335,6 +335,25 @@ def test_541_failing_orders_share_one_star_search(monkeypatch):
     assert len(calls) == len(rep.peaks) == 1
 
 
+def test_later_orders_stop_at_their_first_failing_peak(monkeypatch, philos):
+    # eat=thk fails every peak and is shown if nothing closes; thk>eat
+    # fails on its first peak; eat>thk closes all five.
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return join_search(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "join_search", counting)
+    part = Partition.for_program(philos, coinductive=["eat", "thk"])
+    rep = check_rule_decreasing(philos, part, None, SearchBudget(), enumerate_orders=True)
+    assert rep.established
+    fields = dict(rep.admissible_fields)
+    assert fields["found"] == "true" and fields["order"] == "eat>thk"
+    assert len(rep.peaks) == 5
+    assert len(calls) == 11
+
+
 def test_order_enumeration_past_the_bound_is_truncated(tmp_path, capsys):
     program = tmp_path / "p.chr"
     program.write_text(
