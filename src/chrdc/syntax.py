@@ -19,12 +19,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Mapping, Optional, TypeVar
+from typing import Callable, Iterator, Mapping, Optional
 
 from .terms import Compound, Term, Var, apply, iter_vars, FRESH_PREFIX
-
-
-T = TypeVar("T")
 
 
 class ParseError(Exception):
@@ -343,7 +340,7 @@ class _Parser:
             return ("atom", self.parse_atom())
         raise self.error(f"expected an atom or equation, found {t.value!r}")
 
-    def parse_list(self, parse_one: Callable[[], T], seps=("COMMA",)) -> list[T]:
+    def parse_list(self, parse_one: Callable[[], object], seps=("COMMA",)) -> list:
         """`parse_one`, then again after each separator."""
         out = [parse_one()]
         while self.peek().kind in seps:
