@@ -26,8 +26,8 @@ are definite.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence, Union
+from dataclasses import dataclass, replace
+from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence, Union
 
 from .engine import Derivation, applicable_steps
 from .orders import (
@@ -80,90 +80,69 @@ class PeakVerdict:
 # ---------------------------------------------------------------------------
 # Trace automata
 
-class _AnyAuto:
-    start = 0
+@dataclass(frozen=True)
+class _Automaton:
+    """`moves[phase][label]` gives the phases after reading `label` in
+    `phase`; `accepts` holds the accepting phases, None meaning all."""
 
-    def __init__(self, allowed: Iterable[str]):
-        self.allowed = frozenset(allowed)
+    moves: Mapping[Hashable, Mapping[str, tuple]]
+    start: Hashable = 0
+    accepts: Optional[frozenset] = None
 
-    def labels(self, phase) -> frozenset[str]:
-        return self.allowed
-
-    def next(self, phase, label) -> tuple:
-        return (0,) if label in self.allowed else ()
-
-    def accepting(self, phase) -> bool:
-        return True
-
-
-class _CappedAuto:
-    start = 0
-
-    def __init__(self, allowed: Iterable[str], cap: int):
-        self.allowed = frozenset(allowed)
-        self.cap = cap
-
-    def labels(self, phase) -> frozenset[str]:
-        return self.allowed if phase < self.cap else frozenset()
+    def labels(self, phase) -> Iterable[str]:
+        return self.moves[phase].keys()
 
     def next(self, phase, label) -> tuple:
-        if phase < self.cap and label in self.allowed:
-            return (phase + 1,)
-        return ()
+        return self.moves[phase].get(label, ())
 
     def accepting(self, phase) -> bool:
-        return True
+        return self.accepts is None or phase in self.accepts
 
 
-class _StarAuto:
-    start = 0
-
-    def __init__(self, primary: str, secondary: str, order: RulePreorder):
-        self.prefix = order.down_strict([primary])
-        self.middle = order.down_eq([secondary])
-        self.tail = order.down_strict([primary, secondary])
-
-    def labels(self, phase) -> frozenset[str]:
-        if phase == 0:
-            return self.prefix | self.middle | self.tail
-        return self.tail
-
-    def next(self, phase, label) -> tuple:
-        if phase == 0:
-            out = []
-            if label in self.prefix:
-                out.append(0)
-            if label in self.middle or label in self.tail:
-                out.append(1)
-            return tuple(out)
-        return (1,) if label in self.tail else ()
-
-    def accepting(self, phase) -> bool:
-        return True
+def capped(allowed: frozenset[str], cap: Optional[int] = None) -> _Automaton:
+    """Up to `cap` steps labelled from `allowed`; any number without a cap."""
+    if cap is None:
+        return _Automaton({0: dict.fromkeys(allowed, (0,))})
+    return _Automaton(
+        {i: dict.fromkeys(allowed if i < cap else (), (i + 1,)) for i in range(cap + 1)}
+    )
 
 
-class _TrieAuto:
-    start: tuple = ()
-
-    def __init__(self, sequences: Iterable[Sequence[str]]):
-        self.seqs = {tuple(s) for s in sequences}
-
-    def labels(self, phase) -> frozenset[str]:
-        n = len(phase)
-        return frozenset(s[n] for s in self.seqs if len(s) > n and s[:n] == phase)
-
-    def next(self, phase, label) -> tuple:
-        cand = phase + (label,)
-        n = len(cand)
-        if any(s[:n] == cand for s in self.seqs):
-            return (cand,)
-        return ()
-
-    def accepting(self, phase) -> bool:
-        return phase in self.seqs
+def _star_sets(primary: str, secondary: str, order: RulePreorder) -> tuple:
+    """The labels of one closing side of a decreasing diagram: the prefix
+    strictly below `primary`, the one step below-or-equal `secondary`, and
+    the tail strictly below either."""
+    return (
+        order.down_strict([primary]),
+        order.down_eq([secondary]),
+        order.down_strict([primary, secondary]),
+    )
 
 
-def _accepts(auto, labels: Sequence[str]) -> bool:
+def star(primary: str, secondary: str, order: RulePreorder) -> _Automaton:
+    """Prefix labels stay in phase 0; the middle step or a tail label
+    moves to phase 1, which reads only tail labels."""
+    prefix, middle, tail = _star_sets(primary, secondary, order)
+    onward = middle | tail
+    first = {
+        label: ((0,) if label in prefix else ()) + ((1,) if label in onward else ())
+        for label in prefix | onward
+    }
+    return _Automaton({0: first, 1: dict.fromkeys(tail, (1,))})
+
+
+def trie(sequences: Iterable[Sequence[str]]) -> _Automaton:
+    """Exactly the given label sequences; a phase is the prefix read so far."""
+    seqs = frozenset(tuple(s) for s in sequences)
+    moves: dict[tuple, dict[str, tuple]] = {(): {}}
+    for seq in seqs:
+        for n, label in enumerate(seq):
+            moves[seq[:n]][label] = (seq[: n + 1],)
+            moves.setdefault(seq[: n + 1], {})
+    return _Automaton(moves, (), seqs)
+
+
+def _accepts(auto: _Automaton, labels: Sequence[str]) -> bool:
     """Whether some run of the automaton reads `labels` and ends accepting."""
     phases = {auto.start}
     for label in labels:
@@ -180,8 +159,8 @@ def matches_star(
 ) -> bool:
     """Whether a valley's label traces witness a decreasing diagram for
     a peak whose sides were produced by `alpha` (left) and `beta` (right)."""
-    return _accepts(_StarAuto(alpha, beta, order), left_labels) and _accepts(
-        _StarAuto(beta, alpha, order), right_labels
+    return _accepts(star(alpha, beta, order), left_labels) and _accepts(
+        star(beta, alpha, order), right_labels
     )
 
 
@@ -302,33 +281,31 @@ class _Pattern:
     status: str
     # (program, peak, allowed labels, *pattern arguments) -> the left and
     # right sides, each a (program, trace automaton) pair
-    sides: Callable[..., tuple[tuple[Program, object], tuple[Program, object]]]
+    sides: Callable[..., tuple[tuple[Program, _Automaton], tuple[Program, _Automaton]]]
     notes: tuple[str, str] = ("left_reduct_admits_no_step", "right_reduct_admits_no_step")
 
 
 _PATTERNS = {
     "any": _Pattern(
         "JOINABLE",
-        lambda prog, pk, allowed: ((prog, _AnyAuto(allowed)), (prog, _AnyAuto(allowed))),
+        lambda prog, pk, allowed: ((prog, capped(allowed)), (prog, capped(allowed))),
     ),
     "single_step_eq": _Pattern(
         "STRONGLY_JOINABLE",
-        lambda prog, pk, allowed: (
-            (prog, _CappedAuto(allowed, 1)), (prog, _CappedAuto(allowed, 1))
-        ),
+        lambda prog, pk, allowed: ((prog, capped(allowed, 1)), (prog, capped(allowed, 1))),
     ),
     "star": _Pattern(
         "DECREASING",
         lambda prog, pk, allowed, order: (
-            (prog, _StarAuto(pk.rule_left, pk.rule_right, order)),
-            (prog, _StarAuto(pk.rule_right, pk.rule_left, order)),
+            (prog, star(pk.rule_left, pk.rule_right, order)),
+            (prog, star(pk.rule_right, pk.rule_left, order)),
         ),
     ),
     # `("modular", p)` with program q: q-steps on the left, at most one
     # p-step on the right; each side's program limits its own labels.
     "modular": _Pattern(
         "JOINABLE",
-        lambda q, pk, allowed, p: ((q, _AnyAuto(allowed)), (p, _CappedAuto(allowed, 1))),
+        lambda q, pk, allowed, p: ((q, capped(allowed)), (p, capped(allowed, 1))),
         ("left_reduct_admits_no_q_step", "right_reduct_admits_no_p_step"),
     ),
 }
@@ -352,7 +329,7 @@ def join_search(
     attempts = [(sides, ())]
     if tactic is not None:
         tactic_sides = tuple(
-            (prog, _TrieAuto(seqs)) for (prog, _), seqs in zip(sides, tactic)
+            (prog, trie(seqs)) for (prog, _), seqs in zip(sides, tactic)
         )
         attempts.insert(0, (tactic_sides, ("tactic",)))
     for (left, right), notes in attempts:
@@ -401,6 +378,17 @@ def _join_peaks(
 # ---------------------------------------------------------------------------
 # Reports
 
+@dataclass(frozen=True)
+class OrderSearch:
+    """The walk over admissible orders: how many there are, whether the
+    walk stopped at `MAX_ORDERS`, and whether an order closed every peak
+    (None when the peaks were never searched)."""
+
+    orders_tried: int
+    truncated: bool
+    found: Optional[bool] = None
+
+
 @dataclass
 class Report:
     mode: str
@@ -412,7 +400,7 @@ class Report:
     order: Optional[RulePreorder] = None
     termination: Optional[TerminationResult] = None
     admissibility: Optional[AdmissibilityResult] = None
-    admissible_fields: tuple[tuple[str, str], ...] = ()
+    order_search: Optional[OrderSearch] = None
     peaks: tuple[CriticalPeak, ...] = ()
     classifications: tuple[str, ...] = ()
     verdicts: tuple[PeakVerdict, ...] = ()
@@ -495,13 +483,11 @@ def live_rules(program: Program, states: Iterable[State]) -> frozenset[str]:
 
 def _star_key(peak: CriticalPeak, order: RulePreorder, live: frozenset[str]) -> tuple:
     """What the star pattern of `order` can matter for on `peak`: both
-    sides' down-sets restricted to the peak's live rules."""
+    sides' label sets restricted to the peak's live rules."""
+    left, right = peak.rule_left, peak.rule_right
     return tuple(
-        (auto.prefix & live, auto.middle & live, auto.tail & live)
-        for auto in (
-            _StarAuto(peak.rule_left, peak.rule_right, order),
-            _StarAuto(peak.rule_right, peak.rule_left, order),
-        )
+        tuple(labels & live for labels in _star_sets(a, b, order))
+        for a, b in ((left, right), (right, left))
     )
 
 
@@ -522,7 +508,7 @@ def check_rule_decreasing(
     classes = [classify(pk, part) for pk in peaks]
     term = check_inductive_termination(program, part, assume_terminating)
 
-    admissible_fields: tuple[tuple[str, str], ...] = ()
+    search: Optional[OrderSearch] = None
     if order is not None:
         adm = is_admissible(order, part)
         orders_to_try: Iterable[RulePreorder] = [order]
@@ -532,23 +518,21 @@ def check_rule_decreasing(
         orders_to_try = itertools.islice(
             admissible_total_preorders(program, part), MAX_ORDERS
         )
-        admissible_fields = (("orders_tried", str(total)),)
-        if total > MAX_ORDERS:
-            admissible_fields += (("truncated", "true"),)
+        search = OrderSearch(total, truncated=total > MAX_ORDERS)
     else:
         fallback = RulePreorder.discrete(program.rule_names())
         adm = is_admissible(fallback, part)
         orders_to_try = [fallback]
 
-    def report(verdicts, holds, shown_order, fields) -> Report:
+    def report(verdicts, holds, shown_order, search) -> Report:
         return _report(
             "decreasing", criterion, peaks, classes, verdicts, holds=holds,
             partition=part, termination=term, order=shown_order,
-            admissibility=adm, admissible_fields=fields,
+            admissibility=adm, order_search=search,
         )
 
     if not adm.ok or not term.acceptable:
-        return report({}, False, order, admissible_fields)
+        return report({}, False, order, search)
 
     tactics = tactics or {}
     inductive = [i for i, cls in enumerate(classes) if cls == "inductive"]
@@ -586,16 +570,9 @@ def check_rule_decreasing(
     chosen_order, co = chosen
     verdicts.update(co)
 
-    established = all(v.closed for v in verdicts.values())
-    if enumerate_orders and order is None:
-        admissible_fields += (("found", "true" if established else "false"),)
-        if established:
-            admissible_fields += (
-                ("order", ",".join(chosen_order.pairs_text()) or "discrete"),
-            )
-    return report(
-        verdicts, True, chosen_order if order is None else order, admissible_fields
-    )
+    if search is not None:
+        search = replace(search, found=all(v.closed for v in verdicts.values()))
+    return report(verdicts, True, chosen_order if order is None else order, search)
 
 
 def check_modularity(p: Program, q: Program, budget: SearchBudget) -> Report:

@@ -48,10 +48,11 @@ def _parse_programs(files: list[str]) -> list[Program]:
 
 
 def _declared(
-    cfg: AnalysisConfig, program: Program
+    cfg: AnalysisConfig, programs: list[Program]
 ) -> tuple[Partition, Optional[RulePreorder]]:
-    """The config's partition and declared order on `program`; their
-    constructors reject rule names the program lacks."""
+    """The config's partition and declared order on the rules of all of
+    `programs`; their constructors reject rule names that none of them has."""
+    program = Program(tuple(rule for p in programs for rule in p.rules))
     part = Partition.for_program(program, cfg.inductive, cfg.coinductive)
     order = None
     if cfg.order_decls:
@@ -82,10 +83,9 @@ def _cmd_peaks(args) -> int:
         raise ValueError("peaks takes one or two program files")
     programs = _parse_programs(args.files)
     cfg = load_config_file(args.config) if args.config else AnalysisConfig()
+    part, _ = _declared(cfg, programs)
     if len(programs) == 1:
-        program = programs[0]
-        part, _ = _declared(cfg, program)
-        peaks = critical_peaks(program, program)
+        peaks = critical_peaks(programs[0], programs[0])
         classifications = tuple(classify(pk, part) for pk in peaks)
     else:
         peaks = critical_peaks(programs[0], programs[1])
@@ -107,19 +107,16 @@ def _cmd_check(args) -> int:
     cfg = load_config_file(args.config) if args.config else AnalysisConfig()
     budget = _budget(cfg, args.max_depth)
 
-    if args.mode == "modular":
-        if len(programs) != 2:
-            raise ValueError("mode modular needs exactly two program files")
-        report = check_modularity(programs[0], programs[1], budget)
-        _emit(report, cfg, args.format)
-        return 0 if report.established else 1
-
-    if len(programs) != 1:
+    if args.mode == "modular" and len(programs) != 2:
+        raise ValueError("mode modular needs exactly two program files")
+    if args.mode != "modular" and len(programs) != 1:
         raise ValueError(f"mode {args.mode} needs exactly one program file")
+    part, order = _declared(cfg, programs)
     program = programs[0]
-    part, order = _declared(cfg, program)
 
-    if args.mode == "local":
+    if args.mode == "modular":
+        report = check_modularity(programs[0], programs[1], budget)
+    elif args.mode == "local":
         report = check_local_confluence(program, budget, cfg.assume_terminating)
     elif args.mode == "strong":
         report = check_strong_confluence(program, budget)

@@ -9,10 +9,11 @@ verify needs an explicit assumption flag, which is echoed in reports.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
-from .syntax import Program, Rule
+from .syntax import Atom, Program, Rule
 from .terms import term_size
 
 
@@ -247,24 +248,18 @@ def _rule_measure_decreases(rule: Rule) -> bool:
     # head variables, and the built-in body must not rebind anything.
     if rule.builtin_body:
         return False
-    head_occ: dict[str, int] = {}
-    for a in rule.heads:
-        for v in a.iter_vars():
-            head_occ[v] = head_occ.get(v, 0) + 1
-    removed_occ: dict[str, int] = {}
-    for a in rule.removed:
-        for v in a.iter_vars():
-            removed_occ[v] = removed_occ.get(v, 0) + 1
-    body_occ: dict[str, int] = {}
-    for a in rule.user_body:
-        for v in a.iter_vars():
-            body_occ[v] = body_occ.get(v, 0) + 1
-    for v, n in body_occ.items():
-        if v in head_occ and n > removed_occ.get(v, 0):
-            return False
-    removed_size = sum(1 + sum(term_size(x) for x in a.args) for a in rule.removed)
-    body_size = sum(1 + sum(term_size(x) for x in a.args) for a in rule.user_body)
-    return body_size < removed_size
+    head_occ, removed_occ, body_occ = (
+        Counter(v for a in atoms for v in a.iter_vars())
+        for atoms in (rule.heads, rule.removed, rule.user_body)
+    )
+    if any(v in head_occ and n > removed_occ[v] for v, n in body_occ.items()):
+        return False
+    return _store_size(rule.user_body) < _store_size(rule.removed)
+
+
+def _store_size(atoms: Iterable[Atom]) -> int:
+    """One per atom plus the sizes of its arguments."""
+    return sum(1 + sum(term_size(x) for x in a.args) for a in atoms)
 
 
 def check_inductive_termination(

@@ -14,10 +14,11 @@ peak is JOINABLE, STRONGLY_JOINABLE or DECREASING with `left=[...]
 right=[...]`, the valley's rule labels; an open one is NOT_CLOSED with
 `depth=N states=N`, then `exhausted=true` when both search spaces were
 explored and `notes=[...]` when a reduct admits no step. ADMISSIBLE
-carries `witness=`, `orders_tried=`, `truncated=`, `found=` and `order=`
-as they apply: `orders_tried` is the number of admissible orders, and
-`truncated=true` says that only the first `orders.MAX_ORDERS` of them
-were tried.
+`false` carries `witness=`; ADMISSIBLE `enumerated` carries the order
+search's fields, all written by `admissible_fields`: `orders_tried=` the
+number of admissible orders, `truncated=true` when only the first
+`orders.MAX_ORDERS` were tried, `found=` once the peaks were searched and
+`order=` the strict pairs of the closing order found.
 
 Values are bare tokens or bracketed lists; a report is re-parseable by
 `parse_machine_report` and emission is byte-stable across runs.
@@ -65,6 +66,21 @@ def _machine_peak_line(index: int, v: PeakVerdict) -> str:
     return " ".join(parts)
 
 
+def admissible_fields(report: Report) -> list[tuple[str, str]]:
+    """The order search's key=value fields, the same in both formats."""
+    search = report.order_search
+    if search is None:
+        return []
+    fields = [("orders_tried", str(search.orders_tried))]
+    if search.truncated:
+        fields.append(("truncated", "true"))
+    if search.found is not None:
+        fields.append(("found", "true" if search.found else "false"))
+    if search.found:
+        fields.append(("order", ",".join(report.order.pairs_text()) or "discrete"))
+    return fields
+
+
 def machine_report(report: Report) -> str:
     lines: list[str] = []
     if report.mode == "peaks":
@@ -72,8 +88,8 @@ def machine_report(report: Report) -> str:
             lines.append(f"PEAK {i} {peak.rule_left} {peak.rule_right} {cls.upper()}")
         return "\n".join(lines) + ("\n" if lines else "")
     if report.admissibility is not None:
-        fields = list(report.admissible_fields)
-        if report.mode == "decreasing" and any(k == "orders_tried" for k, _ in fields):
+        fields = admissible_fields(report)
+        if report.order_search is not None:
             head = "ADMISSIBLE enumerated"
         elif report.admissibility.ok:
             head = "ADMISSIBLE true"
@@ -190,7 +206,7 @@ def text_report(report: Report) -> str:
         lines.append(f"order: {pairs}")
     if report.admissibility is not None:
         if report.admissibility.ok:
-            extra = "".join(f" {k}={v}" for k, v in report.admissible_fields)
+            extra = "".join(f" {k}={v}" for k, v in admissible_fields(report))
             lines.append(f"admissible: yes{extra}")
         else:
             rc, ri = report.admissibility.witness

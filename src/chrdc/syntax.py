@@ -241,14 +241,15 @@ class _Parser:
             )
         return Var(t.value)
 
-    def _check_fun_arity(self, name: str, arity: int, tok: _Tok) -> None:
-        prev = self.fun_arity.get(name)
+    def _check_arity(self, kind: str, table: dict[str, int], arity: int, tok: _Tok) -> None:
+        """Record `tok`'s symbol at `arity`; a second arity is an error."""
+        prev = table.get(tok.value)
         if prev is not None and prev != arity:
             raise ParseError(
-                f"functor {name}/{arity} clashes with earlier use at arity {prev}",
+                f"{kind} {tok.value}/{arity} clashes with earlier use at arity {prev}",
                 tok.line, tok.col,
             )
-        self.fun_arity[name] = arity
+        table[tok.value] = arity
 
     def parse_primary(self) -> Term:
         t = self.peek()
@@ -256,7 +257,7 @@ class _Parser:
             return self.parse_var()
         if t.kind == "INT":
             self.next()
-            self._check_fun_arity(t.value, 0, t)
+            self._check_arity("functor", self.fun_arity, 0, t)
             return Compound(t.value)
         if t.kind == "LPAREN":
             self.next()
@@ -272,9 +273,9 @@ class _Parser:
                     self.next()
                     args.append(self.parse_term())
                 self.expect("RPAREN")
-                self._check_fun_arity(t.value, len(args), t)
+                self._check_arity("functor", self.fun_arity, len(args), t)
                 return Compound(t.value, tuple(args))
-            self._check_fun_arity(t.value, 0, t)
+            self._check_arity("functor", self.fun_arity, 0, t)
             return Compound(t.value)
         raise self.error(f"expected a term, found {t.value!r}")
 
@@ -301,13 +302,7 @@ class _Parser:
                 self.next()
                 args.append(self.parse_term())
             self.expect("RPAREN")
-        prev = self.pred_arity.get(t.value)
-        if prev is not None and prev != len(args):
-            raise ParseError(
-                f"predicate {t.value}/{len(args)} clashes with earlier use at arity {prev}",
-                t.line, t.col,
-            )
-        self.pred_arity[t.value] = len(args)
+        self._check_arity("predicate", self.pred_arity, len(args), t)
         return Atom(t.value, tuple(args))
 
     def parse_item(self) -> Optional[tuple[str, object]]:

@@ -23,6 +23,7 @@ from chrdc.analysis import (
 from chrdc.engine import applicable_steps, replay
 from chrdc.orders import Partition, RulePreorder
 from chrdc.peaks import critical_peaks
+from chrdc.reports import admissible_fields
 from chrdc.state import State, canonicalize, equivalent
 from chrdc.syntax import Atom, parse_program
 from chrdc.terms import Compound, Var, apply, term_vars, unify
@@ -177,7 +178,7 @@ def test_criterion_5_pminus(pminus):
     rep = check_rule_decreasing(
         pminus, part, None, BUDGET, enumerate_orders=True
     )
-    fields = dict(rep.admissible_fields)
+    fields = dict(admissible_fields(rep))
     ok = (
         ok
         and not rep.established
@@ -188,7 +189,7 @@ def test_criterion_5_pminus(pminus):
     # admissible order must still be exhausted without success.
     both = Partition.for_program(pminus, coinductive=["duplicate", "sminus"])
     rep = check_rule_decreasing(pminus, both, None, BUDGET, enumerate_orders=True)
-    fields = dict(rep.admissible_fields)
+    fields = dict(admissible_fields(rep))
     ok = (
         ok
         and not rep.established
@@ -212,7 +213,7 @@ def test_criterion_6_pplus(pplus):
         part = Partition.for_program(pplus, coinductive=coinductive)
         rep = check_rule_decreasing(pplus, part, None, BUDGET, enumerate_orders=True)
         ok = ok and not rep.established
-        ok = ok and dict(rep.admissible_fields).get("found") == "false"
+        ok = ok and dict(admissible_fields(rep)).get("found") == "false"
         ok = ok and all(not v.closed for v in rep.verdicts if v.index == 0)
     _verdict(6, ok)
 

@@ -16,6 +16,7 @@ from chrdc.analysis import (
 from chrdc.engine import applicable_steps, replay
 from chrdc.orders import Partition, RulePreorder
 from chrdc.peaks import critical_peaks
+from chrdc.reports import admissible_fields
 from chrdc.state import equivalent
 from chrdc.syntax import parse_program
 from conftest import load
@@ -235,7 +236,7 @@ def test_rule_decreasing_pplus_never_works(pplus):
         enumerate_orders=True,
     )
     assert not rep.established
-    assert dict(rep.admissible_fields)["found"] == "false"
+    assert dict(admissible_fields(rep))["found"] == "false"
 
 
 def test_rule_decreasing_with_tactic(philos):
@@ -251,6 +252,25 @@ def test_rule_decreasing_with_tactic(philos):
     rep = check_rule_decreasing(philos, part, order, BUDGET, tactics=bad)
     assert rep.established
     assert "tactic" not in rep.verdicts[0].notes
+
+
+@pytest.mark.parametrize(
+    "alternatives, via_tactic",
+    [
+        ([["thk"], ["thk", "eat", "thk"]], True),
+        # A proper prefix of an alternative does not end a trace.
+        ([["thk", "eat"], ["thk", "eat", "thk", "eat"]], False),
+    ],
+)
+def test_tactic_closes_only_on_a_whole_alternative(philos, alternatives, via_tactic):
+    part = Partition.for_program(philos, coinductive=["eat", "thk"])
+    order = RulePreorder.from_declarations(philos.rule_names(), [("eat", ">", "thk")])
+    tactics = {0: (alternatives, alternatives)}
+    rep = check_rule_decreasing(philos, part, order, BUDGET, tactics=tactics)
+    v = rep.verdicts[0]
+    assert rep.established
+    assert ("tactic" in v.notes) == via_tactic
+    assert v.valley.labels() == (["thk", "eat", "thk"], ["thk", "eat", "thk"])
 
 
 def test_modularity_examples():

@@ -113,6 +113,36 @@ def test_peaks_rejects_an_unknown_rule_in_the_order(tmp_path):
     assert "unknown rule name" in err
 
 
+@pytest.mark.parametrize(
+    "command", [["peaks"], ["check", "--mode", "modular"]], ids=["peaks", "modular"]
+)
+@pytest.mark.parametrize(
+    "text",
+    ["[partition]\ncoinductive = nosuchrule\n", "[order]\nsplus > nosuchrule\n"],
+    ids=["partition", "order"],
+)
+def test_two_program_commands_reject_an_unknown_rule_in_the_config(
+    tmp_path, command, text
+):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    code, _, err = run_cli(
+        *command, fixture_path("mod_splus.chr"), fixture_path("mod_sminus.chr"),
+        "--config", str(cfg),
+    )
+    assert code == 2
+    assert "unknown rule name" in err
+
+
+def test_two_program_peaks_accept_a_partition_of_their_rules(tmp_path):
+    cfg = tmp_path / "part.cfg"
+    cfg.write_text("[partition]\ncoinductive = splus\n")
+    files = (fixture_path("mod_splus.chr"), fixture_path("mod_sminus.chr"))
+    plain = run_cli("peaks", *files)
+    assert plain[0] == 0
+    assert run_cli("peaks", *files, "--config", str(cfg)) == plain
+
+
 def test_missing_file_exits_2():
     code, _, err = run_cli("peaks", "does_not_exist.chr")
     assert code == 2

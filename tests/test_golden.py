@@ -52,6 +52,10 @@ SCENARIOS = {
         _check("decreasing", "philos.chr", config="philos_enumerate.cfg"), 0
     ),
     "exhaust_local": (_check("local", "exhaust.chr", config="exhaust.cfg"), 1),
+    "leq_inadmissible": (_check("decreasing", "leq.chr", config="leq_inadmissible.cfg"), 1),
+    "pplus_enum_refuted": (
+        _check("decreasing", "pplus.chr", config="pplus_enum_refuted.cfg"), 1
+    ),
 }
 
 FORMATS = {"machine": "machine", "text": "txt"}

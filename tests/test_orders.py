@@ -20,6 +20,7 @@ from chrdc.orders import (
     is_admissible,
 )
 from chrdc.peaks import classify, critical_peaks
+from chrdc.reports import admissible_fields
 from chrdc.syntax import parse_program, parse_state
 from conftest import FIXTURES, fixture_path
 from helpers import product_admissible_levels
@@ -167,6 +168,22 @@ def test_size_measure_counts_variable_occurrences():
     assert check_inductive_termination(fresh_var, Partition.for_program(fresh_var)).status == "VERIFIED"
 
 
+@pytest.mark.parametrize(
+    "rule, decreases",
+    [
+        # Each shrinks in size; all but the last are refuted by one guard.
+        ("p(f(a), X) <=> p(X, X)", False),  # a head variable is duplicated
+        ("q(X) \\ p(f(a, a)) <=> p(X)", False),  # a kept-head variable is copied
+        ("p(f(X)) <=> p(X), X = a", False),  # the built-in body binds
+        ("p(f(X), Y) <=> p(Y, X)", True),
+    ],
+)
+def test_size_measure_guards_apply_when_the_size_shrinks(rule, decreases):
+    p = parse_program(f"r @ {rule}.")
+    res = check_inductive_termination(p, Partition.for_program(p))
+    assert (res.status == "VERIFIED") == decreases
+
+
 # ---------------------------------------------------------------------------
 # Admissible order enumeration and the order search
 
@@ -221,7 +238,7 @@ def test_empty_program_has_one_admissible_order():
     assert len(list(admissible_total_preorders(empty, part))) == 1
     rep = check_rule_decreasing(empty, part, None, SearchBudget(), enumerate_orders=True)
     assert rep.established
-    assert dict(rep.admissible_fields) == {
+    assert dict(admissible_fields(rep)) == {
         "orders_tried": "1", "found": "true", "order": "discrete"
     }
 
@@ -293,7 +310,7 @@ def test_order_search_matches_a_plain_walk(core, coinductive, m):
     level, verdicts = _walk_orders(program, part, budget, tactics)
     assert _same_relation(rep.order, program.rule_names(), level)
     assert {v.index: v for v in rep.verdicts if v.index in verdicts} == verdicts
-    assert dict(rep.admissible_fields)["orders_tried"] == str(_order_count(part))
+    assert dict(admissible_fields(rep))["orders_tried"] == str(_order_count(part))
 
 
 def test_closing_order_among_4683_is_found_quickly(monkeypatch):
@@ -311,7 +328,7 @@ def test_closing_order_among_4683_is_found_quickly(monkeypatch):
     rep = check_rule_decreasing(program, part, None, SearchBudget(), enumerate_orders=True)
     assert time.perf_counter() - start < 1.0
     assert rep.established
-    fields = dict(rep.admissible_fields)
+    fields = dict(admissible_fields(rep))
     assert fields["orders_tried"] == "4683" and fields["found"] == "true"
     assert len(pulled) == 1  # the first order closes, so no other is built
 
@@ -330,7 +347,7 @@ def test_541_failing_orders_share_one_star_search(monkeypatch):
     rep = check_rule_decreasing(program, part, None, SearchBudget(), enumerate_orders=True)
     assert time.perf_counter() - start < 1.0
     assert not rep.established
-    fields = dict(rep.admissible_fields)
+    fields = dict(admissible_fields(rep))
     assert fields["orders_tried"] == "541" and fields["found"] == "false"
     assert len(calls) == len(rep.peaks) == 1
 
@@ -348,7 +365,7 @@ def test_later_orders_stop_at_their_first_failing_peak(monkeypatch, philos):
     part = Partition.for_program(philos, coinductive=["eat", "thk"])
     rep = check_rule_decreasing(philos, part, None, SearchBudget(), enumerate_orders=True)
     assert rep.established
-    fields = dict(rep.admissible_fields)
+    fields = dict(admissible_fields(rep))
     assert fields["found"] == "true" and fields["order"] == "eat>thk"
     assert len(rep.peaks) == 5
     assert len(calls) == 11

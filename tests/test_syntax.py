@@ -71,6 +71,19 @@ def test_arity_clash_rejected():
     assert "arity" in str(exc.value)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("r @ p(X), p(X, Y) <=> true.", "1:11: predicate p/2 clashes with earlier use at arity 1"),
+        ("r @ p(f(X), f(X, Y)) <=> true.", "1:13: functor f/2 clashes with earlier use at arity 1"),
+    ],
+)
+def test_arity_clash_message_names_the_symbol_and_both_arities(text, message):
+    with pytest.raises(ParseError) as exc:
+        parse_program(text)
+    assert str(exc.value) == message
+
+
 def test_reserved_variable_prefix_rejected():
     with pytest.raises(ParseError) as exc:
         parse_program("r @ p(_V1) <=> true.")
