@@ -1,15 +1,17 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import itertools
 import random
 
 from chrdc.engine import applicable_steps
 from chrdc.orders import Partition
 from chrdc.peaks import _peak_key, classify, critical_peaks
-from chrdc.state import canonicalize, equivalent
-from chrdc.syntax import parse_program
+from chrdc.state import canonical_text, canonicalize, equivalent
+from chrdc.syntax import Program, parse_program
 from chrdc.terms import Var
+from conftest import load
 from helpers import peak_like, random_tiny_program, states_mod_globals
 
 
@@ -125,6 +127,41 @@ def test_every_peak_replays_both_one_step_reducts(leq, philos, pminus, pplus):
     assert checked >= 60
 
 
+def _renamed_m(program):
+    return Program(tuple(dataclasses.replace(r, name="m" + r.name) for r in program.rules))
+
+
+def test_emitted_peak_sequence_is_pinned(leq, philos, pminus, pplus):
+    # Tactic selectors `#k` and peak indices depend on the emitted order,
+    # so any change to the enumerator must keep this digest.
+    pairs = [(p, p) for p in (leq, philos, pplus, pminus, load("exhaust.chr"))]
+    rng = random.Random(5)
+    pairs += [(p, p) for p in (random_tiny_program(rng) for _ in range(400))]
+    rng = random.Random(9)
+    pairs += [
+        (random_tiny_program(rng), _renamed_m(random_tiny_program(rng))) for _ in range(200)
+    ]
+    for text in (
+        "g @ p(X) <=> X = f(Y) | q.\nh @ p(f(Z)) <=> r.",
+        "g @ p(X) \\ p(Y) <=> X = s(Y) | q(Y, W).\nh @ p(s(Z)) <=> Z = a | r(Z).",
+        "r @ a(X1), b(X2), c(X3), d(X4), e(X5), f(X6) <=> true.",
+    ):
+        p = parse_program(text)
+        pairs.append((p, p))
+    digest = hashlib.sha256()
+    lines = 0
+    for p, q in pairs:
+        for pk in critical_peaks(p, q):
+            for s in (pk.ancestor, pk.left, pk.right):
+                text = f"{pk.rule_left}|{pk.rule_right}|{canonical_text(canonicalize(s))}\n"
+                digest.update(text.encode())
+                lines += 1
+        digest.update(b"--\n")
+    assert (lines, digest.hexdigest()) == (
+        2340, "27e0e217fed3fd1202dbd4fa0d20cc075be575af27350249108d486c7a844fe4"
+    )
+
+
 def test_peak_key_ignores_how_the_globals_are_named(leq, philos, pminus, pplus):
     rng = random.Random(67)
     checked = 0
@@ -166,15 +203,7 @@ def test_cross_program_peaks_are_mirror_images():
     found = 0
     for _ in range(40):
         p = random_tiny_program(rng)
-        q = random_tiny_program(rng)
-        q = q.__class__(
-            tuple(
-                r.__class__(
-                    "m" + r.name, r.kept, r.removed, r.guard, r.user_body, r.builtin_body
-                )
-                for r in q.rules
-            )
-        )
+        q = _renamed_m(random_tiny_program(rng))
         fwd = critical_peaks(p, q)
         bwd = critical_peaks(q, p)
         assert len(fwd) == len(bwd)
