@@ -464,7 +464,9 @@ def check_strong_confluence(program: Program, budget: SearchBudget) -> Report:
     )
 
 
-def live_rules(program: Program, states: Iterable[State]) -> frozenset[str]:
+def live_rules(
+    program: Program, states: Iterable[Union[State, CanonicalState]]
+) -> frozenset[str]:
     """Rules that may fire from some state reachable from `states`: the least
     set whose rules' head predicates all occur in `states` or in the user
     body of a rule of the set. Any other rule never yields a step there."""

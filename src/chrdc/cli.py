@@ -6,8 +6,8 @@
     chrdc run FILE --query "atoms # globals: ..." [--steps N]
 
 Exit codes: 0 established / done, 1 property not established, 2 input
-or configuration error. Output is byte-identical across runs on
-identical inputs.
+or configuration error, including a term nested too deeply to process.
+Output is byte-identical across runs on identical inputs.
 """
 
 from __future__ import annotations
@@ -192,6 +192,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return args.func(args)
     except (ParseError, ConfigError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return 2
+    except RecursionError as exc:
+        sys.stderr.write(f"error: a term is nested too deeply ({exc})\n")
         return 2
 
 

@@ -15,7 +15,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 from .state import CanonicalState, State, canonicalize
 from .syntax import Atom, Program, Rule
-from .terms import Subst, apply, fresh_mapping, match
+from .terms import Subst, apply, match, rename_apart
 
 
 class ReplayError(Exception):
@@ -54,27 +54,44 @@ def _match_heads(
         return
     head = heads[0]
     for i, atom in enumerate(store):
-        if i in used or atom.pred != head.pred or len(atom.args) != len(head.args):
-            continue
-        extended = match(zip(head.args, atom.args), theta)
-        if extended is None:
-            continue
-        yield from _match_heads(heads[1:], store, extended, used + (i,))
+        extended = None if i in used else _match_atom(head, atom, theta)
+        if extended is not None:
+            yield from _match_heads(heads[1:], store, extended, used + (i,))
 
 
-def _step_for(
-    renamed: Rule,
-    cst: CanonicalState,
-    kept_pos: tuple[int, ...],
-    removed_pos: tuple[int, ...],
-    theta: Subst,
-) -> LabeledStep:
-    removed = set(removed_pos)
-    atoms = [a for i, a in enumerate(cst.atoms) if i not in removed]
+def _match_atom(head: Atom, atom: Atom, theta: Subst) -> Optional[Subst]:
+    if atom.pred != head.pred or len(atom.args) != len(head.args):
+        return None
+    return match(zip(head.args, atom.args), theta)
+
+
+def _fire(
+    renamed: Rule, source: State, pos: tuple[int, ...], theta: Subst
+) -> Optional[LabeledStep]:
+    """The step of `renamed` whose heads, kept then removed, `theta` matches
+    onto the atoms of `source` at `pos`; None when the guard fails."""
+    if any(apply(theta, e.lhs) != apply(theta, e.rhs) for e in renamed.guard):
+        return None
+    n_kept = len(renamed.kept)
+    removed = set(pos[n_kept:])
+    atoms = [a for i, a in enumerate(source.atoms) if i not in removed]
     atoms += [a.subst(theta) for a in renamed.user_body]
-    builtins = cst.residuals + tuple(e.subst(theta) for e in renamed.builtin_body)
-    target = canonicalize(State(tuple(atoms), builtins, cst.globals))
-    return LabeledStep(renamed.name, kept_pos, removed_pos, target)
+    builtins = source.builtins + tuple(e.subst(theta) for e in renamed.builtin_body)
+    target = canonicalize(State(tuple(atoms), builtins, source.globals))
+    return LabeledStep(renamed.name, pos[:n_kept], pos[n_kept:], target)
+
+
+def fire(rule: Rule, state: State, pos: tuple[int, ...]) -> Optional[LabeledStep]:
+    """The step of `rule` with its heads, kept then removed, on the atoms of
+    `state` at `pos` (distinct positions, one per head), or None when they
+    do not match or the guard fails. Match positions index `state.atoms`."""
+    renamed = rename_apart(state.all_vars(), rule)
+    theta: Optional[Subst] = {}
+    for head, i in zip(renamed.heads, pos):
+        theta = _match_atom(head, state.atoms[i], theta)
+        if theta is None:
+            return None
+    return _fire(renamed, state, pos, theta)
 
 
 def applicable_steps(
@@ -92,23 +109,18 @@ def applicable_steps(
     if cst.bottom:
         return []
     allowed_set = set(allowed) if allowed is not None else None
-    avoid = cst.as_state().all_vars()
+    source = cst.as_state()
+    avoid = source.all_vars()
 
     out: list[LabeledStep] = []
     for rule in program.rules:
         if allowed_set is not None and rule.name not in allowed_set:
             continue
-        renamed = rule.subst(fresh_mapping(avoid, rule.variables()))
-        n_kept = len(renamed.kept)
-        for pos, theta in _match_heads(renamed.kept + renamed.removed, cst.atoms, {}, ()):
-            guard_ok = all(
-                apply(theta, e.lhs) == apply(theta, e.rhs) for e in renamed.guard
-            )
-            if not guard_ok:
-                continue
-            out.append(
-                _step_for(renamed, cst, pos[:n_kept], pos[n_kept:], theta)
-            )
+        renamed = rename_apart(avoid, rule)
+        for pos, theta in _match_heads(renamed.heads, source.atoms, {}, ()):
+            step = _fire(renamed, source, pos, theta)
+            if step is not None:
+                out.append(step)
     return out
 
 

@@ -163,8 +163,8 @@ def peak_text(index: int, peak: CriticalPeak, classification: Optional[str] = No
     lines = [
         f"critical peak {index}: {peak.rule_left} / {peak.rule_right}{tag}",
         f"  ancestor: {canonical_text(canonicalize(peak.ancestor))}",
-        f"  --{peak.rule_left}--> {canonical_text(canonicalize(peak.left))}",
-        f"  --{peak.rule_right}--> {canonical_text(canonicalize(peak.right))}",
+        f"  --{peak.rule_left}--> {canonical_text(peak.left)}",
+        f"  --{peak.rule_right}--> {canonical_text(peak.right)}",
     ]
     return "\n".join(lines)
 

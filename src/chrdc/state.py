@@ -21,7 +21,7 @@ exponential; states with no locals skip it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Union
+from typing import Iterator, Mapping, Optional, Union
 
 from .syntax import Atom, Eq, atom_text, eq_text
 from .terms import FRESH_PREFIX, Compound, Subst, Term, Var, apply, unify
@@ -109,20 +109,11 @@ def _orient(sigma: Subst, globals_: frozenset[str]) -> Subst:
     return {v: t for v, t in out.items() if t != Var(v)}
 
 
-def _term_key(t: Term) -> tuple:
+def _skeleton(t: Term, globs: Optional[frozenset[str]] = None) -> tuple:
+    """The term with every local blanked out; globals keep their names, and
+    with `globs` None every variable does."""
     if isinstance(t, Var):
-        return (0, t.name)
-    return (1, t.functor, len(t.args), tuple(_term_key(a) for a in t.args))
-
-
-def _atom_key(a: Atom) -> tuple:
-    return (a.pred, len(a.args), tuple(_term_key(x) for x in a.args))
-
-
-def _skeleton(t: Term, globs: frozenset[str]) -> tuple:
-    """The term with every local blanked out; globals keep their names."""
-    if isinstance(t, Var):
-        return (0, t.name) if t.name in globs else (0,)
+        return (0, t.name) if globs is None or t.name in globs else (0,)
     return (1, t.functor, tuple(_skeleton(a, globs) for a in t.args))
 
 
@@ -251,8 +242,8 @@ def canonicalize(s: Union[State, CanonicalState]) -> CanonicalState:
         renaming = _canonical_renaming(atoms, residuals, globs)
         atoms = [a.subst(renaming) for a in atoms]
         residuals = [e.subst(renaming) for e in residuals]
-    atoms.sort(key=_atom_key)
-    residuals.sort(key=lambda e: (_term_key(e.lhs), _term_key(e.rhs)))
+    atoms.sort(key=lambda a: (a.pred, tuple(map(_skeleton, a.args))))
+    residuals.sort(key=lambda e: (_skeleton(e.lhs), _skeleton(e.rhs)))
     return CanonicalState(tuple(atoms), tuple(residuals), globs)
 
 

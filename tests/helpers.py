@@ -295,7 +295,10 @@ def states_mod_globals(states1, states2) -> bool:
         return False
     for perm in itertools.permutations(g1):
         mapping = {src: Var(dst) for src, dst in zip(g2, perm)}
-        if all(equivalent(a, b.subst(mapping)) for a, b in zip(states1, states2)):
+        if all(
+            equivalent(a, canonicalize(b).as_state().subst(mapping))
+            for a, b in zip(states1, states2)
+        ):
             return True
     return False
 

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import pathlib
+import random
+import re
 import subprocess
 import sys
 
 import pytest
 
 from chrdc.cli import main
-from conftest import fixture_path
+from conftest import FIXTURES, fixture_path
 
 
 def run_cli(*args):
@@ -163,6 +166,20 @@ def test_peaks_between_two_programs():
     assert out == "PEAK 0 splus sminus CROSS\n"
 
 
+def test_two_files_of_one_program_give_all_its_peaks_as_cross(tmp_path):
+    leq = fixture_path("leq.chr")
+    renamed = tmp_path / "mleq.chr"
+    text = (FIXTURES / "leq.chr").read_text()
+    renamed.write_text(re.sub(r"^(\w+) @", r"m\1 @", text, flags=re.M))
+    _, same, _ = run_cli("peaks", leq, leq, "--format", "machine")
+    _, other, _ = run_cli("peaks", leq, str(renamed), "--format", "machine")
+    same_pairs = [line.split()[2:] for line in same.splitlines()]
+    other_pairs = [line.split()[2:] for line in other.splitlines()]
+    other_pairs = [[left, right.removeprefix("m"), kind] for left, right, kind in other_pairs]
+    assert len(same_pairs) == 29
+    assert same_pairs == other_pairs
+
+
 def test_cross_file_arity_clash_exits_2(tmp_path):
     other = tmp_path / "clash.chr"
     other.write_text("x @ p(X,Y) <=> true.")
@@ -296,8 +313,6 @@ def test_decreasing_with_tactics_enumerates_peaks_once(monkeypatch):
     import chrdc.analysis
     import chrdc.cli
     import chrdc.peaks
-    from conftest import FIXTURES
-
     original = chrdc.peaks.critical_peaks
     calls = []
 
@@ -315,3 +330,55 @@ def test_decreasing_with_tactics_enumerates_peaks_once(monkeypatch):
     assert code == 0
     assert len(calls) == 1
     assert out == (FIXTURES / "golden" / "philos_tactic.txt").read_text(encoding="utf-8")
+
+
+def _mutated(rng, text):
+    """`text` with one to three spans deleted, repeated or replaced by a symbol."""
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(text) + 1)
+        j = min(len(text), i + rng.randint(0, 4))
+        op = rng.randrange(3)
+        if op == 0:
+            text = text[:i] + text[j:]
+        elif op == 1:
+            text = text[:j] + text[i:j] + text[j:]
+        else:
+            text = text[:i] + rng.choice("(),.|\\=@#%XYas0 \n") + text[j:]
+    return text
+
+
+def test_every_call_exits_0_1_or_2(tmp_path):
+    # The first two calls nest terms past the interpreter's recursion limit.
+    deep = tmp_path / "deep.chr"
+    deep.write_text("r @ p(" + "f(" * 250 + "a" + ")" * 250 + ") <=> true.\n")
+    cases = [
+        ("peaks", str(deep)),
+        ("run", fixture_path("pplus.chr"), "--query", "p(a)", "--steps", "400"),
+    ]
+    rng = random.Random(13)
+    configs = sorted(FIXTURES.glob("*.cfg"))
+    for k in range(200):
+        # A config and its program (`leq_decreasing.cfg` goes with `leq.chr`),
+        # one of the two mutated.
+        cfg = rng.choice(configs)
+        files = [FIXTURES / (cfg.stem.split("_")[0] + ".chr"), cfg]
+        texts = [f.read_text() for f in files]
+        m = rng.randrange(2)
+        texts[m] = _mutated(rng, texts[m])
+        paths = [str(tmp_path / f"m{k}{f.suffix}") for f in files]
+        for path, text in zip(paths, texts):
+            pathlib.Path(path).write_text(text)
+        mode = rng.choice(("peaks", "local", "strong", "decreasing"))
+        if mode == "peaks":
+            cases.append(("peaks", paths[0], "--config", paths[1]))
+        else:
+            cases.append(
+                ("check", "--mode", mode, paths[0], "--config", paths[1], "--max-depth", "3")
+            )
+    results = [run_cli(*case) for case in cases]
+    for case, (code, _, _) in zip(cases, results):
+        assert code in (0, 1, 2), case
+    for code, _, err in results[:2]:
+        assert code == 2
+        assert err.startswith("error: a term is nested too deeply")
+    assert {code for code, _, _ in results} == {0, 1, 2}

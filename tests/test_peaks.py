@@ -175,8 +175,8 @@ def test_peak_key_ignores_how_the_globals_are_named(leq, philos, pminus, pplus):
                 renamed = dataclasses.replace(
                     pk,
                     ancestor=pk.ancestor.subst(ren),
-                    left=pk.left.subst(ren),
-                    right=pk.right.subst(ren),
+                    left=pk.left.as_state().subst(ren),
+                    right=pk.right.as_state().subst(ren),
                 )
                 assert _peak_key(renamed) == _peak_key(pk)
                 assert _peak_key(renamed, True) == _peak_key(pk, True)
@@ -246,7 +246,7 @@ def _embeds(program_pair, peak, state, target_left, target_right):
 
     cst = canonicalize(state)
     avoid = set(cst.globals) | {v for a in cst.atoms for v in a.iter_vars()}
-    for s in (peak.ancestor, peak.left, peak.right):
+    for s in (peak.ancestor, peak.left.as_state(), peak.right.as_state()):
         avoid |= s.all_vars()
     anc_c = canonicalize(peak.ancestor)
     anc_vars: dict[str, None] = {}
