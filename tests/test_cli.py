@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import pathlib
 import random
 import re
 import subprocess
@@ -313,6 +312,7 @@ def test_decreasing_with_tactics_enumerates_peaks_once(monkeypatch):
     import chrdc.analysis
     import chrdc.cli
     import chrdc.peaks
+
     original = chrdc.peaks.critical_peaks
     calls = []
 
@@ -365,16 +365,15 @@ def test_every_call_exits_0_1_or_2(tmp_path):
         texts = [f.read_text() for f in files]
         m = rng.randrange(2)
         texts[m] = _mutated(rng, texts[m])
-        paths = [str(tmp_path / f"m{k}{f.suffix}") for f in files]
+        paths = [tmp_path / f"m{k}{f.suffix}" for f in files]
         for path, text in zip(paths, texts):
-            pathlib.Path(path).write_text(text)
+            path.write_text(text)
+        prog, conf = map(str, paths)
         mode = rng.choice(("peaks", "local", "strong", "decreasing"))
         if mode == "peaks":
-            cases.append(("peaks", paths[0], "--config", paths[1]))
+            cases.append(("peaks", prog, "--config", conf))
         else:
-            cases.append(
-                ("check", "--mode", mode, paths[0], "--config", paths[1], "--max-depth", "3")
-            )
+            cases.append(("check", "--mode", mode, prog, "--config", conf, "--max-depth", "3"))
     results = [run_cli(*case) for case in cases]
     for case, (code, _, _) in zip(cases, results):
         assert code in (0, 1, 2), case
