@@ -8,9 +8,10 @@ from chrdc.engine import (
     Derivation,
     ReplayError,
     applicable_steps,
+    fire,
     replay,
 )
-from chrdc.state import State, canonicalize, equivalent
+from chrdc.state import State, canonical_text, canonicalize, equivalent
 from chrdc.syntax import Atom, parse_program, parse_state
 from chrdc.terms import Compound, Var
 from helpers import reachable
@@ -188,6 +189,18 @@ def test_step_targets_stable_under_equivalence(leq, philos):
             else:
                 raise AssertionError("target multiset mismatch")
         assert not unmatched
+
+
+@pytest.mark.parametrize("name", ["_V0", "_V1"])
+def test_renaming_apart_avoids_the_fresh_names_of_the_state(name):
+    # A renaming that ignored the state's fresh names would give q(_V1, _V1).
+    program = parse_program("r @ p(X) ==> q(X, Y).")
+    (rule,) = program.rules
+    state = State((Atom("p", (Var(name),)),), (), frozenset({name}))
+    expected = f"<p({name}), q({name}, L0) # globals: {name}>"
+    (step,) = applicable_steps(program, state)
+    assert canonical_text(step.target) == expected
+    assert canonical_text(fire(rule, state, (0,)).target) == expected
 
 
 def _one_step(program, text, rule):

@@ -262,6 +262,22 @@ def test_equivalent_agrees_with_brute_force_oracle():
     assert min(outcomes.values()) >= 100, outcomes
 
 
+def test_a_store_without_built_ins_has_the_solved_form():
+    # One trivially true equation sends canonicalize through unify, _orient
+    # and substitution; with no built-ins at all the form must not change.
+    # Dropping the equations leaves dead globals, and successor stores hold
+    # only locals.
+    rng = random.Random(41)
+    trivial = (Eq(a, a),)
+    states = [random_state(rng) for _ in range(2000)]
+    states += [_successor_store(rng, size=rng.randint(1, 8), most=3) for _ in range(200)]
+    states.append(State((Atom("p", (Var("X"), a)),), (), frozenset({"X", "Y"})))
+    for s in states:
+        bare = State(s.atoms, (), s.globals)
+        solved = State(s.atoms, trivial, s.globals)
+        assert canonicalize(bare) == canonicalize(solved), canonical_text(canonicalize(solved))
+
+
 def test_canonical_form_ignores_names_beyond_the_oracle():
     rng = random.Random(97)
     for _ in range(60):
