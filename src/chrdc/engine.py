@@ -6,16 +6,20 @@ its head atoms are matched injectively onto distinct store positions
 satisfied after matching, and the target adjoins the body. Propagation
 rules re-fire on their own output; no token store is kept, so the
 relation is faithfully the abstract one and derivations can loop.
+
+Renaming apart picks only fresh (`FRESH_PREFIX`) names, so a rule is
+renamed once per set of fresh names in the state and the result reused.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Optional, Sequence, Union
 
 from .state import CanonicalState, State, canonicalize
 from .syntax import Atom, Program, Rule
-from .terms import Subst, apply, match, rename_apart
+from .terms import FRESH_PREFIX, Subst, apply, match, rename_apart
 
 
 class ReplayError(Exception):
@@ -65,6 +69,17 @@ def _match_atom(head: Atom, atom: Atom, theta: Subst) -> Optional[Subst]:
     return match(zip(head.args, atom.args), theta)
 
 
+def _fresh_names(state: State) -> frozenset[str]:
+    return frozenset(v for v in state.all_vars() if v.startswith(FRESH_PREFIX))
+
+
+@lru_cache(maxsize=1024)
+def _renamed(rule: Rule, fresh: frozenset[str]) -> Rule:
+    """`rule` renamed apart from a state whose fresh names are `fresh`;
+    renaming picks only fresh names, so it cannot capture any other."""
+    return rename_apart(set(fresh), rule)
+
+
 def _fire(
     renamed: Rule, source: State, pos: tuple[int, ...], theta: Subst
 ) -> Optional[LabeledStep]:
@@ -85,7 +100,7 @@ def fire(rule: Rule, state: State, pos: tuple[int, ...]) -> Optional[LabeledStep
     """The step of `rule` with its heads, kept then removed, on the atoms of
     `state` at `pos` (distinct positions, one per head), or None when they
     do not match or the guard fails. Match positions index `state.atoms`."""
-    renamed = rename_apart(state.all_vars(), rule)
+    renamed = _renamed(rule, _fresh_names(state))
     theta: Optional[Subst] = {}
     for head, i in zip(renamed.heads, pos):
         theta = _match_atom(head, state.atoms[i], theta)
@@ -110,13 +125,13 @@ def applicable_steps(
         return []
     allowed_set = set(allowed) if allowed is not None else None
     source = cst.as_state()
-    avoid = source.all_vars()
+    fresh = _fresh_names(source)
 
     out: list[LabeledStep] = []
     for rule in program.rules:
         if allowed_set is not None and rule.name not in allowed_set:
             continue
-        renamed = rename_apart(avoid, rule)
+        renamed = _renamed(rule, fresh)
         for pos, theta in _match_heads(renamed.heads, source.atoms, {}, ()):
             step = _fire(renamed, source, pos, theta)
             if step is not None:

@@ -5,7 +5,8 @@ A state is a user store (multiset of atoms), a built-in store
 variable is local, read existentially. Two states are equivalent exactly
 when their canonical forms are equal. To canonicalize, the built-in
 store is solved by unification, the solution is applied everywhere, the
-residual constraints on globals are kept, and the store is sorted.
+residual constraints on globals are kept, and the store is sorted. A
+state with no built-ins skips solving: its atoms are kept as they are.
 
 Locals get a canonical labelling by individualisation and refinement
 (McKay and Piperno, *Practical graph isomorphism II*, 2014), per
@@ -223,14 +224,14 @@ def _canonical_renaming(
 def canonicalize(s: Union[State, CanonicalState]) -> CanonicalState:
     if isinstance(s, CanonicalState):
         return s
-    sigma = unify([(e.lhs, e.rhs) for e in s.builtins])
-    if sigma is None:
-        return INCONSISTENT
-    sigma = _orient(sigma, s.globals)
-    atoms = [a.subst(sigma) for a in s.atoms]
-    residuals = [
-        Eq(Var(g), sigma[g]) for g in sorted(s.globals) if g in sigma
-    ]
+    atoms, residuals = list(s.atoms), []
+    if s.builtins:
+        sigma = unify([(e.lhs, e.rhs) for e in s.builtins])
+        if sigma is None:
+            return INCONSISTENT
+        sigma = _orient(sigma, s.globals)
+        atoms = [a.subst(sigma) for a in atoms]
+        residuals = [Eq(Var(g), sigma[g]) for g in sorted(s.globals) if g in sigma]
 
     alive: set[str] = set()
     for a in atoms:
