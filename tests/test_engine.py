@@ -11,10 +11,12 @@ from chrdc.engine import (
     fire,
     replay,
 )
+from chrdc.peaks import critical_peaks
 from chrdc.state import State, canonical_text, canonicalize, equivalent
-from chrdc.syntax import Atom, parse_program, parse_state
-from chrdc.terms import Compound, Var
-from helpers import reachable
+from chrdc.syntax import Atom, Program, Rule, parse_program, parse_state
+from chrdc.terms import Compound, Var, apply, match, rename_apart
+from conftest import load
+from helpers import random_ground_state, random_state, random_tiny_program, reachable
 
 
 def test_leq_query_has_antisymmetry_and_transitivity_steps(leq):
@@ -252,3 +254,74 @@ def test_replay_rejects_a_step_from_the_inconsistent_state(pminus):
     assert bottom.bottom
     with pytest.raises(ReplayError):
         replay(pminus, Derivation(bottom, (step,)))
+
+
+def _oracle_target(program, source, step):
+    """The target of `step` from the canonical `source`, built from the rule
+    itself: renamed apart from every variable of the source, matched at the
+    step's kept and removed positions, its body adjoined to the kept atoms
+    and the result canonicalized."""
+    (rule,) = [r for r in program.rules if r.name == step.rule_name]
+    state = source.as_state()
+    renamed = rename_apart(state.all_vars(), rule)
+    pos = step.matched_kept + step.matched_removed
+    assert len(step.matched_kept) == len(renamed.kept)
+    assert len(pos) == len(renamed.heads) == len(set(pos))
+    theta = {}
+    for head, i in zip(renamed.heads, pos):
+        atom = state.atoms[i]
+        assert (atom.pred, len(atom.args)) == (head.pred, len(head.args))
+        theta = match(zip(head.args, atom.args), theta)
+        assert theta is not None
+    assert all(apply(theta, e.lhs) == apply(theta, e.rhs) for e in renamed.guard)
+    kept = [a for i, a in enumerate(state.atoms) if i not in step.matched_removed]
+    body = [a.subst(theta) for a in renamed.user_body]
+    eqs = tuple(e.subst(theta) for e in renamed.builtin_body)
+    return canonicalize(State(tuple(kept + body), state.builtins + eqs, state.globals))
+
+
+def _assert_steps_match_the_oracle(program, state):
+    source = canonicalize(state)
+    steps = applicable_steps(program, state)
+    for step in steps:
+        assert step.target == _oracle_target(program, source, step)
+    return len(steps)
+
+
+def _with_propagation(program):
+    """`program` plus, for each rule, the propagation rule keeping all of
+    its heads; the tiny programs alone always remove a head."""
+    kept_all = tuple(
+        Rule(f"{r.name}k", r.heads, (), r.guard, r.user_body, r.builtin_body)
+        for r in program.rules
+    )
+    return Program(program.rules + kept_all)
+
+
+def test_step_targets_match_an_independent_oracle():
+    rng = random.Random(11)
+    checked = 0
+    for _ in range(200):
+        program = _with_propagation(random_tiny_program(rng))
+        states = [random_state(rng), random_ground_state(rng)]
+        plain = random_ground_state(rng)
+        # Every variable global: no locals and no residuals.
+        states.append(State(plain.atoms, (), frozenset(plain.free_vars())))
+        # Duplicate atoms, and a global that no atom holds.
+        states.append(State(plain.atoms + plain.atoms[:1], (), plain.globals))
+        states.append(State(plain.atoms, (), plain.globals | {"D"}))
+        with_eq = random_state(rng)
+        states.append(State(plain.atoms + with_eq.atoms, with_eq.builtins, with_eq.globals))
+        for state in states:
+            checked += _assert_steps_match_the_oracle(program, state)
+    assert checked > 800
+
+
+def test_step_targets_match_the_oracle_from_the_exhaust_peak():
+    program = load("exhaust.chr")
+    checked = 0
+    for peak in critical_peaks(program, program):
+        for start in (peak.ancestor, peak.left, peak.right):
+            for cst, _ in reachable(program, start, max_depth=3, max_states=60).entries:
+                checked += _assert_steps_match_the_oracle(program, cst)
+    assert checked > 100
