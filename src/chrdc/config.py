@@ -189,5 +189,9 @@ def resolve_tactics(
                     raise ConfigError(
                         f"tactic {decl.selector!r} uses unknown rule {label!r}"
                     )
+        if matching[k] in out:
+            raise ConfigError(
+                f"tactic selector {decl.selector!r}: an earlier section names the same peak"
+            )
         out[matching[k]] = (decl.left or [[]], decl.right or [[]])
     return out

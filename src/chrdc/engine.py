@@ -9,15 +9,17 @@ relation is faithfully the abstract one and derivations can loop.
 
 Renaming apart picks only fresh (`FRESH_PREFIX`) names, so a rule is
 renamed once per set of fresh names in the state and the result reused.
+Targets come from the source's `state.successors`, which inserts the
+atoms of a propagation step in order where that is exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
-from .state import CanonicalState, State, canonicalize
+from .state import CanonicalState, State, canonicalize, successors
 from .syntax import Atom, Program, Rule
 from .terms import FRESH_PREFIX, Subst, apply, match, rename_apart
 
@@ -81,19 +83,18 @@ def _renamed(rule: Rule, fresh: frozenset[str]) -> Rule:
 
 
 def _fire(
-    renamed: Rule, source: State, pos: tuple[int, ...], theta: Subst
+    renamed: Rule, pos: tuple[int, ...], theta: Subst, target: Callable[..., CanonicalState]
 ) -> Optional[LabeledStep]:
     """The step of `renamed` whose heads, kept then removed, `theta` matches
-    onto the atoms of `source` at `pos`; None when the guard fails."""
+    onto the source's atoms at `pos`, with its target built by the source's
+    `successors`; None when the guard fails."""
     if any(apply(theta, e.lhs) != apply(theta, e.rhs) for e in renamed.guard):
         return None
     n_kept = len(renamed.kept)
-    removed = set(pos[n_kept:])
-    atoms = [a for i, a in enumerate(source.atoms) if i not in removed]
-    atoms += [a.subst(theta) for a in renamed.user_body]
-    builtins = source.builtins + tuple(e.subst(theta) for e in renamed.builtin_body)
-    target = canonicalize(State(tuple(atoms), builtins, source.globals))
-    return LabeledStep(renamed.name, pos[:n_kept], pos[n_kept:], target)
+    atoms = [a.subst(theta) for a in renamed.user_body]
+    builtins = tuple(e.subst(theta) for e in renamed.builtin_body)
+    removed = pos[n_kept:]
+    return LabeledStep(renamed.name, pos[:n_kept], removed, target(removed, atoms, builtins))
 
 
 def fire(rule: Rule, state: State, pos: tuple[int, ...]) -> Optional[LabeledStep]:
@@ -106,7 +107,7 @@ def fire(rule: Rule, state: State, pos: tuple[int, ...]) -> Optional[LabeledStep
         theta = _match_atom(head, state.atoms[i], theta)
         if theta is None:
             return None
-    return _fire(renamed, state, pos, theta)
+    return _fire(renamed, pos, theta, successors(state))
 
 
 def applicable_steps(
@@ -118,7 +119,9 @@ def applicable_steps(
 
     Duplicate store atoms yield distinct steps with equivalent targets;
     deduplication is the searcher's business. The inconsistent state is
-    absorbing and reported as a fixpoint (no steps).
+    absorbing and reported as a fixpoint (no steps). Targets come from one
+    `state.successors` of the canonical state: a propagation step from a
+    state with no locals and no residuals costs an ordered insert.
     """
     cst = canonicalize(state)
     if cst.bottom:
@@ -126,6 +129,7 @@ def applicable_steps(
     allowed_set = set(allowed) if allowed is not None else None
     source = cst.as_state()
     fresh = _fresh_names(source)
+    target = successors(cst)
 
     out: list[LabeledStep] = []
     for rule in program.rules:
@@ -133,7 +137,7 @@ def applicable_steps(
             continue
         renamed = _renamed(rule, fresh)
         for pos, theta in _match_heads(renamed.heads, source.atoms, {}, ()):
-            step = _fire(renamed, source, pos, theta)
+            step = _fire(renamed, pos, theta, target)
             if step is not None:
                 out.append(step)
     return out

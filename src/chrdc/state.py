@@ -8,6 +8,11 @@ store is solved by unification, the solution is applied everywhere, the
 residual constraints on globals are kept, and the store is sorted. A
 state with no built-ins skips solving: its atoms are kept as they are.
 
+A step target from a canonical state with no locals and no residuals,
+by a step that removes nothing and adds neither built-ins nor new
+variables, is the source with the new atoms inserted in order
+(`successors`): there is nothing to solve, prune or label.
+
 Locals get a canonical labelling by individualisation and refinement
 (McKay and Piperno, *Practical graph isomorphism II*, 2014), per
 component of atoms linked by shared locals: colour refinement splits
@@ -21,8 +26,9 @@ exponential; states with no locals skip it.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Optional, Union
+from typing import Callable, Iterator, Mapping, Optional, Sequence, Union
 
 from .syntax import Atom, Eq, atom_text, eq_text
 from .terms import FRESH_PREFIX, Compound, Subst, Term, Var, apply, unify
@@ -243,9 +249,54 @@ def canonicalize(s: Union[State, CanonicalState]) -> CanonicalState:
         renaming = _canonical_renaming(atoms, residuals, globs)
         atoms = [a.subst(renaming) for a in atoms]
         residuals = [e.subst(renaming) for e in residuals]
-    atoms.sort(key=lambda a: (a.pred, tuple(map(_skeleton, a.args))))
+    atoms.sort(key=_atom_key)
     residuals.sort(key=lambda e: (_skeleton(e.lhs), _skeleton(e.rhs)))
     return CanonicalState(tuple(atoms), tuple(residuals), globs)
+
+
+def _atom_key(a: Atom) -> tuple:
+    """The order of atoms in a canonical store. It keeps every variable
+    name, so atoms with equal keys are identical."""
+    return (a.pred, tuple(map(_skeleton, a.args)))
+
+
+def successors(
+    source: Union[State, CanonicalState]
+) -> Callable[[Sequence[int], list[Atom], tuple[Eq, ...]], CanonicalState]:
+    """The canonical target of a step from `source`, given the positions
+    of the atoms the step removes and the atoms and built-ins it adds.
+
+    From a canonical source with no locals and no residuals, a step that
+    removes nothing and adds neither built-ins nor new variables only
+    inserts its atoms in order. Whether the source has locals, and its
+    atoms' sort keys, are found on the first such step. Every other
+    target is canonicalized.
+    """
+    state = source.as_state() if isinstance(source, CanonicalState) else source
+    plain = isinstance(source, CanonicalState) and not state.builtins
+    globs = state.globals
+    keys = None  # the sort keys of the source's atoms, False when it has locals
+
+    def target(
+        removed: Sequence[int], atoms: list[Atom], builtins: tuple[Eq, ...]
+    ) -> CanonicalState:
+        nonlocal keys
+        if (plain and not removed and not builtins
+                and globs.issuperset(v for a in atoms for v in a.iter_vars())):
+            if keys is None:
+                keys = globs.issuperset(state.iter_vars()) and list(map(_atom_key, state.atoms))
+            if keys is not False:
+                order, out = list(keys), list(state.atoms)
+                for a in atoms:
+                    k = _atom_key(a)
+                    i = bisect_right(order, k)
+                    order.insert(i, k)
+                    out.insert(i, a)
+                return CanonicalState(tuple(out), (), globs)
+        kept = [a for i, a in enumerate(state.atoms) if i not in removed]
+        return canonicalize(State(tuple(kept + atoms), state.builtins + builtins, globs))
+
+    return target
 
 
 def equivalent(s1: Union[State, CanonicalState], s2: Union[State, CanonicalState]) -> bool:

@@ -97,6 +97,21 @@ def test_config_error_exits_2(tmp_path):
     assert "unknown rule name" in err
 
 
+def test_a_repeated_tactic_section_exits_2(tmp_path):
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text(
+        "[partition]\ncoinductive = eat, thk\n[order]\neat > thk\n"
+        '[tactic "peak:eatxeat#0"]\nleft = thk, eat, thk\nright = thk, eat, thk\n'
+        '[tactic "peak:eatxeat#0"]\nleft = eat\nright = eat\n'
+    )
+    code, out, err = run_cli(
+        "check", "--mode", "decreasing", fixture_path("philos.chr"), "--config", str(cfg)
+    )
+    assert code == 2
+    assert out == ""
+    assert "peak:eatxeat#0" in err
+
+
 def test_local_mode_rejects_a_partition_with_a_rule_in_both_parts(tmp_path):
     cfg = tmp_path / "both.cfg"
     cfg.write_text("[partition]\ninductive = duplicate\ncoinductive = duplicate\n")

@@ -95,6 +95,17 @@ def test_tactic_selector_unknown_rule(philos):
         resolve_tactics(cfg, peaks, set(philos.rule_names()))
 
 
+def test_a_repeated_tactic_section_is_an_error(philos):
+    peaks = critical_peaks(philos, philos)
+    cfg = load_config(
+        '[tactic "peak:eatxeat#0"]\nleft = thk, eat, thk\nright = thk, eat, thk\n'
+        '[tactic "peak:eatxeat#0"]\nleft = eat\nright = eat\n'
+    )
+    with pytest.raises(ConfigError) as exc:
+        resolve_tactics(cfg, peaks, set(philos.rule_names()))
+    assert "peak:eatxeat#0" in str(exc.value)
+
+
 def test_tactic_via_cli(tmp_path):
     from conftest import fixture_path
     from test_cli import run_cli

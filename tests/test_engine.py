@@ -325,3 +325,35 @@ def test_step_targets_match_the_oracle_from_the_exhaust_peak():
             for cst, _ in reachable(program, start, max_depth=3, max_states=60).entries:
                 checked += _assert_steps_match_the_oracle(program, cst)
     assert checked > 100
+
+
+def test_propagation_targets_skip_canonicalize_on_the_exhaust_peak(monkeypatch):
+    import sys
+
+    import chrdc.engine
+    import chrdc.state
+    from chrdc.analysis import SearchBudget, check_local_confluence
+
+    program = load("exhaust.chr")
+    calls, steps = [], []
+    canonical, stepping = chrdc.state.canonicalize, chrdc.engine.applicable_steps
+
+    def counting_canonicalize(*args):
+        calls.append(args)
+        return canonical(*args)
+
+    def counting_steps(*args):
+        out = stepping(*args)
+        steps.extend(out)
+        return out
+
+    # Modules that imported the names hold their own bindings to them.
+    for name, module in list(sys.modules.items()):
+        if name.startswith("chrdc."):
+            if getattr(module, "canonicalize", None) is canonical:
+                monkeypatch.setattr(module, "canonicalize", counting_canonicalize)
+            if getattr(module, "applicable_steps", None) is stepping:
+                monkeypatch.setattr(module, "applicable_steps", counting_steps)
+    check_local_confluence(program, SearchBudget(8, 40), assume_terminating=True)
+    assert steps
+    assert len(calls) < len(steps) / 3
