@@ -410,3 +410,18 @@ def reachable(
                 next_frontier.append(len(result.entries) - 1)
         frontier = next_frontier
     return result
+
+
+def check_value_semantics(values: list, text) -> None:
+    """`==` on `values` agrees with equality of their printed form `text`,
+    equal values hash equal, and each value works as a set member and a
+    dict key."""
+    texts = [text(v) for v in values]
+    for v, tv in zip(values, texts):
+        for w, tw in zip(values, texts):
+            assert (v == w) == (tv == tw), (tv, tw)
+            if tv == tw:
+                assert hash(v) == hash(w), tv
+    assert len(set(values)) == len(set(texts))
+    by_value = {v: t for v, t in zip(values, texts)}
+    assert all(by_value[v] == t for v, t in zip(values, texts))

@@ -8,15 +8,17 @@ import pytest
 from chrdc.engine import applicable_steps
 from chrdc.state import (
     INCONSISTENT,
+    CanonicalState,
     State,
     canonical_text,
     canonicalize,
     compose,
     equivalent,
+    state_text,
 )
 from chrdc.syntax import Atom, Eq, parse_state
 from chrdc.terms import Compound, Var
-from helpers import brute_equivalent, random_state
+from helpers import brute_equivalent, check_value_semantics, random_state
 
 
 a, b = Compound("a"), Compound("b")
@@ -403,3 +405,30 @@ def test_monotonicity_of_transitions_under_composition(leq, philos, pminus):
             canonical_text(canonicalize(big2)),
         )
         checked += 1
+
+
+def test_states_and_canonical_states_are_values():
+    rng = random.Random(97)
+    states = [random_state(rng, max_atoms=2) for _ in range(150)]
+    check_value_semantics(states, state_text)
+    canonical = [canonicalize(s) for s in states]
+    check_value_semantics(canonical, canonical_text)
+    # A state never equals a canonical state with the same stores.
+    for s, c in zip(states, canonical):
+        assert s != c and c != s and c.as_state() != c
+    assert len({INCONSISTENT, INCONSISTENT.as_state()}) == 2
+
+
+@pytest.mark.parametrize("field", ["atoms", "builtins", "globals"])
+def test_setting_a_field_of_a_state_raises(field):
+    s = st("p(X), X = a # globals: X")
+    with pytest.raises(AttributeError):
+        setattr(s, field, ())
+
+
+@pytest.mark.parametrize("field", ["atoms", "residuals", "globals", "bottom"])
+def test_setting_a_field_of_a_canonical_state_raises(field):
+    c = canonicalize(st("p(X) # globals: X"))
+    with pytest.raises(AttributeError):
+        setattr(c, field, ())
+    assert c == CanonicalState((Atom("p", (Var("X"),)),), (), frozenset({"X"}))

@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import random
 
+import pytest
+
+from chrdc.syntax import Atom, Eq, atom_text, eq_text, term_text
 from chrdc.terms import (
     Compound,
     Var,
@@ -13,7 +16,13 @@ from chrdc.terms import (
     term_vars,
     unify,
 )
-from helpers import instance_of, naive_unify_pairs, random_term
+from helpers import (
+    check_value_semantics,
+    instance_of,
+    naive_unify_pairs,
+    random_atom,
+    random_term,
+)
 
 
 def f(*args):
@@ -171,3 +180,26 @@ def test_rename_apart_terms_and_rules():
     assert not set(fresh.variables()) & {"X", "Y"}
     assert len(fresh.variables()) == len(rule.variables())
     assert [a.pred for a in fresh.removed] == [a.pred for a in rule.removed]
+
+
+def test_terms_atoms_and_equations_are_values():
+    rng = random.Random(89)
+    pool = ["X", "Y"]
+    terms = [random_term(rng, pool, depth=2) for _ in range(120)]
+    check_value_semantics(terms, term_text)
+    check_value_semantics([random_atom(rng, pool, depth=1) for _ in range(120)], atom_text)
+    eqs = [Eq(random_term(rng, pool, 1), random_term(rng, pool, 1)) for _ in range(120)]
+    check_value_semantics(eqs, eq_text)
+    # A variable never equals a constant of the same name.
+    assert Var("a") != Compound("a") and Compound("a") != Var("a")
+    assert len({Var("a"), Compound("a")}) == 2
+
+
+@pytest.mark.parametrize(
+    "value, field",
+    [(X, "name"), (f(a), "functor"), (f(a), "args"), (Atom("p", (a,)), "pred"),
+     (Atom("p", (a,)), "args"), (Eq(X, a), "lhs"), (Eq(X, a), "rhs")],
+)
+def test_setting_a_field_of_a_term_atom_or_equation_raises(value, field):
+    with pytest.raises(AttributeError):
+        setattr(value, field, a)
