@@ -128,7 +128,8 @@ def applicable_steps(
         return []
     allowed_set = set(allowed) if allowed is not None else None
     source = cst.as_state()
-    fresh = _fresh_names(source)
+    # Every variable of a canonical state that is not a global is an `L` name.
+    fresh = frozenset(g for g in cst.globals if g.startswith(FRESH_PREFIX))
     target = successors(cst)
 
     out: list[LabeledStep] = []

@@ -22,20 +22,26 @@ wins. Two leaves with one form yield an automorphism that prunes its
 orbits. Components are then ordered by form, so identical ones cost no
 permutation search. Only Cai-Fürer-Immerman-style inputs make this
 exponential; states with no locals skip it.
+
+`State` and `CanonicalState` are `NamedTuple` value types, so the search's
+visited-set lookups hash and compare in C. They compare equal by items
+across types, but a `State` has three items and a `CanonicalState` four,
+so the two are never equal.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .syntax import Atom, Eq, atom_text, eq_text
 from .terms import FRESH_PREFIX, Compound, Subst, Term, Var, apply, unify
 
 
-@dataclass(frozen=True)
-class State:
+class State(NamedTuple):
+    """A user store, a built-in store and the global variables. Compares
+    by items, as a 3-tuple."""
+
     atoms: tuple[Atom, ...]
     builtins: tuple[Eq, ...]
     globals: frozenset[str]
@@ -69,9 +75,9 @@ class State:
         )
 
 
-@dataclass(frozen=True)
-class CanonicalState:
-    """Normal form of a state; `bottom` marks the inconsistent class."""
+class CanonicalState(NamedTuple):
+    """Normal form of a state; `bottom` marks the inconsistent class.
+    Compares by items, as a 4-tuple."""
 
     atoms: tuple[Atom, ...] = ()
     residuals: tuple[Eq, ...] = ()

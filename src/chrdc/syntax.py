@@ -13,13 +13,19 @@ binary functor of the same name. A body is a comma list mixing user
 atoms and `=` equations (`;` is accepted as a separator too); `true`
 is the empty conjunction and `false` the inconsistent one. Queries are
 written the same way with an optional `# globals: X, Y` suffix.
+
+`Atom` and `Eq` are `NamedTuple` value types, like the terms they hold:
+hashing and equality run in C. They compare equal by items across
+types, so `Atom("p", args) == Compound("p", args)`; no set, dict or
+`==` in chrdc mixes atoms with terms. Rules and programs are frozen
+dataclasses.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Mapping, Optional
+from typing import Callable, Iterator, Mapping, NamedTuple, Optional
 
 from .terms import Compound, Term, Var, apply, iter_vars, FRESH_PREFIX
 
@@ -32,8 +38,10 @@ class ParseError(Exception):
         self.col = col
 
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(NamedTuple):
+    """A user constraint. Compares by items, so it equals a `Compound` of
+    the same functor and arguments."""
+
     pred: str
     args: tuple[Term, ...] = ()
 
@@ -45,8 +53,9 @@ class Atom:
             yield from iter_vars(a)
 
 
-@dataclass(frozen=True)
-class Eq:
+class Eq(NamedTuple):
+    """A built-in equation. Compares by items, as a 2-tuple."""
+
     lhs: Term
     rhs: Term
 

@@ -4,24 +4,31 @@ The constraint theory is Herbrand equality over free constructors:
 integer literals and `+` are ordinary functors, nothing is evaluated.
 A substitution is a plain dict mapping variable names to terms; the
 functions below keep substitutions idempotent and free of self-bindings.
+
+`Var` and `Compound` are `NamedTuple` value types, so hashing and
+equality run in C, recursing through nested tuples. Like any tuples they
+compare equal by items across types: a `Compound` equals an `Atom` with
+the same items. A `Var` (one item) never equals a `Compound` (two), and
+no set, dict or `==` in chrdc mixes terms with atoms.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Optional, Union
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(NamedTuple):
+    """A variable, by name. Compares by items, as a 1-tuple."""
+
     name: str
 
     def __repr__(self) -> str:
         return f"Var({self.name!r})"
 
 
-@dataclass(frozen=True)
-class Compound:
+class Compound(NamedTuple):
+    """A functor applied to arguments. Compares by items, as a 2-tuple."""
+
     functor: str
     args: tuple["Term", ...] = ()
 
@@ -31,7 +38,7 @@ class Compound:
         return f"Compound({self.functor!r}, {self.args!r})"
 
 
-Term = Union[Var, Compound]
+Term = Var | Compound
 Subst = dict[str, Term]
 
 # Variables with this prefix are generated internally and rejected by

@@ -363,12 +363,17 @@ def _mutated(rng, text):
 
 
 def test_every_call_exits_0_1_or_2(tmp_path):
-    # The first two calls nest terms past the interpreter's recursion limit.
-    deep = tmp_path / "deep.chr"
-    deep.write_text("r @ p(" + "f(" * 250 + "a" + ")" * 250 + ") <=> true.\n")
+    # The first two calls nest terms past the interpreter's recursion limit;
+    # the third nests 250 levels, which equality of terms handles in C.
+    def nested(depth: int) -> str:
+        path = tmp_path / f"deep{depth}.chr"
+        path.write_text("r @ p(" + "f(" * depth + "a" + ")" * depth + ") <=> true.\n")
+        return str(path)
+
     cases = [
-        ("peaks", str(deep)),
+        ("peaks", nested(sys.getrecursionlimit() + 200)),
         ("run", fixture_path("pplus.chr"), "--query", "p(a)", "--steps", "400"),
+        ("peaks", nested(250)),
     ]
     rng = random.Random(13)
     configs = sorted(FIXTURES.glob("*.cfg"))
@@ -395,4 +400,5 @@ def test_every_call_exits_0_1_or_2(tmp_path):
     for code, _, err in results[:2]:
         assert code == 2
         assert err.startswith("error: a term is nested too deeply")
+    assert results[2] == (0, "0 critical peak(s)\n", "")
     assert {code for code, _, _ in results} == {0, 1, 2}

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import ast
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -203,3 +206,27 @@ def test_terms_atoms_and_equations_are_values():
 def test_setting_a_field_of_a_term_atom_or_equation_raises(value, field):
     with pytest.raises(AttributeError):
         setattr(value, field, a)
+
+
+def test_fresh_imports_leave_one_copy_of_each_module():
+    # The benchmark's set-up imports chrdc afresh 15 times in one process;
+    # an alias cached by `typing` would keep every copy of `chrdc.terms`.
+    code = """
+import collections, gc, importlib, sys
+for _ in range(15):
+    for name in [n for n in sys.modules if n == "chrdc" or n.startswith("chrdc.")]:
+        del sys.modules[name]
+    importlib.import_module("chrdc.cli")
+gc.collect()
+names = collections.Counter(
+    o["__name__"] for o in gc.get_objects()
+    if isinstance(o, dict) and "__spec__" in o and str(o.get("__name__")).startswith("chrdc")
+)
+print(sorted(names.items()))
+"""
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    ).stdout
+    counts = dict(ast.literal_eval(out))
+    assert "chrdc.terms" in counts
+    assert {name: n for name, n in counts.items() if n != 1} == {}
