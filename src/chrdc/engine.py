@@ -1,11 +1,14 @@
 """Labeled transition relation, derivations and their replay.
 
 A step fires a rule on a canonical state: the rule is renamed apart,
-its head atoms are matched injectively onto distinct store positions
-(binding rule variables only), guard equations must be syntactically
-satisfied after matching, and the target adjoins the body. Propagation
-rules re-fire on their own output; no token store is kept, so the
-relation is faithfully the abstract one and derivations can loop.
+its head atoms are matched onto distinct store positions (binding rule
+variables only), guard equations must be syntactically satisfied after
+matching, and the target adjoins the body. The store stays a multiset,
+but matches that agree atom for atom are one step: the relation has one
+step per rule and per tuple of matched atoms, at the first positions of
+equal atoms. Propagation rules re-fire on their own output; no token
+store is kept, so the relation is faithfully the abstract one and
+derivations can loop.
 
 Renaming apart picks only fresh (`FRESH_PREFIX`) names, so a rule is
 renamed once per set of fresh names in the state and the result reused.
@@ -54,13 +57,18 @@ def _match_heads(
     theta: Subst,
     used: tuple[int, ...],
 ) -> Iterable[tuple[tuple[int, ...], Subst]]:
-    """All injective assignments of head occurrences to store positions."""
+    """Injective assignments of head occurrences to store positions, one
+    per tuple of matched atoms: equal atoms sit side by side in a canonical
+    store, and a head skips a copy whose predecessor no earlier head took,
+    so each tuple comes at its lexicographically first positions."""
     if not heads:
         yield used, theta
         return
     head = heads[0]
     for i, atom in enumerate(store):
-        extended = None if i in used else _match_atom(head, atom, theta)
+        if i in used or (i and atom == store[i - 1] and i - 1 not in used):
+            continue
+        extended = _match_atom(head, atom, theta)
         if extended is not None:
             yield from _match_heads(heads[1:], store, extended, used + (i,))
 
@@ -76,38 +84,47 @@ def _fresh_names(state: State) -> frozenset[str]:
 
 
 @lru_cache(maxsize=1024)
-def _renamed(rule: Rule, fresh: frozenset[str]) -> Rule:
-    """`rule` renamed apart from a state whose fresh names are `fresh`;
-    renaming picks only fresh names, so it cannot capture any other."""
-    return rename_apart(set(fresh), rule)
+def _renamed(rule: Rule, fresh: frozenset[str]) -> tuple[Rule, bool]:
+    """`rule` renamed apart from a state whose fresh names are `fresh`, and
+    whether its user body holds a variable that no head holds; renaming
+    picks only fresh names, so it cannot capture any other."""
+    renamed = rename_apart(set(fresh), rule)
+    head_vars = {v for a in renamed.heads for v in a.iter_vars()}
+    return renamed, any(v not in head_vars for a in renamed.user_body for v in a.iter_vars())
 
 
 def _fire(
-    renamed: Rule, pos: tuple[int, ...], theta: Subst, target: Callable[..., CanonicalState]
+    renamed: Rule,
+    new_vars: bool,
+    pos: tuple[int, ...],
+    theta: Subst,
+    target: Callable[..., CanonicalState],
 ) -> Optional[LabeledStep]:
-    """The step of `renamed` whose heads, kept then removed, `theta` matches
-    onto the source's atoms at `pos`, with its target built by the source's
-    `successors`; None when the guard fails."""
+    """The step of `renamed`, whose user body holds a variable that no head
+    holds when `new_vars`, and whose heads, kept then removed, `theta`
+    matches onto the source's atoms at `pos`, with its target built by the
+    source's `successors`; None when the guard fails."""
     if any(apply(theta, e.lhs) != apply(theta, e.rhs) for e in renamed.guard):
         return None
     n_kept = len(renamed.kept)
     atoms = [a.subst(theta) for a in renamed.user_body]
     builtins = tuple(e.subst(theta) for e in renamed.builtin_body)
     removed = pos[n_kept:]
-    return LabeledStep(renamed.name, pos[:n_kept], removed, target(removed, atoms, builtins))
+    target_state = target(removed, atoms, builtins, new_vars)
+    return LabeledStep(renamed.name, pos[:n_kept], removed, target_state)
 
 
 def fire(rule: Rule, state: State, pos: tuple[int, ...]) -> Optional[LabeledStep]:
     """The step of `rule` with its heads, kept then removed, on the atoms of
     `state` at `pos` (distinct positions, one per head), or None when they
     do not match or the guard fails. Match positions index `state.atoms`."""
-    renamed = _renamed(rule, _fresh_names(state))
+    renamed, new_vars = _renamed(rule, _fresh_names(state))
     theta: Optional[Subst] = {}
     for head, i in zip(renamed.heads, pos):
         theta = _match_atom(head, state.atoms[i], theta)
         if theta is None:
             return None
-    return _fire(renamed, pos, theta, successors(state))
+    return _fire(renamed, new_vars, pos, theta, successors(state))
 
 
 def applicable_steps(
@@ -115,10 +132,10 @@ def applicable_steps(
     state: Union[State, CanonicalState],
     allowed: Optional[Iterable[str]] = None,
 ) -> list[LabeledStep]:
-    """Every (rule, injective head match) step from the canonical state.
-
-    Duplicate store atoms yield distinct steps with equivalent targets;
-    deduplication is the searcher's business. The inconsistent state is
+    """Every step from the canonical state: one per rule and per tuple of
+    atoms its heads match injectively, at the first positions of equal
+    atoms. Steps on distinct atoms may still share a target; deduplication
+    is the searcher's business. The inconsistent state is
     absorbing and reported as a fixpoint (no steps). Targets come from one
     `state.successors` of the canonical state: a propagation step from a
     state with no locals and no residuals costs an ordered insert.
@@ -136,9 +153,9 @@ def applicable_steps(
     for rule in program.rules:
         if allowed_set is not None and rule.name not in allowed_set:
             continue
-        renamed = _renamed(rule, fresh)
+        renamed, new_vars = _renamed(rule, fresh)
         for pos, theta in _match_heads(renamed.heads, source.atoms, {}, ()):
-            step = _fire(renamed, pos, theta, target)
+            step = _fire(renamed, new_vars, pos, theta, target)
             if step is not None:
                 out.append(step)
     return out

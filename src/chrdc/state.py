@@ -268,15 +268,17 @@ def _atom_key(a: Atom) -> tuple:
 
 def successors(
     source: Union[State, CanonicalState]
-) -> Callable[[Sequence[int], list[Atom], tuple[Eq, ...]], CanonicalState]:
+) -> Callable[[Sequence[int], list[Atom], tuple[Eq, ...], bool], CanonicalState]:
     """The canonical target of a step from `source`, given the positions
-    of the atoms the step removes and the atoms and built-ins it adds.
+    of the atoms the step removes, the atoms and built-ins it adds, and
+    whether its rule's user body holds a variable that no head holds.
 
     From a canonical source with no locals and no residuals, a step that
     removes nothing and adds neither built-ins nor new variables only
-    inserts its atoms in order. Whether the source has locals, and its
-    atoms' sort keys, are found on the first such step. Every other
-    target is canonicalized.
+    inserts its atoms in order. There every matched variable is a global,
+    so the added atoms hold a new variable exactly when the body does.
+    Whether the source has locals, and its atoms' sort keys, are found on
+    the first such step. Every other target is canonicalized.
     """
     state = source.as_state() if isinstance(source, CanonicalState) else source
     plain = isinstance(source, CanonicalState) and not state.builtins
@@ -284,11 +286,10 @@ def successors(
     keys = None  # the sort keys of the source's atoms, False when it has locals
 
     def target(
-        removed: Sequence[int], atoms: list[Atom], builtins: tuple[Eq, ...]
+        removed: Sequence[int], atoms: list[Atom], builtins: tuple[Eq, ...], new_vars: bool
     ) -> CanonicalState:
         nonlocal keys
-        if (plain and not removed and not builtins
-                and globs.issuperset(v for a in atoms for v in a.iter_vars())):
+        if plain and not removed and not builtins and not new_vars:
             if keys is None:
                 keys = globs.issuperset(state.iter_vars()) and list(map(_atom_key, state.atoms))
             if keys is not False:

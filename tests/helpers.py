@@ -14,10 +14,10 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
-from chrdc.engine import Derivation, applicable_steps
+from chrdc.engine import Derivation, LabeledStep, applicable_steps
 from chrdc.syntax import Atom, Eq, Program, Rule
 from chrdc.state import CanonicalState, State, canonicalize, equivalent
-from chrdc.terms import Compound, Term, Var, iter_vars
+from chrdc.terms import Compound, Term, Var, iter_vars, rename_apart
 
 
 # ---------------------------------------------------------------------------
@@ -366,6 +366,69 @@ def product_admissible_levels(names: list[str], part) -> Iterable[tuple[int, ...
             ):
                 continue
             yield levels
+
+
+# ---------------------------------------------------------------------------
+# Steps by brute force: every injective head match, and the first of each
+# class of matches that agree atom for atom
+
+def oracle_step(rule: Rule, source: CanonicalState, pos) -> Optional[LabeledStep]:
+    """The step of `rule` from the canonical `source` with its heads, kept
+    then removed, at the distinct positions `pos`, built from the rule
+    itself: renamed apart from every variable of the source, matched by the
+    oracle matcher, its guard checked, its body adjoined to the kept atoms
+    and the result canonicalized. None when a head does not match or the
+    guard fails."""
+    state = source.as_state()
+    renamed = rename_apart(state.all_vars(), rule)
+    theta: Optional[dict] = {}
+    for head, i in zip(renamed.heads, pos):
+        atom = state.atoms[i]
+        if (atom.pred, len(atom.args)) != (head.pred, len(head.args)):
+            return None
+        for pat, tgt in zip(head.args, atom.args):
+            theta = _match_into(pat, tgt, theta)
+    if theta is None:
+        return None
+    if any(naive_apply(theta, e.lhs) != naive_apply(theta, e.rhs) for e in renamed.guard):
+        return None
+    n_kept = len(renamed.kept)
+    removed = tuple(pos[n_kept:])
+    kept = [a for i, a in enumerate(state.atoms) if i not in removed]
+    body = [Atom(a.pred, tuple(naive_apply(theta, t) for t in a.args)) for a in renamed.user_body]
+    eqs = tuple(
+        Eq(naive_apply(theta, e.lhs), naive_apply(theta, e.rhs)) for e in renamed.builtin_body
+    )
+    target = canonicalize(State(tuple(kept + body), state.builtins + eqs, state.globals))
+    return LabeledStep(rule.name, tuple(pos[:n_kept]), removed, target)
+
+
+def injective_steps(program: Program, source: CanonicalState) -> list[LabeledStep]:
+    """Every step from the canonical `source`: each rule in program order,
+    at every tuple of distinct store positions in lexicographic order
+    (`itertools.permutations`). Equal atoms give one step per copy."""
+    if source.bottom:
+        return []
+    out = []
+    for rule in program.rules:
+        for pos in itertools.permutations(range(len(source.atoms)), len(rule.heads)):
+            step = oracle_step(rule, source, pos)
+            if step is not None:
+                out.append(step)
+    return out
+
+
+def first_of_class(steps: Iterable[LabeledStep], source: CanonicalState) -> list[LabeledStep]:
+    """The first of `steps` from `source` in each class of one rule and one
+    tuple of matched atoms, in their order."""
+    seen, out = set(), []
+    for step in steps:
+        pos = step.matched_kept + step.matched_removed
+        key = (step.rule_name, tuple(source.atoms[i] for i in pos))
+        if key not in seen:
+            seen.add(key)
+            out.append(step)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,17 @@ from chrdc.engine import (
 from chrdc.peaks import critical_peaks
 from chrdc.state import State, canonical_text, canonicalize, equivalent
 from chrdc.syntax import Atom, Program, Rule, parse_program, parse_state
-from chrdc.terms import Compound, Var, apply, match, rename_apart
+from chrdc.terms import Compound, Var
 from conftest import load
-from helpers import random_ground_state, random_state, random_tiny_program, reachable
+from helpers import (
+    first_of_class,
+    injective_steps,
+    oracle_step,
+    random_ground_state,
+    random_state,
+    random_tiny_program,
+    reachable,
+)
 
 
 def test_leq_query_has_antisymmetry_and_transitivity_steps(leq):
@@ -230,6 +238,54 @@ def test_replay_rejects_a_repeated_position(pminus):
         replay(pminus, Derivation(src, (repeated,)))
 
 
+def test_replay_rejects_a_step_at_a_later_copy_of_an_equal_atom(pminus):
+    from dataclasses import replace
+
+    # A later copy gives the same target, but the relation has one step per
+    # rule and per tuple of matched atoms, at the first copies.
+    src = canonicalize(parse_state("p(s(a)), p(s(a)) # globals:"))
+    (step,) = applicable_steps(pminus, src, allowed={"sminus"})
+    assert step.matched_removed == (0,)
+    assert replay(pminus, Derivation(src, (step,))) == step.target
+    (sminus,) = [r for r in pminus.rules if r.name == "sminus"]
+    later = fire(sminus, src.as_state(), (1,))
+    assert later == replace(step, matched_removed=(1,))
+    with pytest.raises(ReplayError):
+        replay(pminus, Derivation(src, (later,)))
+
+    src = canonicalize(parse_state("p(a), p(a), p(a) # globals:"))
+    (step,) = applicable_steps(pminus, src, allowed={"duplicate"})
+    assert (step.matched_kept, step.matched_removed) == ((0,), (1,))
+    (duplicate,) = [r for r in pminus.rules if r.name == "duplicate"]
+    for kept, removed in ((0, 2), (1, 0), (1, 2), (2, 0), (2, 1)):
+        later = fire(duplicate, src.as_state(), (kept, removed))
+        assert later == replace(step, matched_kept=(kept,), matched_removed=(removed,))
+        with pytest.raises(ReplayError):
+            replay(pminus, Derivation(src, (later,)))
+
+
+def test_every_certificate_from_check_on_the_fixtures_replays(monkeypatch):
+    import chrdc.cli
+    from chrdc.syntax import parse_program_file
+    from test_golden import SCENARIOS, _run
+
+    reports = []
+    monkeypatch.setattr(chrdc.cli, "_emit", lambda report, *_: reports.append(report))
+    replayed = 0
+    for argv, expected_code in SCENARIOS.values():
+        if argv[0] != "check":
+            continue
+        assert _run(argv)[0] == expected_code
+        rules = [r for f in argv if f.endswith(".chr") for r in parse_program_file(f).rules]
+        program = Program(tuple(rules))
+        for verdict in reports.pop().verdicts:
+            if verdict.valley is not None:
+                left = replay(program, verdict.valley.left)
+                assert left == replay(program, verdict.valley.right)
+                replayed += 1
+    assert replayed > 20
+
+
 def test_replay_rejects_a_guard_that_no_longer_holds():
     fires = parse_program("r @ p(X) <=> X = a | q(X).")
     blocked = parse_program("r @ p(X) <=> X = b | q(X).")
@@ -258,26 +314,14 @@ def test_replay_rejects_a_step_from_the_inconsistent_state(pminus):
 
 def _oracle_target(program, source, step):
     """The target of `step` from the canonical `source`, built from the rule
-    itself: renamed apart from every variable of the source, matched at the
-    step's kept and removed positions, its body adjoined to the kept atoms
-    and the result canonicalized."""
+    itself by `helpers.oracle_step` at the step's kept and removed positions."""
     (rule,) = [r for r in program.rules if r.name == step.rule_name]
-    state = source.as_state()
-    renamed = rename_apart(state.all_vars(), rule)
     pos = step.matched_kept + step.matched_removed
-    assert len(step.matched_kept) == len(renamed.kept)
-    assert len(pos) == len(renamed.heads) == len(set(pos))
-    theta = {}
-    for head, i in zip(renamed.heads, pos):
-        atom = state.atoms[i]
-        assert (atom.pred, len(atom.args)) == (head.pred, len(head.args))
-        theta = match(zip(head.args, atom.args), theta)
-        assert theta is not None
-    assert all(apply(theta, e.lhs) == apply(theta, e.rhs) for e in renamed.guard)
-    kept = [a for i, a in enumerate(state.atoms) if i not in step.matched_removed]
-    body = [a.subst(theta) for a in renamed.user_body]
-    eqs = tuple(e.subst(theta) for e in renamed.builtin_body)
-    return canonicalize(State(tuple(kept + body), state.builtins + eqs, state.globals))
+    assert len(step.matched_kept) == len(rule.kept)
+    assert len(pos) == len(rule.heads) == len(set(pos))
+    oracle = oracle_step(rule, source, pos)
+    assert oracle is not None
+    return oracle.target
 
 
 def _assert_steps_match_the_oracle(program, state):
@@ -285,7 +329,7 @@ def _assert_steps_match_the_oracle(program, state):
     steps = applicable_steps(program, state)
     for step in steps:
         assert step.target == _oracle_target(program, source, step)
-    return len(steps)
+    return steps
 
 
 def _with_propagation(program):
@@ -298,9 +342,25 @@ def _with_propagation(program):
     return Program(program.rules + kept_all)
 
 
+# Propagation (`p*`) and simplification (`s*`) rules whose user body holds
+# a variable that no head holds (`*new*`), and rules whose body holds none.
+_BODY_VARIABLES = parse_program("""
+pnew @ p(X) ==> q(X, Y).
+pold @ p(X) ==> q(X, X).
+pnew2 @ p(X), q(X, Y) ==> p(Z), q(Y, Z).
+pold2 @ q(X, Y) ==> q(Y, X), p(X).
+snew @ p(X) <=> q(X, Y).
+sold @ p(X) <=> q(X, a).
+snew2 @ p(X) \\ q(X, Y) <=> q(Y, Z).
+sold2 @ p(X) \\ q(X, Y) <=> p(Y).
+""")
+
+
 def test_step_targets_match_an_independent_oracle():
     rng = random.Random(11)
     checked = 0
+    # (propagation, body adds variables, source has locals) of the steps seen
+    covered = set()
     for _ in range(200):
         program = _with_propagation(random_tiny_program(rng))
         states = [random_state(rng), random_ground_state(rng)]
@@ -313,18 +373,78 @@ def test_step_targets_match_an_independent_oracle():
         with_eq = random_state(rng)
         states.append(State(plain.atoms + with_eq.atoms, with_eq.builtins, with_eq.globals))
         for state in states:
-            checked += _assert_steps_match_the_oracle(program, state)
+            checked += len(_assert_steps_match_the_oracle(program, state))
+            source = canonicalize(state)
+            has_locals = not source.globals.issuperset(source.as_state().iter_vars())
+            for step in _assert_steps_match_the_oracle(_BODY_VARIABLES, state):
+                covered.add((step.rule_name[0] == "p", "new" in step.rule_name, has_locals))
     assert checked > 800
+    assert len(covered) == 8
+
+
+def _exhaust_peak_states():
+    """`exhaust.chr` and the states within 3 steps of its peaks' states."""
+    program = load("exhaust.chr")
+    states = []
+    for peak in critical_peaks(program, program):
+        for start in (peak.ancestor, peak.left, peak.right):
+            reach = reachable(program, start, max_depth=3, max_states=60)
+            states += [cst for cst, _ in reach.entries]
+    return program, states
 
 
 def test_step_targets_match_the_oracle_from_the_exhaust_peak():
-    program = load("exhaust.chr")
-    checked = 0
-    for peak in critical_peaks(program, program):
-        for start in (peak.ancestor, peak.left, peak.right):
-            for cst, _ in reachable(program, start, max_depth=3, max_states=60).entries:
-                checked += _assert_steps_match_the_oracle(program, cst)
+    program, states = _exhaust_peak_states()
+    checked = sum(len(_assert_steps_match_the_oracle(program, cst)) for cst in states)
     assert checked > 100
+
+
+def test_steps_from_the_exhaust_peak_are_counted():
+    # One step per rule and per tuple of matched atoms. Building a step for
+    # each copy of an equal atom, as the relation once did, counts 602.
+    program, states = _exhaust_peak_states()
+    steps = sum(len(applicable_steps(program, cst)) for cst in states)
+    assert (len(states), steps) == (73, 330)
+
+
+# Rules with several heads on one predicate, for stores with equal atoms.
+_ONE_PREDICATE = parse_program("""
+pair @ p(X), p(Y) <=> q(X, Y).
+same @ p(X) \\ p(X) <=> true.
+three @ p(X), p(Y) \\ p(Z) <=> q(X, Z).
+""")
+
+
+def _assert_first_of_each_class(program, state):
+    """The steps are exactly the first of each class of injective matches
+    that agree atom for atom, in order, and have the (rule, target) pairs
+    of all of them; returns how many matches repeat a class."""
+    source = canonicalize(state)
+    every = injective_steps(program, source)
+    steps = applicable_steps(program, state)
+    assert steps == first_of_class(every, source)
+    assert {(s.rule_name, s.target) for s in steps} == {(s.rule_name, s.target) for s in every}
+    return len(every) - len(steps)
+
+
+def test_steps_are_the_first_of_each_class_of_equal_matches():
+    rng = random.Random(23)
+    one_predicate = _with_propagation(_ONE_PREDICATE)
+    repeats = 0
+    for _ in range(100):
+        programs = [_with_propagation(random_tiny_program(rng)), one_predicate]
+        plain = random_ground_state(rng)
+        copies = tuple(rng.choice(plain.atoms) for _ in range(rng.randint(1, 3)))
+        mixed = random_state(rng)
+        states = [
+            State(plain.atoms + copies, (), plain.globals),
+            State(plain.atoms * 2, (), frozenset(plain.free_vars())),
+            State(mixed.atoms + mixed.atoms[:2], mixed.builtins, mixed.globals),
+        ]
+        for program in programs:
+            for state in states:
+                repeats += _assert_first_of_each_class(program, state)
+    assert repeats > 500
 
 
 def test_propagation_targets_skip_canonicalize_on_the_exhaust_peak(monkeypatch):
@@ -356,4 +476,6 @@ def test_propagation_targets_skip_canonicalize_on_the_exhaust_peak(monkeypatch):
                 monkeypatch.setattr(module, "applicable_steps", counting_steps)
     check_local_confluence(program, SearchBudget(8, 40), assume_terminating=True)
     assert steps
-    assert len(calls) < len(steps) / 3
+    # 30 calls for 69 steps; 129 when every target was canonicalized. A
+    # bound by the step count would move with the number of steps.
+    assert len(calls) <= 30
