@@ -1,33 +1,37 @@
 """Critical-peak generation by superposition of two rules' heads.
 
-Each rule pair is renamed apart once. For every choice of equal-sized
-sub-multisets of the two heads and every bijection between them, the
-induced equations plus both guards are solved. A satisfiable, non-trivial
-overlap gives the ancestor: the instantiated heads, whose remaining head
-variables are the globals A, B, ... The reducts are the engine's steps of
-the two rules from it (`engine.fire`); if either rule does not fire, there
-is no peak. The emitted list is deduplicated by a set of canonical peak
-keys (`_peak_key`), one lookup per peak:
+Each rule pair is renamed apart once. A backtracking enumerator
+(`_overlaps`) pairs heads one to one, only within a predicate and arity,
+and unifies one pair at a time with both guards, ending a branch at its
+first clash. Overlaps come in the order of a plain walk over sizes,
+subsets and bijections, which tactic selectors and peak indices depend
+on. A satisfiable, non-trivial overlap gives the ancestor: the
+instantiated heads, whose variables are the globals A, B, ... (a guard
+variable that no head holds is never in it, or that rule could not
+fire). The reducts are the engine's steps of the two rules from it
+(`engine.fire`); if either rule does not fire, there is no peak.
 
-  * peaks equal up to one bijective renaming of their globals across
-    the whole ancestor/left/right triple are kept once,
-  * mirror images are collapsed when one program object is analyzed
-    against itself (the analyses are symmetric in the two sides), and
-  * self-overlaps of a rule with itself whose reducts are already
-    equivalent are discharged as trivially joinable and dropped.
+An overlap is dropped before firing when an earlier one of the rule pair
+had the same ancestor atoms and, for each rule, matched the same atoms by
+value: its reducts are the same. A self-overlap whose two sides match the
+same atoms or give equal reducts is trivially joinable and dropped. The
+rest are deduplicated up to one bijective renaming of the globals across
+the whole ancestor/left/right triple, and for a rule with itself up to
+mirror images too (the analyses are symmetric in the two sides). A peak
+gets its key (`_peak_key`) only when a peak kept before it has its shape
+(`_shape`), a cheap invariant of the key.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator
 
 from .engine import fire
 from .orders import Partition
-from .state import CanonicalState, State, canonicalize, _orient
+from .state import CanonicalState, State, _canonical_renaming, _orient, canonicalize
 from .syntax import Atom, Program, Rule
-from .terms import Term, Var, apply, compose, fresh_mapping, rename_apart, unify
+from .terms import Subst, Var, apply, compose, fresh_mapping, iter_vars, rename_apart, unify
 
 
 @dataclass(frozen=True)
@@ -46,29 +50,47 @@ def classify(peak: CriticalPeak, partition: Partition) -> str:
 
 
 def _spreadsheet_name(i: int) -> str:
-    letters = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
-    if i < 26:
-        return letters[i]
-    return letters[i // 26 - 1] + letters[i % 26]
+    """A, ..., Z, AA, ..., ZZ, AAA, ...: bijective base 26."""
+    name = ""
+    i += 1
+    while i:
+        i, r = divmod(i - 1, 26)
+        name = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"[r] + name
+    return name
 
 
-def _peak_key(peak: CriticalPeak, swap: bool = False) -> tuple:
+def _peak_key(peak: CriticalPeak, symmetric: bool) -> tuple:
     """The peak's canonical form up to one renaming of the globals of all
-    three states: atoms tagged by state (left and right swap for the
-    mirror), locals renamed apart, a marker atom per global, all read with
-    no globals. `_orient` names a residual variable class by its smallest
-    member, which a renaming need not keep, so each member is bound to
-    one fresh variable of the class instead."""
-    parts = [peak.ancestor, peak.right, peak.left] if swap else [
-        peak.ancestor, peak.left, peak.right
-    ]
-    globs = sorted(peak.ancestor.globals)
+    three states, and with `symmetric` up to swapping the reducts too.
+
+    When the ancestor's canonical labelling is its only one, the renaming
+    between two peaks with one ancestor form is fixed, so the key is that
+    form plus both reducts renamed by the labelling. Otherwise all three
+    states are read as one with no globals: a marker atom per global and
+    per reduct, reduct atoms tagged with their reduct's marker variable
+    (one marker for both reducts when `symmetric`), locals renamed apart.
+    `_orient` names a residual variable class by its smallest member,
+    which a renaming need not keep, so each member is bound to one fresh
+    variable of the class instead."""
+    ancestor = peak.ancestor
+    renaming, unique = _canonical_renaming(list(ancestor.atoms), [], frozenset())
+    if unique:
+        # The prefix keeps the labels apart from the reducts' own locals.
+        renaming = {v: Var("#" + t.name) for v, t in renaming.items()}
+        reducts = [canonicalize(r.as_state().subst(renaming)) for r in (peak.left, peak.right)]
+        form = tuple(sorted(a.subst(renaming) for a in ancestor.atoms))
+        return form, frozenset(reducts) if symmetric else tuple(reducts)
+    globs = sorted(ancestor.globals)
     atoms = [Atom("#global", (Var(g),)) for g in globs]
+    atoms.extend(Atom(f"0#{a.pred}", a.args) for a in ancestor.atoms)
     avoid = set(globs)
-    for i, part in enumerate(parts):
-        c = canonicalize(part)
+    sides = fresh_mapping(avoid, ["left", "right"])
+    avoid.update(v.name for v in sides.values())
+    for name, c in (("left", peak.left), ("right", peak.right)):
+        side = sides[name]
+        atoms.append(Atom("#side" if symmetric else f"#{name}", (side,)))
         if c.bottom:
-            atoms.append(Atom(f"{i}#false"))
+            atoms.append(Atom("#false", (side,)))
             continue
         classes: dict[str, list[str]] = {}
         for e in c.residuals:
@@ -78,34 +100,51 @@ def _peak_key(peak: CriticalPeak, swap: bool = False) -> tuple:
         ren = fresh_mapping(avoid, [v for v in names if v not in c.globals] + list(classes))
         avoid.update(v.name for v in ren.values())
         for rep, members in classes.items():
-            atoms.extend(Atom(f"{i}#=", (Var(m), ren[rep])) for m in members)
-        atoms.extend(Atom(f"{i}#{a.pred}", a.subst(ren).args) for a in c.atoms)
+            atoms.extend(Atom("#=", (side, Var(m), ren[rep])) for m in members)
+        atoms.extend(Atom(f"#{a.pred}", (side, *a.subst(ren).args)) for a in c.atoms)
         atoms.extend(
-            Atom(f"{i}#=", (e.lhs, apply(ren, e.rhs)))
+            Atom("#=", (side, e.lhs, apply(ren, e.rhs)))
             for e in c.residuals
             if not isinstance(e.rhs, Var)
         )
-    return (peak.rule_left, peak.rule_right, canonicalize(State(tuple(atoms), (), frozenset())))
+    return canonicalize(State(tuple(atoms), (), frozenset()))
 
 
-def _build_peak(
-    c1: Rule, c2: Rule, sel1: tuple[int, ...], sel2: tuple[int, ...]
-) -> Optional[CriticalPeak]:
-    """Peak for one overlap choice of two rules renamed apart, or None when
-    the equations clash or either rule does not fire on the overlap."""
+def _overlaps(c1: Rule, c2: Rule) -> list[tuple[tuple[int, ...], tuple[int, ...], Subst]]:
+    """Every overlap of two rules renamed apart whose equations, with both
+    guards, unify: heads `sel1` of `c1` paired one to one with heads `sel2`
+    of `c2`, and the unifier. Heads pair only within a predicate and arity,
+    and a branch ends at its first clash. Ordered by size, `sel1`,
+    `sorted(sel2)`, then `sel2`, as a walk over equal-sized subsets and
+    their bijections would meet them."""
     heads1, heads2 = c1.heads, c2.heads
-    pairs: list[tuple[Term, Term]] = []
-    for i, j in zip(sel1, sel2):
-        a1, a2 = heads1[i], heads2[j]
-        if a1.pred != a2.pred or len(a1.args) != len(a2.args):
-            return None
-        pairs.extend(zip(a1.args, a2.args))
-    for g in c1.guard + c2.guard:
-        pairs.append((g.lhs, g.rhs))
-    sigma = unify(pairs)
-    if sigma is None:
-        return None
+    found: list[tuple[tuple, Subst]] = []
 
+    def extend(start: int, sel1: tuple[int, ...], sel2: tuple[int, ...], pairs: list) -> None:
+        for i in range(start, len(heads1)):
+            a1 = heads1[i]
+            for j, a2 in enumerate(heads2):
+                if j in sel2 or a2.pred != a1.pred or len(a2.args) != len(a1.args):
+                    continue
+                more = pairs + list(zip(a1.args, a2.args))
+                sigma = unify(more)
+                if sigma is None:
+                    continue
+                s1, s2 = sel1 + (i,), sel2 + (j,)
+                found.append(((len(s1), s1, sorted(s2), s2), sigma))
+                extend(i + 1, s1, s2, more)
+
+    extend(0, (), (), [(g.lhs, g.rhs) for g in c1.guard + c2.guard])
+    found.sort(key=lambda f: f[0])
+    return [(order[1], order[3], sigma) for order, sigma in found]
+
+
+def _ancestor(
+    c1: Rule, c2: Rule, sel1: tuple[int, ...], sel2: tuple[int, ...], sigma: Subst
+) -> tuple[State, tuple[int, ...], tuple[int, ...]]:
+    """The ancestor of one overlap with unifier `sigma`, and the positions
+    of its atoms that the heads of `c1` and of `c2` match."""
+    heads1, heads2 = c1.heads, c2.heads
     head_vars = dict.fromkeys(v for a in heads1 + heads2 for v in a.iter_vars())
     sigma = _orient(sigma, frozenset(head_vars))
     names = {
@@ -120,44 +159,82 @@ def _build_peak(
     )
     pos2 = dict(zip(sel2, sel1))
     pos2.update((j, len(heads1) + k) for k, j in enumerate(unshared))
-    left = fire(c1, ancestor, tuple(range(len(heads1))))
-    right = fire(c2, ancestor, tuple(pos2[j] for j in range(len(heads2))))
-    if left is None or right is None:
-        return None
-    return CriticalPeak(c1.name, c2.name, ancestor, left.target, right.target)
+    return ancestor, tuple(range(len(heads1))), tuple(pos2[j] for j in range(len(heads2)))
+
+
+def _rule_pairs(p: Program, q: Program) -> Iterator[tuple[Rule, Rule, bool]]:
+    """Each rule pair renamed apart, and whether it is a rule with itself.
+    One program object passed as both asks for self peaks: each unordered
+    pair once."""
+    same_program = p is q
+    for i1, r1 in enumerate(p.rules):
+        c1 = rename_apart(set(), r1)
+        for i2, r2 in enumerate(q.rules):
+            if not same_program or i2 >= i1:
+                yield c1, rename_apart(set(c1.variables()), r2), same_program and i1 == i2
+
+
+def _candidates(c1: Rule, c2: Rule, same_rule: bool) -> Iterator[CriticalPeak]:
+    """The peaks of one rule pair in order, before key deduplication."""
+    n_kept1, n_kept2 = len(c1.kept), len(c2.kept)
+    seen: set[tuple] = set()
+    for sel1, sel2, sigma in _overlaps(c1, c2):
+        if all(i < n_kept1 for i in sel1) and all(j < n_kept2 for j in sel2):
+            continue
+        ancestor, pos1, pos2 = _ancestor(c1, c2, sel1, sel2, sigma)
+        matched = tuple(ancestor.atoms[i] for i in pos1), tuple(ancestor.atoms[j] for j in pos2)
+        if same_rule and matched[0] == matched[1]:
+            continue
+        overlap = tuple(sorted(ancestor.atoms)), tuple(sorted(matched)) if same_rule else matched
+        if overlap in seen:
+            continue
+        seen.add(overlap)
+        left, right = fire(c1, ancestor, pos1), fire(c2, ancestor, pos2)
+        if left is None or right is None or (same_rule and left.target == right.target):
+            continue
+        yield CriticalPeak(c1.name, c2.name, ancestor, left.target, right.target)
+
+
+def _shape(peak: CriticalPeak, symmetric: bool) -> tuple:
+    """A cheap invariant of `_peak_key`: the ancestor's atoms with each
+    variable replaced by the argument places it occurs at, and each
+    reduct's atoms and residuals with every variable blanked out, the
+    reducts unordered when `symmetric`. Peaks with equal keys have equal
+    shapes."""
+
+    def marked(s: State, marks: Subst) -> tuple:
+        items = [*s.atoms, *(Atom("=", (e.lhs, e.rhs)) for e in s.builtins)]
+        return tuple(sorted(a.subst(marks) for a in items))
+
+    places: dict[str, list[str]] = {}
+    for a in peak.ancestor.atoms:
+        for k, t in enumerate(a.args):
+            for v in iter_vars(t):
+                places.setdefault(v, []).append(f"{a.pred}/{k}")
+    ancestor = marked(peak.ancestor, {v: Var(" ".join(sorted(p))) for v, p in places.items()})
+    states = [c.as_state() for c in (peak.left, peak.right)]
+    reducts = tuple(marked(s, dict.fromkeys(s.iter_vars(), Var(""))) for s in states)
+    return ancestor, frozenset(reducts) if symmetric else reducts
 
 
 def critical_peaks(p: Program, q: Program) -> list[CriticalPeak]:
     """All critical peaks between `p` and `q`, deterministically ordered.
-    Self peaks are asked for by passing one program object as both."""
-    same_program = p is q
+    Self peaks are asked for by passing one program object as both. A peak
+    gets a key only when a peak kept before it has its shape."""
     out: list[CriticalPeak] = []
-    seen: set[tuple] = set()
-    for i1, r1 in enumerate(p.rules):
-        c1 = rename_apart(set(), r1)
-        for i2, r2 in enumerate(q.rules):
-            if same_program and i2 < i1:
+    for c1, c2, same_rule in _rule_pairs(p, q):
+        first: dict[tuple, CriticalPeak] = {}
+        keys: dict[tuple, set[tuple]] = {}
+        for peak in _candidates(c1, c2, same_rule):
+            shape = _shape(peak, same_rule)
+            if shape not in first:
+                first[shape] = peak
+                out.append(peak)
                 continue
-            c2 = rename_apart(set(c1.variables()), r2)
-            same_rule = same_program and i1 == i2
-            n1, n2 = len(c1.heads), len(c2.heads)
-            for size in range(1, min(n1, n2) + 1):
-                for sel1 in itertools.combinations(range(n1), size):
-                    for sel2_base in itertools.combinations(range(n2), size):
-                        for sel2 in itertools.permutations(sel2_base):
-                            trivial = all(i < len(c1.kept) for i in sel1) and all(
-                                j < len(c2.kept) for j in sel2
-                            )
-                            if trivial:
-                                continue
-                            peak = _build_peak(c1, c2, sel1, sel2)
-                            if peak is None:
-                                continue
-                            if same_rule and peak.left == peak.right:
-                                continue
-                            key = _peak_key(peak)
-                            if key in seen or (same_rule and _peak_key(peak, True) in seen):
-                                continue
-                            seen.add(key)
-                            out.append(peak)
+            if shape not in keys:
+                keys[shape] = {_peak_key(first[shape], same_rule)}
+            key = _peak_key(peak, same_rule)
+            if key not in keys[shape]:
+                keys[shape].add(key)
+                out.append(peak)
     return out

@@ -146,9 +146,10 @@ def _root(parent: dict[str, str], v: str) -> str:
     return v
 
 
-def _label(items: list[tuple[int, tuple[str, ...]]]) -> tuple[tuple, dict[str, int]]:
+def _label(items: list[tuple[int, tuple[str, ...]]]) -> tuple[tuple, dict[str, int], bool]:
     """Smallest form of one component over the leaves of its
-    individualisation-refinement tree, and the labelling that gives it.
+    individualisation-refinement tree, the labelling that gives it, and
+    whether the root refinement is already discrete (the tree is one leaf).
     An item is an atom's skeleton rank and its locals in occurrence order."""
     occurrences: dict[str, list[tuple[int, int]]] = {}
     for i, (_, occ) in enumerate(items):
@@ -202,16 +203,21 @@ def _label(items: list[tuple[int, tuple[str, ...]]]) -> tuple[tuple, dict[str, i
                 return resume
         return len(path)
 
-    search(refine({v: 0 for v in occurrences}), [])
+    root = refine({v: 0 for v in occurrences})
+    search(root, [])
     form = min(leaves)
-    return form, leaves[form][1]
+    return form, leaves[form][1], len(set(root.values())) == len(root)
 
 
 def _canonical_renaming(
     atoms: list[Atom], residuals: list[Eq], globs: frozenset[str]
-) -> Subst:
+) -> tuple[Subst, bool]:
     """Rename the locals to L0, L1, ... (skipping global names): components
-    are labelled apart, then numbered in the order of their forms."""
+    are labelled apart, then numbered in the order of their forms. Also
+    whether this is the only renaming that gives the canonical form: the
+    root refinement of every component is discrete and no two components
+    share a form, so the only automorphism is the identity. Both tests are
+    invariant under renaming."""
     skeletons = [(0, a.pred, tuple(_skeleton(x, globs) for x in a.args)) for a in atoms]
     skeletons += [(1, _skeleton(e.lhs, globs), _skeleton(e.rhs, globs)) for e in residuals]
     ranks = _positions(dict(enumerate(skeletons)))
@@ -227,10 +233,14 @@ def _canonical_renaming(
     names = [f"{_LOCAL_PREFIX}{k}" for k in range(len(parent) + len(globs))]
     names = [n for n in names if n not in globs]
     renaming: Subst = {}
-    for _, labels in sorted(map(_label, components.values()), key=lambda r: r[0]):
+    labelled = sorted(map(_label, components.values()), key=lambda r: r[0])
+    for _, labels, _ in labelled:
         offset = len(renaming)
         renaming.update((v, Var(names[offset + i])) for v, i in labels.items())
-    return renaming
+    unique = all(discrete for _, _, discrete in labelled) and all(
+        a[0] != b[0] for a, b in zip(labelled, labelled[1:])
+    )
+    return renaming, unique
 
 
 def canonicalize(s: Union[State, CanonicalState]) -> CanonicalState:
@@ -252,7 +262,7 @@ def canonicalize(s: Union[State, CanonicalState]) -> CanonicalState:
         alive.update(e.iter_vars())
     globs = frozenset(g for g in s.globals if g in alive)
     if alive - globs:
-        renaming = _canonical_renaming(atoms, residuals, globs)
+        renaming, _ = _canonical_renaming(atoms, residuals, globs)
         atoms = [a.subst(renaming) for a in atoms]
         residuals = [e.subst(renaming) for e in residuals]
     atoms.sort(key=_atom_key)

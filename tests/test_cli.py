@@ -370,10 +370,15 @@ def test_every_call_exits_0_1_or_2(tmp_path):
         path.write_text("r @ p(" + "f(" * depth + "a" + ")" * depth + ") <=> true.\n")
         return str(path)
 
+    # The fourth overlaps a rule with 352 head variables with itself, whose
+    # ancestor needs global names past ZZ.
+    wide = tmp_path / "wide.chr"
+    wide.write_text("r @ p(" + ",".join(f"X{i}" for i in range(352)) + ") \\ q <=> true.\n")
     cases = [
         ("peaks", nested(sys.getrecursionlimit() + 200)),
         ("run", fixture_path("pplus.chr"), "--query", "p(a)", "--steps", "400"),
         ("peaks", nested(250)),
+        ("peaks", str(wide)),
     ]
     rng = random.Random(13)
     configs = sorted(FIXTURES.glob("*.cfg"))
@@ -400,5 +405,5 @@ def test_every_call_exits_0_1_or_2(tmp_path):
     for code, _, err in results[:2]:
         assert code == 2
         assert err.startswith("error: a term is nested too deeply")
-    assert results[2] == (0, "0 critical peak(s)\n", "")
+    assert results[2] == results[3] == (0, "0 critical peak(s)\n", "")
     assert {code for code, _, _ in results} == {0, 1, 2}

@@ -4,11 +4,23 @@ import dataclasses
 import hashlib
 import itertools
 import random
+import time
+from collections import Counter
 
-from chrdc.engine import applicable_steps
+from chrdc.engine import applicable_steps, fire
 from chrdc.orders import Partition
-from chrdc.peaks import _peak_key, classify, critical_peaks
-from chrdc.state import canonical_text, canonicalize, equivalent
+from chrdc.peaks import (
+    CriticalPeak,
+    _ancestor,
+    _overlaps,
+    _peak_key,
+    _rule_pairs,
+    _shape,
+    _spreadsheet_name,
+    classify,
+    critical_peaks,
+)
+from chrdc.state import _canonical_renaming, canonical_text, canonicalize, equivalent
 from chrdc.syntax import Program, parse_program
 from chrdc.terms import Var
 from conftest import load
@@ -163,25 +175,84 @@ def test_emitted_peak_sequence_is_pinned(leq, philos, pminus, pplus):
 
 
 def test_peak_key_ignores_how_the_globals_are_named(leq, philos, pminus, pplus):
+    # For a rule with itself the key also ignores which reduct is which.
     rng = random.Random(67)
     checked = 0
     for program in (leq, philos, pminus, pplus):
         for pk in critical_peaks(program, program):
+            symmetric = pk.rule_left == pk.rule_right
             globs = sorted(pk.ancestor.globals)
             for _ in range(5):
                 images = globs[:]
                 rng.shuffle(images)
                 ren = {g: Var(h) for g, h in zip(globs, images)}
+                left = canonicalize(pk.left.as_state().subst(ren))
+                right = canonicalize(pk.right.as_state().subst(ren))
                 renamed = dataclasses.replace(
-                    pk,
-                    ancestor=pk.ancestor.subst(ren),
-                    left=pk.left.as_state().subst(ren),
-                    right=pk.right.as_state().subst(ren),
+                    pk, ancestor=pk.ancestor.subst(ren), left=left, right=right
                 )
-                assert _peak_key(renamed) == _peak_key(pk)
-                assert _peak_key(renamed, True) == _peak_key(pk, True)
+                assert _peak_key(renamed, symmetric) == _peak_key(pk, symmetric)
+                if symmetric:
+                    swapped = dataclasses.replace(renamed, left=right, right=left)
+                    assert _peak_key(swapped, True) == _peak_key(pk, True)
                 checked += 1
     assert checked >= 90
+
+
+def _fired_overlaps(c1, c2):
+    """Every overlap of a renamed rule pair on which both rules fire, with
+    no deduplication of any kind."""
+    for sel1, sel2, sigma in _overlaps(c1, c2):
+        ancestor, pos1, pos2 = _ancestor(c1, c2, sel1, sel2, sigma)
+        left, right = fire(c1, ancestor, pos1), fire(c2, ancestor, pos2)
+        if left is not None and right is not None:
+            yield CriticalPeak(c1.name, c2.name, ancestor, left.target, right.target)
+
+
+def test_peak_key_matches_the_renaming_oracle(leq, philos, pminus, pplus):
+    # Within a rule pair, two keys are equal exactly when the triples agree
+    # up to one renaming of the globals, for a rule with itself also after
+    # swapping one triple's reducts; equal keys imply equal shapes.
+    rng = random.Random(83)
+    programs = [leq, philos, pminus, pplus, load("exhaust.chr")]
+    programs += [random_tiny_program(rng) for _ in range(40)]
+    paths = Counter()
+    for program in programs:
+        for c1, c2, same_rule in _rule_pairs(program, program):
+            peaks = list(_fired_overlaps(c1, c2))
+            keys = [_peak_key(pk, same_rule) for pk in peaks]
+            for pk in peaks:
+                # Every variable of an ancestor is a global.
+                assert pk.ancestor.free_vars() == pk.ancestor.globals
+                _, unique = _canonical_renaming(list(pk.ancestor.atoms), [], frozenset())
+                paths[unique] += 1
+            for (a, key_a), (b, key_b) in itertools.combinations(zip(peaks, keys), 2):
+                triple = (b.ancestor, b.left, b.right)
+                same = states_mod_globals((a.ancestor, a.left, a.right), triple) or (
+                    same_rule and states_mod_globals((a.ancestor, a.right, a.left), triple)
+                )
+                assert (key_a == key_b) == same, (a, b)
+                if same:
+                    assert _shape(a, same_rule) == _shape(b, same_rule)
+    assert paths[True] >= 20 and paths[False] >= 20
+
+
+def test_distinct_predicate_heads_cost_work_per_peak():
+    # A walk over every bijection between equal-sized head subsets makes
+    # 1,441,728 overlap attempts here and takes seconds.
+    heads = ", ".join(f"c{i}(X{i},X{i + 1})" for i in range(8))
+    p = parse_program(f"r @ {heads} <=> true.")
+    start = time.perf_counter()
+    peaks = critical_peaks(p, p)
+    assert time.perf_counter() - start < 0.5
+    assert len(peaks) == 234
+
+
+def test_global_names_are_bijective_base_26():
+    assert [_spreadsheet_name(i) for i in (0, 25, 26, 51, 701, 702, 18277, 18278)] == [
+        "A", "Z", "AA", "AZ", "ZZ", "AAA", "ZZZ", "AAAA"
+    ]
+    assert len({_spreadsheet_name(i) for i in range(20000)}) == 20000
 
 
 def test_kept_peaks_differ_up_to_global_renaming(leq, philos, pminus, pplus):
