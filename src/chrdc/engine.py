@@ -114,11 +114,14 @@ def _fire(
     return LabeledStep(renamed.name, pos[:n_kept], removed, target_state)
 
 
-def fire(rule: Rule, state: State, pos: tuple[int, ...]) -> Optional[LabeledStep]:
+def fire(
+    rule: Rule, state: State, pos: tuple[int, ...], fresh: Optional[frozenset[str]] = None
+) -> Optional[LabeledStep]:
     """The step of `rule` with its heads, kept then removed, on the atoms of
     `state` at `pos` (distinct positions, one per head), or None when they
-    do not match or the guard fails. Match positions index `state.atoms`."""
-    renamed, new_vars = _renamed(rule, _fresh_names(state))
+    do not match or the guard fails. Match positions index `state.atoms`.
+    `fresh` is the state's fresh names, found by a walk over it if None."""
+    renamed, new_vars = _renamed(rule, _fresh_names(state) if fresh is None else fresh)
     theta: Optional[Subst] = {}
     for head, i in zip(renamed.heads, pos):
         theta = _match_atom(head, state.atoms[i], theta)

@@ -19,7 +19,10 @@ rest are deduplicated up to one bijective renaming of the globals across
 the whole ancestor/left/right triple, and for a rule with itself up to
 mirror images too (the analyses are symmetric in the two sides). A peak
 gets its key (`_peak_key`) only when a peak kept before it has its shape
-(`_shape`), a cheap invariant of the key.
+(`_shape`), a cheap invariant of the key. The key is the ancestor's
+canonical form with both reducts renamed by its labelling when that
+labelling is its only one, else one canonical labelling of all three
+states read together.
 """
 
 from __future__ import annotations
@@ -67,11 +70,13 @@ def _peak_key(peak: CriticalPeak, symmetric: bool) -> tuple:
     between two peaks with one ancestor form is fixed, so the key is that
     form plus both reducts renamed by the labelling. Otherwise all three
     states are read as one with no globals: a marker atom per global and
-    per reduct, reduct atoms tagged with their reduct's marker variable
-    (one marker for both reducts when `symmetric`), locals renamed apart.
-    `_orient` names a residual variable class by its smallest member,
-    which a renaming need not keep, so each member is bound to one fresh
-    variable of the class instead."""
+    per reduct, ancestor atoms tagged `0#`, reduct atoms tagged `1#` and
+    led by their reduct's marker variable (one marker for both reducts
+    when `symmetric`), locals renamed apart. No user predicate meets a
+    marker, whose name has no digit before the `#`. `_orient` names a
+    residual variable class by its smallest member, which a renaming need
+    not keep, so each member is bound to one fresh variable of the class
+    instead."""
     ancestor = peak.ancestor
     renaming, unique = _canonical_renaming(list(ancestor.atoms), [], frozenset())
     if unique:
@@ -101,7 +106,7 @@ def _peak_key(peak: CriticalPeak, symmetric: bool) -> tuple:
         avoid.update(v.name for v in ren.values())
         for rep, members in classes.items():
             atoms.extend(Atom("#=", (side, Var(m), ren[rep])) for m in members)
-        atoms.extend(Atom(f"#{a.pred}", (side, *a.subst(ren).args)) for a in c.atoms)
+        atoms.extend(Atom(f"1#{a.pred}", (side, *a.subst(ren).args)) for a in c.atoms)
         atoms.extend(
             Atom("#=", (side, e.lhs, apply(ren, e.rhs)))
             for e in c.residuals
@@ -189,7 +194,8 @@ def _candidates(c1: Rule, c2: Rule, same_rule: bool) -> Iterator[CriticalPeak]:
         if overlap in seen:
             continue
         seen.add(overlap)
-        left, right = fire(c1, ancestor, pos1), fire(c2, ancestor, pos2)
+        # The ancestor's variables are its globals A, B, ..., none of them fresh.
+        left, right = fire(c1, ancestor, pos1, frozenset()), fire(c2, ancestor, pos2, frozenset())
         if left is None or right is None or (same_rule and left.target == right.target):
             continue
         yield CriticalPeak(c1.name, c2.name, ancestor, left.target, right.target)

@@ -209,12 +209,34 @@ def _fired_overlaps(c1, c2):
             yield CriticalPeak(c1.name, c2.name, ancestor, left.target, right.target)
 
 
+def _has_automorphism(ancestor) -> bool:
+    """Whether a renaming of the globals other than the identity maps the
+    ancestor's atoms onto themselves, tried exhaustively."""
+    globs = sorted(ancestor.globals)
+    atoms = Counter(ancestor.atoms)
+    for perm in itertools.permutations(globs):
+        mapping = {g: Var(h) for g, h in zip(globs, perm) if g != h}
+        if mapping and Counter(a.subst(mapping) for a in ancestor.atoms) == atoms:
+            return True
+    return False
+
+
 def test_peak_key_matches_the_renaming_oracle(leq, philos, pminus, pplus):
     # Within a rule pair, two keys are equal exactly when the triples agree
     # up to one renaming of the globals, for a rule with itself also after
-    # swapping one triple's reducts; equal keys imply equal shapes.
+    # swapping one triple's reducts; equal keys imply equal shapes. An
+    # ancestor whose labelling `_peak_key` takes as its only one has no
+    # automorphism but the identity. Both key paths run often: the
+    # ancestor's own labelling (leq) and one labelling of all three states
+    # (philos eat/eat). The last fixed program names its predicates like
+    # the key's markers.
     rng = random.Random(83)
-    programs = [leq, philos, pminus, pplus, load("exhaust.chr")]
+    markers = parse_program(
+        "a @ p(X, Y) <=> left, q(X).\n"
+        "b @ p(X, Y) <=> right, q(Y).\n"
+        "s @ q(X), q(Y) <=> side, global.\n"
+    )
+    programs = [leq, philos, pminus, pplus, load("exhaust.chr"), markers]
     programs += [random_tiny_program(rng) for _ in range(40)]
     paths = Counter()
     for program in programs:
@@ -225,6 +247,7 @@ def test_peak_key_matches_the_renaming_oracle(leq, philos, pminus, pplus):
                 # Every variable of an ancestor is a global.
                 assert pk.ancestor.free_vars() == pk.ancestor.globals
                 _, unique = _canonical_renaming(list(pk.ancestor.atoms), [], frozenset())
+                assert not (unique and _has_automorphism(pk.ancestor))
                 paths[unique] += 1
             for (a, key_a), (b, key_b) in itertools.combinations(zip(peaks, keys), 2):
                 triple = (b.ancestor, b.left, b.right)
