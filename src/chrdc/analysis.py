@@ -3,18 +3,19 @@
 A closing of a peak is searched by a bidirectional bounded BFS from
 the two reducts. Each side is a program and a small trace automaton
 that constrains the labels a closing may use, so invalid reductions are
-pruned instead of post-filtered. Every criterion is one pattern, a pair
-of such sides:
+pruned instead of post-filtered. Each criterion builds its own pair of
+sides with `capped` and `star` and hands it to `join_search`:
 
-  * `any`             unrestricted labels, any length,
-  * `single_step_eq`  at most one step,
-  * `star`            the decreasing-diagram shape: labels split into a
-                      prefix strictly below the peak's own label, at
-                      most one label below-or-equal the opposite label,
-                      and a tail strictly below one of the two,
-  * `modular`         steps of one program on the left, at most one step
-                      of the other program on the right,
-  * tactics           user-supplied label sequences, tried first.
+  * local       any number of steps on each side,
+  * strong      at most one step on each side,
+  * decreasing  any number of inductive steps on an inductive peak; on a
+                coinductive peak the decreasing-diagram shape (`star`):
+                labels split into a prefix strictly below the peak's own
+                label, at most one label below-or-equal the opposite
+                label, and a tail strictly below one of the two,
+  * modular     steps of one program on the left, at most one step of
+                the other program on the right,
+  * tactics     user-supplied label sequences (`trie`), tried first.
 
 Certificates are deterministic: the valley with the smallest combined
 length wins, ties broken lexicographically by rule position in the
@@ -27,9 +28,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence, Union
+from typing import (
+    Collection, Hashable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
+)
 
-from .engine import Derivation, applicable_steps
+from .engine import Derivation, LabeledStep, applicable_steps
 from .orders import (
     MAX_ORDERS,
     AdmissibilityResult,
@@ -42,7 +45,7 @@ from .orders import (
     is_admissible,
 )
 from .peaks import CriticalPeak, classify, critical_peaks
-from .state import CanonicalState, State, canonicalize
+from .state import CanonicalState, State
 from .syntax import Program
 
 
@@ -99,7 +102,7 @@ class _Automaton:
         return self.accepts is None or phase in self.accepts
 
 
-def capped(allowed: frozenset[str], cap: Optional[int] = None) -> _Automaton:
+def capped(allowed: Collection[str], cap: Optional[int] = None) -> _Automaton:
     """Up to `cap` steps labelled from `allowed`; any number without a cap."""
     if cap is None:
         return _Automaton({0: dict.fromkeys(allowed, (0,))})
@@ -167,23 +170,25 @@ def matches_star(
 # ---------------------------------------------------------------------------
 # Bidirectional leveled search
 
-@dataclass
-class _Node:
+class _Node(NamedTuple):
+    """A search node; the root has no parent and no step. Derivations and
+    trace keys are read off the parent chain, for candidate valleys only."""
+
     state: CanonicalState
-    phase: object
-    deriv: Derivation
-    trace_key: tuple[int, ...]
+    phase: Hashable
+    parent: Optional["_Node"]
+    step: Optional[LabeledStep]
 
 
 class _Side:
-    def __init__(self, program: Program, auto, start: Union[State, CanonicalState]):
+    def __init__(self, program: Program, auto: _Automaton, root: CanonicalState, indexed=False):
         self.program = program
         self.auto = auto
         self.index = {r.name: i for i, r in enumerate(program.rules)}
-        root = canonicalize(start)
-        node = _Node(root, auto.start, Derivation(root), ())
+        node = _Node(root, auto.start, None, None)
         self.levels: list[list[_Node]] = [[node]]
-        self.by_state: list[dict[CanonicalState, list[_Node]]] = [{root: [node]}]
+        # Per level, state -> nodes; kept only on the side that is looked up.
+        self.by_state = [{root: [node]}] if indexed else None
         self.visited: set = {(root, auto.start)}
         self.exhausted = False
         self.truncated = False
@@ -196,55 +201,63 @@ class _Side:
             if len(self.levels) > budget.max_depth:
                 self.truncated = True
                 return False
-            frontier = self.levels[-1]
             new_nodes: list[_Node] = []
-            by_state: dict[CanonicalState, list[_Node]] = {}
-            for node in frontier:
-                allowed = self.auto.labels(node.phase)
-                if not allowed:
-                    continue
-                for step in applicable_steps(self.program, node.state, allowed):
-                    for phase in self.auto.next(node.phase, step.rule_name):
-                        key = (step.target, phase)
-                        if key in self.visited:
-                            continue
-                        if counter["states"] >= budget.max_states:
-                            self.truncated = True
-                            break
-                        counter["states"] += 1
-                        self.visited.add(key)
-                        child = _Node(
-                            step.target,
-                            phase,
-                            node.deriv.extend(step),
-                            node.trace_key + (self.index[step.rule_name],),
-                        )
-                        new_nodes.append(child)
-                        by_state.setdefault(step.target, []).append(child)
-                    if self.truncated:
-                        break
-                if self.truncated:
-                    break
-            if self.truncated:
-                return False
+            for child in self._children():
+                if counter["states"] >= budget.max_states:
+                    self.truncated = True
+                    return False
+                counter["states"] += 1
+                new_nodes.append(child)
             if not new_nodes:
                 self.exhausted = True
                 return False
             self.levels.append(new_nodes)
-            self.by_state.append(by_state)
+            if self.by_state is not None:
+                by_state: dict[CanonicalState, list[_Node]] = {}
+                for node in new_nodes:
+                    by_state.setdefault(node.state, []).append(node)
+                self.by_state.append(by_state)
         return True
+
+    def _children(self) -> Iterator[_Node]:
+        """The unvisited children of the last level's nodes, in order; a
+        child counts as visited once yielded."""
+        for node in self.levels[-1]:
+            allowed = self.auto.labels(node.phase)
+            if not allowed:
+                continue
+            for step in applicable_steps(self.program, node.state, allowed):
+                for phase in self.auto.next(node.phase, step.rule_name):
+                    if (step.target, phase) not in self.visited:
+                        self.visited.add((step.target, phase))
+                        yield _Node(step.target, phase, node, step)
+
+    def derivation(self, node: _Node) -> Derivation:
+        """The derivation from the root to `node`, read off its parents."""
+        steps: list[LabeledStep] = []
+        while node.parent is not None:
+            steps.append(node.step)
+            node = node.parent
+        return Derivation(node.state, tuple(reversed(steps)))
+
+    def trace_key(self, deriv: Derivation) -> tuple[int, ...]:
+        return tuple(self.index[step.rule_name] for step in deriv.steps)
 
 
 def _closing_search(
-    left: _Side, right: _Side, budget: SearchBudget
+    sides: tuple[tuple[Program, _Automaton], tuple[Program, _Automaton]],
+    peak: CriticalPeak,
+    budget: SearchBudget,
 ) -> tuple[Optional[Valley], bool]:
-    """Minimal valley between the two sides, plus a definite-failure flag.
+    """Minimal valley between the peak's reducts, plus a definite-failure flag.
 
     The failure flag is True only when both search spaces were fully
     explored without truncation, making the non-joinability exact."""
+    left = _Side(*sides[0], peak.left)
+    right = _Side(*sides[1], peak.right, indexed=True)
     counter = {"states": 2}
     for total in itertools.count():
-        candidates: list[tuple[tuple, tuple, Valley]] = []
+        candidates: list[Valley] = []
         for l_depth in range(total + 1):
             r_depth = total - l_depth
             if not left.ensure_level(l_depth, budget, counter):
@@ -257,15 +270,13 @@ def _closing_search(
                 for rnode in right.by_state[r_depth].get(lnode.state, []):
                     if right.auto.accepting(rnode.phase):
                         candidates.append(
-                            (
-                                lnode.trace_key,
-                                rnode.trace_key,
-                                Valley(lnode.deriv, rnode.deriv),
-                            )
+                            Valley(left.derivation(lnode), right.derivation(rnode))
                         )
         if candidates:
-            candidates.sort(key=lambda c: (c[0], c[1]))
-            return candidates[0][2], False
+            # min keeps the first found among equal keys
+            return min(
+                candidates, key=lambda v: (left.trace_key(v.left), right.trace_key(v.right))
+            ), False
         # A stopped side has all its levels; past their summed depths no
         # pair of levels is left to compare.
         stopped = [side.truncated or side.exhausted for side in (left, right)]
@@ -274,105 +285,52 @@ def _closing_search(
 
 
 # ---------------------------------------------------------------------------
-# Patterns and the per-peak search
-
-@dataclass(frozen=True)
-class _Pattern:
-    status: str
-    # (program, peak, allowed labels, *pattern arguments) -> the left and
-    # right sides, each a (program, trace automaton) pair
-    sides: Callable[..., tuple[tuple[Program, _Automaton], tuple[Program, _Automaton]]]
-    notes: tuple[str, str] = ("left_reduct_admits_no_step", "right_reduct_admits_no_step")
-
-
-_PATTERNS = {
-    "any": _Pattern(
-        "JOINABLE",
-        lambda prog, pk, allowed: ((prog, capped(allowed)), (prog, capped(allowed))),
-    ),
-    "single_step_eq": _Pattern(
-        "STRONGLY_JOINABLE",
-        lambda prog, pk, allowed: ((prog, capped(allowed, 1)), (prog, capped(allowed, 1))),
-    ),
-    "star": _Pattern(
-        "DECREASING",
-        lambda prog, pk, allowed, order: (
-            (prog, star(pk.rule_left, pk.rule_right, order)),
-            (prog, star(pk.rule_right, pk.rule_left, order)),
-        ),
-    ),
-    # `("modular", p)` with program q: q-steps on the left, at most one
-    # p-step on the right; each side's program limits its own labels.
-    "modular": _Pattern(
-        "JOINABLE",
-        lambda q, pk, allowed, p: ((q, capped(allowed)), (p, capped(allowed, 1))),
-        ("left_reduct_admits_no_q_step", "right_reduct_admits_no_p_step"),
-    ),
-}
-
+# The per-peak search
 
 def join_search(
-    program: Program,
     peak: CriticalPeak,
-    allowed: Iterable[str],
-    pattern: tuple,
+    sides: tuple[tuple[Program, _Automaton], tuple[Program, _Automaton]],
+    status: str,
     budget: SearchBudget,
     index: int = 0,
     tactic: Optional[tuple[list, list]] = None,
+    notes: tuple[str, str] = ("left_reduct_admits_no_step", "right_reduct_admits_no_step"),
 ) -> PeakVerdict:
-    """Search one closing of `peak` whose label traces satisfy `pattern`.
+    """Search one closing of `peak` whose left and right label traces the
+    automata of `sides`, each a (program, automaton) pair, accept; a
+    closing earns `status`. Without one, `notes` name the reducts from
+    which their side's program has no step.
 
     A tactic's label sequences are searched first; their valley counts
-    only when the pattern's automata accept its traces."""
-    entry = _PATTERNS[pattern[0]]
-    sides = entry.sides(program, peak, frozenset(allowed), *pattern[1:])
+    only when the automata of `sides` accept its traces."""
     attempts = [(sides, ())]
     if tactic is not None:
         tactic_sides = tuple(
             (prog, trie(seqs)) for (prog, _), seqs in zip(sides, tactic)
         )
         attempts.insert(0, (tactic_sides, ("tactic",)))
-    for (left, right), notes in attempts:
-        valley, exhausted = _closing_search(
-            _Side(*left, peak.left), _Side(*right, peak.right), budget
-        )
+    for attempt, shown in attempts:
+        valley, exhausted = _closing_search(attempt, peak, budget)
         if valley is not None and all(
             _accepts(auto, labels) for (_, auto), labels in zip(sides, valley.labels())
         ):
             break
     if valley is None:
-        notes = tuple(
+        shown = tuple(
             note
-            for note, (prog, _), reduct in zip(entry.notes, sides, (peak.left, peak.right))
+            for note, (prog, _), reduct in zip(notes, sides, (peak.left, peak.right))
             if not applicable_steps(prog, reduct)
         )
     return PeakVerdict(
         index,
         peak.rule_left,
         peak.rule_right,
-        "NOT_CLOSED" if valley is None else entry.status,
+        "NOT_CLOSED" if valley is None else status,
         valley,
-        notes=notes,
+        notes=shown,
         exhausted=exhausted,
         bounds=None if valley is not None else (budget.max_depth, budget.max_states),
     )
-
-
-def _join_peaks(
-    program: Program,
-    peaks: Sequence[CriticalPeak],
-    indices: Iterable[int],
-    pattern: tuple,
-    allowed: Iterable[str],
-    budget: SearchBudget,
-    tactics: Optional[dict[int, tuple[list, list]]] = None,
-) -> dict[int, PeakVerdict]:
-    """The per-peak loop of a criterion: one verdict per index."""
-    tactics = tactics or {}
-    return {
-        i: join_search(program, peaks[i], allowed, pattern, budget, i, tactics.get(i))
-        for i in indices
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -442,9 +400,10 @@ def check_local_confluence(
     part = Partition.for_program(program)
     term = check_inductive_termination(program, part, assume_terminating)
     peaks = critical_peaks(program, program)
-    verdicts = _join_peaks(
-        program, peaks, range(len(peaks)), ("any",), program.rule_names(), budget
-    )
+    side = (program, capped(program.rule_names()))
+    verdicts = {
+        i: join_search(pk, (side, side), "JOINABLE", budget, i) for i, pk in enumerate(peaks)
+    }
     return _report(
         "local", "locally_confluent", peaks, (classify(pk, part) for pk in peaks),
         verdicts, holds=term.acceptable, partition=part, termination=term,
@@ -454,10 +413,11 @@ def check_local_confluence(
 def check_strong_confluence(program: Program, budget: SearchBudget) -> Report:
     part = Partition.for_program(program)
     peaks = critical_peaks(program, program)
-    verdicts = _join_peaks(
-        program, peaks, range(len(peaks)), ("single_step_eq",), program.rule_names(),
-        budget,
-    )
+    side = (program, capped(program.rule_names(), 1))
+    verdicts = {
+        i: join_search(pk, (side, side), "STRONGLY_JOINABLE", budget, i)
+        for i, pk in enumerate(peaks)
+    }
     return _report(
         "strong", "strongly_confluent", peaks, (classify(pk, part) for pk in peaks),
         verdicts, partition=part,
@@ -539,9 +499,11 @@ def check_rule_decreasing(
     tactics = tactics or {}
     inductive = [i for i, cls in enumerate(classes) if cls == "inductive"]
     coinductive = [i for i, cls in enumerate(classes) if cls == "coinductive"]
-    verdicts = _join_peaks(
-        program, peaks, inductive, ("any",), sorted(part.inductive), budget, tactics
-    )
+    side = (program, capped(part.inductive))
+    verdicts = {
+        i: join_search(peaks[i], (side, side), "JOINABLE", budget, i, tactics.get(i))
+        for i in inductive
+    }
     inductive_ok = all(v.closed for v in verdicts.values())
 
     # Orders that agree on a peak's live rules give it the same verdict,
@@ -554,9 +516,10 @@ def check_rule_decreasing(
         for i in coinductive:
             key = (i, _star_key(peaks[i], cand, live[i]))
             if key not in searched:
+                a, b = peaks[i].rule_left, peaks[i].rule_right
+                sides = ((program, star(a, b, cand)), (program, star(b, a, cand)))
                 searched[key] = join_search(
-                    program, peaks[i], program.rule_names(), ("star", cand), budget, i,
-                    tactics.get(i),
+                    peaks[i], sides, "DECREASING", budget, i, tactics.get(i)
                 )
             co[i] = searched[key]
             if chosen is not None and not co[i].closed:
@@ -584,10 +547,12 @@ def check_modularity(p: Program, q: Program, budget: SearchBudget) -> Report:
     if overlap:
         raise ValueError(f"programs share rule names: {sorted(overlap)}")
     peaks = critical_peaks(p, q)
-    verdicts = _join_peaks(
-        q, peaks, range(len(peaks)), ("modular", p), p.rule_names() + q.rule_names(),
-        budget,
-    )
+    sides = ((q, capped(q.rule_names())), (p, capped(p.rule_names(), 1)))
+    notes = ("left_reduct_admits_no_q_step", "right_reduct_admits_no_p_step")
+    verdicts = {
+        i: join_search(pk, sides, "JOINABLE", budget, i, notes=notes)
+        for i, pk in enumerate(peaks)
+    }
     return _report(
         "modular", "modular_union_confluent", peaks, ["cross"] * len(peaks), verdicts,
         assumptions=("p_confluent", "q_confluent"),

@@ -20,7 +20,9 @@ Line-oriented sections:
     right = thk, eat, thk
 
 Repeated left=/right= lines inside a tactic section accumulate
-alternative sequences. `%` starts a comment line.
+alternative sequences, and `[order]` lines accumulate pairs; a key given
+twice in `[partition]`, `[limits]` or `[options]` is an error. `%` starts
+a comment line.
 """
 
 from __future__ import annotations
@@ -80,6 +82,7 @@ def load_config(text: str) -> AnalysisConfig:
     cfg = AnalysisConfig()
     section: Optional[str] = None
     tactic: Optional[TacticDecl] = None
+    seen: dict[tuple[str, str], int] = {}  # (section, key) -> line
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("%"):
@@ -107,6 +110,12 @@ def load_config(text: str) -> AnalysisConfig:
         if km is None:
             raise ConfigError(f"line {lineno}: expected 'key = value'")
         key, value = km.group(1), km.group(2).strip()
+        if section != "tactic":
+            if (section, key) in seen:
+                raise ConfigError(
+                    f"line {lineno}: {key} is already set on line {seen[section, key]}"
+                )
+            seen[section, key] = lineno
         if section == "partition":
             if key == "inductive":
                 cfg.inductive = _name_list(value)

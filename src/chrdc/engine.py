@@ -47,9 +47,6 @@ class Derivation:
     def labels(self) -> list[str]:
         return [s.rule_name for s in self.steps]
 
-    def extend(self, step: LabeledStep) -> "Derivation":
-        return Derivation(self.source, self.steps + (step,))
-
 
 def _match_heads(
     heads: Sequence[Atom],

@@ -35,7 +35,7 @@ from bisect import bisect_right
 from typing import Callable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .syntax import Atom, Eq, atom_text, eq_text
-from .terms import FRESH_PREFIX, Compound, Subst, Term, Var, apply, unify
+from .terms import FRESH_PREFIX, Compound, Subst, Term, Var, apply, fresh_mapping, unify
 
 
 class State(NamedTuple):
@@ -351,15 +351,7 @@ def _surface_locals(s: State) -> State:
     ]
     if not reserved:
         return s
-    taken = s.all_vars()
-    mapping: Subst = {}
-    counter = 0
-    for v in reserved:
-        while f"{_LOCAL_PREFIX}{counter}" in taken:
-            counter += 1
-        mapping[v] = Var(f"{_LOCAL_PREFIX}{counter}")
-        counter += 1
-    return s.subst(mapping)
+    return s.subst(fresh_mapping(s.all_vars(), reserved, _LOCAL_PREFIX))
 
 
 def state_text(s: State) -> str:

@@ -17,8 +17,8 @@ written the same way with an optional `# globals: X, Y` suffix.
 `Atom` and `Eq` are `NamedTuple` value types, like the terms they hold:
 hashing and equality run in C. They compare equal by items across
 types, so `Atom("p", args) == Compound("p", args)`; no set, dict or
-`==` in chrdc mixes atoms with terms. Rules and programs are frozen
-dataclasses.
+`==` in chrdc mixes atoms with terms. `Rule` is a `NamedTuple` as well;
+programs are frozen dataclasses.
 """
 
 from __future__ import annotations
@@ -67,8 +67,9 @@ class Eq(NamedTuple):
         yield from iter_vars(self.rhs)
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(NamedTuple):
+    """A named rule. Compares by items, as a 6-tuple."""
+
     name: str
     kept: tuple[Atom, ...]
     removed: tuple[Atom, ...]
@@ -79,10 +80,6 @@ class Rule:
     @property
     def is_propagation(self) -> bool:
         return not self.removed
-
-    @property
-    def is_simplification(self) -> bool:
-        return bool(self.removed)
 
     @property
     def heads(self) -> tuple[Atom, ...]:
@@ -121,12 +118,6 @@ class Program:
 
     def rule_names(self) -> list[str]:
         return [r.name for r in self.rules]
-
-    def index_of(self, name: str) -> int:
-        for i, r in enumerate(self.rules):
-            if r.name == name:
-                return i
-        raise KeyError(name)
 
 
 # ---------------------------------------------------------------------------

@@ -180,10 +180,10 @@ def match(pairs: Iterable[tuple[Term, Term]], bind: Optional[Subst] = None) -> O
     return out
 
 
-def fresh_mapping(avoid: set[str], names: Iterable[str]) -> Subst:
+def fresh_mapping(avoid: set[str], names: Iterable[str], prefix: str = FRESH_PREFIX) -> Subst:
     """Injective renaming of `names` to fresh variables outside `avoid`.
 
-    Fresh names are FRESH_PREFIX plus a counter; the counter only moves
+    Fresh names are `prefix` plus a counter; the counter only moves
     forward, so the mapping is deterministic for a given input.
     """
     used = set(avoid)
@@ -192,9 +192,9 @@ def fresh_mapping(avoid: set[str], names: Iterable[str]) -> Subst:
     for n in names:
         if n in out:
             continue
-        while f"{FRESH_PREFIX}{counter}" in used:
+        while f"{prefix}{counter}" in used:
             counter += 1
-        fresh = f"{FRESH_PREFIX}{counter}"
+        fresh = f"{prefix}{counter}"
         counter += 1
         used.add(fresh)
         out[n] = Var(fresh)

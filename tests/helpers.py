@@ -14,6 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
+from chrdc.analysis import capped, star
 from chrdc.engine import Derivation, LabeledStep, applicable_steps
 from chrdc.syntax import Atom, Eq, Program, Rule
 from chrdc.state import CanonicalState, State, canonicalize, equivalent
@@ -317,6 +318,18 @@ def peak_like(pk, anc_text: str, left_text: str, right_text: str) -> bool:
     return states_mod_globals(expected, (pk.ancestor, pk.left, pk.right))
 
 
+def any_sides(program: Program):
+    """`join_search` sides: steps of `program`, any labels, any length."""
+    side = (program, capped(program.rule_names()))
+    return side, side
+
+
+def star_sides(program: Program, pk, order):
+    """`join_search` sides of the decreasing-diagram shape of `pk` under `order`."""
+    a, b = pk.rule_left, pk.rule_right
+    return (program, star(a, b, order)), (program, star(b, a, order))
+
+
 def random_ground_state(rng: random.Random, max_atoms: int = 3) -> State:
     """Small states over the tiny-program signature, mildly non-ground."""
     pool = ["U", "V"]
@@ -468,7 +481,8 @@ def reachable(
                 if len(result.entries) >= max_states:
                     result.states_truncated = True
                     return result
-                result.entries.append((step.target, deriv.extend(step)))
+                longer = Derivation(deriv.source, deriv.steps + (step,))
+                result.entries.append((step.target, longer))
                 seen.add(step.target)
                 next_frontier.append(len(result.entries) - 1)
         frontier = next_frontier

@@ -29,6 +29,7 @@ from chrdc.syntax import Atom, parse_program
 from chrdc.terms import Compound, Var, apply, term_vars, unify
 from conftest import fixture_path, load
 from helpers import (
+    any_sides,
     instance_of,
     naive_unify_pairs,
     peak_like,
@@ -111,7 +112,7 @@ def test_criterion_2_strongly_rule_decreasing(leq):
     if ok:
         for v, pk in zip(rep.verdicts, rep.peaks):
             left_labels, right_labels = v.valley.labels()
-            top = max((pk.rule_left, pk.rule_right), key=leq.index_of)
+            top = max((pk.rule_left, pk.rule_right), key=leq.rule_names().index)
             for label in left_labels + right_labels:
                 ok = ok and (order.strictly_greater(top, label) or label == top)
     _verdict(2, ok)
@@ -488,7 +489,7 @@ def test_criterion_8_modularity():
     union = parse_program(
         "r1 @ a <=> b.\nr2 @ d <=> e.\nr3 @ e <=> b.\nq1 @ a <=> d.\n"
     )
-    free = join_search(union, pk, union.rule_names(), ("any",), BUDGET)
+    free = join_search(pk, any_sides(union), "JOINABLE", BUDGET)
     ok = ok and free.status == "JOINABLE"
     left_labels, right_labels = free.valley.labels()
     p_rules = set(p.rule_names())

@@ -6,6 +6,7 @@ import pytest
 
 from chrdc.analysis import (
     SearchBudget,
+    capped,
     check_local_confluence,
     check_modularity,
     check_rule_decreasing,
@@ -20,7 +21,7 @@ from chrdc.reports import admissible_fields
 from chrdc.state import equivalent
 from chrdc.syntax import parse_program
 from conftest import load
-from helpers import peak_like, random_tiny_program
+from helpers import any_sides, peak_like, random_tiny_program, star_sides
 
 BUDGET = SearchBudget()
 
@@ -91,7 +92,7 @@ def test_star_agrees_with_brute_force_enumeration():
 
 def test_join_search_pminus_valley(pminus):
     (pk,) = critical_peaks(pminus, pminus)
-    v = join_search(pminus, pk, pminus.rule_names(), ("any",), BUDGET)
+    v = join_search(pk, any_sides(pminus), "JOINABLE", BUDGET)
     assert v.status == "JOINABLE"
     assert v.valley.labels() == (["sminus"], ["sminus", "duplicate"])
     meet_left = replay(pminus, v.valley.left)
@@ -116,7 +117,8 @@ def example4_peak(leq):
 
 def test_join_search_single_step_fails_on_example_peak(leq):
     pk = example4_peak(leq)
-    v = join_search(leq, pk, leq.rule_names(), ("single_step_eq",), BUDGET)
+    side = (leq, capped(leq.rule_names(), 1))
+    v = join_search(pk, (side, side), "STRONGLY_JOINABLE", BUDGET)
     assert v.status == "NOT_CLOSED"
     assert "left_reduct_admits_no_step" in v.notes
     assert v.exhausted
@@ -125,7 +127,7 @@ def test_join_search_single_step_fails_on_example_peak(leq):
 def test_join_search_star_closes_example_peak(leq):
     pk = example4_peak(leq)
     order = leq_order(leq.rule_names())
-    v = join_search(leq, pk, leq.rule_names(), ("star", order), BUDGET)
+    v = join_search(pk, star_sides(leq, pk, order), "DECREASING", BUDGET)
     assert v.status == "DECREASING"
     assert v.valley.labels() == ([], ["reflexivity", "antisymmetry"])
 
@@ -300,7 +302,7 @@ def test_modularity_violating_pair_not_established():
     union = parse_program(
         "r1 @ a <=> b.\nr2 @ d <=> e.\nr3 @ e <=> b.\nq1 @ a <=> d.\n"
     )
-    free = join_search(union, pk, union.rule_names(), ("any",), BUDGET)
+    free = join_search(pk, any_sides(union), "JOINABLE", BUDGET)
     assert free.status == "JOINABLE"
     assert len([l for l in free.valley.labels()[1] if l in ("r1", "r2", "r3")]) >= 2 or len(
         [l for l in free.valley.labels()[0] if l in ("r1", "r2", "r3")]
@@ -445,7 +447,7 @@ def test_certificates_are_minimal_and_lex_least(leq, pminus):
     )
     index = {r.name: i for i, r in enumerate(leq.rules)}
     for i, pk in enumerate(critical_peaks(leq, leq)):
-        v = join_search(leq, pk, leq.rule_names(), ("star", order), BUDGET, index=i)
+        v = join_search(pk, star_sides(leq, pk, order), "DECREASING", BUDGET, index=i)
         assert v.closed
         lt, rt = v.valley.labels()
         total = len(lt) + len(rt)
@@ -463,7 +465,7 @@ def test_certificates_are_minimal_and_lex_least(leq, pminus):
         assert best == found, (i, best, found)
 
     (pk,) = critical_peaks(pminus, pminus)
-    v = join_search(pminus, pk, pminus.rule_names(), ("any",), BUDGET)
+    v = join_search(pk, any_sides(pminus), "JOINABLE", BUDGET)
     idx = {r.name: i for i, r in enumerate(pminus.rules)}
     lt, rt = v.valley.labels()
     best = _brute_minimal_valley(
@@ -483,7 +485,7 @@ def test_join_search_agrees_with_naive_reachability():
     for _ in range(40):
         program = random_tiny_program(rng)
         for i, pk in enumerate(critical_peaks(program, program)):
-            v = join_search(program, pk, program.rule_names(), ("any",), small, index=i)
+            v = join_search(pk, any_sides(program), "JOINABLE", small, index=i)
             best = _brute_minimal_valley(
                 program, pk, program.rule_names(), 3, accept=lambda a, b: True
             )

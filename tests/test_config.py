@@ -59,6 +59,10 @@ right = thk
         ("[options]\nformat = xml\n", "text or machine"),
         ("[partition]\nboth = a\n", "unknown partition key"),
         ("[tactic]\nleft = a\n", "selector"),
+        # A repeated key used to replace the earlier line's value silently.
+        ("[partition]\ninductive = r\ninductive = s\n", "line 3: inductive is already set on line 2"),
+        ("[limits]\nmax_depth = 3\n[limits]\nmax_depth = 4\n", "line 4: max_depth is already"),
+        ("[options]\nformat = text\nformat = text\n", "line 3: format is already set on line 2"),
     ],
 )
 def test_config_errors(text, needle):

@@ -97,7 +97,7 @@ def test_replay_closing_sequence(philos):
         steps = applicable_steps(philos, cur, allowed={rule})
         assert steps
         step = steps[pick]
-        deriv = deriv.extend(step)
+        deriv = Derivation(deriv.source, deriv.steps + (step,))
         cur = step.target
     bottom = parse_state(
         "frk(X), frk(Y), frk(Z), thk(X,Y,I+1), thk(Y,Z,J+1) # globals: X, Y, Z, I, J"

@@ -54,3 +54,37 @@ def test_every_private_top_level_name_is_read():
                 unused.append(f"{file}: {name}")
     assert trees
     assert unused == []
+
+
+def _unread_parameters(tree: ast.Module) -> list[str]:
+    """`name line:param` for each parameter of a `def` or `lambda` that its
+    body never reads; `self` and `cls` are exempt."""
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        a = node.args
+        params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {
+            n.id
+            for stmt in body
+            for n in ast.walk(stmt)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        name = getattr(node, "name", "lambda")
+        out += [
+            f"{name} {node.lineno}:{p.arg}"
+            for p in params
+            if p.arg not in ("self", "cls") and p.arg not in read
+        ]
+    return out
+
+
+def test_every_parameter_is_read():
+    unread = [
+        f"{path.name}: {entry}"
+        for path in sorted(SRC.glob("*.py"))
+        for entry in _unread_parameters(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert unread == []

@@ -23,7 +23,7 @@ from chrdc.peaks import classify, critical_peaks
 from chrdc.reports import admissible_fields
 from chrdc.syntax import parse_program, parse_state
 from conftest import FIXTURES, fixture_path
-from helpers import product_admissible_levels
+from helpers import product_admissible_levels, star_sides
 
 
 def test_partition_fills_missing_side(leq):
@@ -271,7 +271,10 @@ def _walk_orders(program, part, budget, tactics):
         level = dict(zip(names, levels))
         order = RulePreorder(names, [(a, b) for a in names for b in names if level[a] >= level[b]])
         verdicts = {
-            i: join_search(program, peaks[i], names, ("star", order), budget, i, tactics.get(i))
+            i: join_search(
+                peaks[i], star_sides(program, peaks[i], order), "DECREASING", budget, i,
+                tactics.get(i),
+            )
             for i in co
         }
         if all(v.closed for v in verdicts.values()):
@@ -337,7 +340,7 @@ def test_541_failing_orders_share_one_star_search(monkeypatch):
     calls = []
 
     def counting(*args, **kwargs):
-        calls.append(args[1])
+        calls.append(args[0])
         return join_search(*args, **kwargs)
 
     monkeypatch.setattr(analysis, "join_search", counting)
@@ -358,7 +361,7 @@ def test_later_orders_stop_at_their_first_failing_peak(monkeypatch, philos):
     calls = []
 
     def counting(*args, **kwargs):
-        calls.append(args[1])
+        calls.append(args[0])
         return join_search(*args, **kwargs)
 
     monkeypatch.setattr(analysis, "join_search", counting)

@@ -140,7 +140,7 @@ def test_every_peak_replays_both_one_step_reducts(leq, philos, pminus, pplus):
 
 
 def _renamed_m(program):
-    return Program(tuple(dataclasses.replace(r, name="m" + r.name) for r in program.rules))
+    return Program(tuple(r._replace(name="m" + r.name) for r in program.rules))
 
 
 def test_emitted_peak_sequence_is_pinned(leq, philos, pminus, pplus):

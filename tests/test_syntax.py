@@ -21,7 +21,7 @@ from chrdc.terms import Compound, Var
 def test_antisymmetry_rule_shape():
     p = parse_program("antisymmetry @ leq(X,Y), leq(Y,X) <=> X = Y.")
     (r,) = p.rules
-    assert r.is_simplification
+    assert not r.is_propagation
     assert r.kept == ()
     assert r.removed == (
         Atom("leq", (Var("X"), Var("Y"))),
@@ -167,12 +167,6 @@ def test_state_pretty_round_trip_is_equivalent():
         s = random_state(rng)
         again = parse_state(state_text(s))
         assert equivalent(s, again)
-
-
-def test_classification_is_exclusive(leq, philos):
-    for program in (leq, philos):
-        for r in program.rules:
-            assert r.is_simplification != r.is_propagation
 
 
 def test_comment_and_whitespace_tolerance():
