@@ -21,8 +21,9 @@ Line-oriented sections:
 
 Repeated left=/right= lines inside a tactic section accumulate
 alternative sequences, and `[order]` lines accumulate pairs; a key given
-twice in `[partition]`, `[limits]` or `[options]` is an error. `%` starts
-a comment line.
+twice in `[partition]`, `[limits]` or `[options]` is an error, and so is
+`enumerate_orders = true` beside an `[order]` pair, since the declared
+order would replace the enumeration. `%` starts a comment line.
 """
 
 from __future__ import annotations
@@ -83,6 +84,7 @@ def load_config(text: str) -> AnalysisConfig:
     section: Optional[str] = None
     tactic: Optional[TacticDecl] = None
     seen: dict[tuple[str, str], int] = {}  # (section, key) -> line
+    first_pair: Optional[int] = None  # the line of the first [order] pair
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("%"):
@@ -105,6 +107,7 @@ def load_config(text: str) -> AnalysisConfig:
             if om is None:
                 raise ConfigError(f"line {lineno}: expected 'a > b' or 'a >= b'")
             cfg.order_decls.append((om.group(1), om.group(2), om.group(3)))
+            first_pair = first_pair or lineno
             continue
         km = _KEYVAL_RE.match(line)
         if km is None:
@@ -148,12 +151,23 @@ def load_config(text: str) -> AnalysisConfig:
             if key not in ("left", "right"):
                 raise ConfigError(f"line {lineno}: unknown tactic key {key!r}")
             getattr(tactic, key).append(_name_list(value))
+    if cfg.enumerate_orders and first_pair is not None:
+        raise ConfigError(
+            f"line {seen['options', 'enumerate_orders']}: enumerate_orders = true"
+            f" conflicts with the [order] pair on line {first_pair}"
+        )
     return cfg
 
 
 def load_config_file(path: str) -> AnalysisConfig:
+    """Load a configuration file; an error's message names the file."""
     with open(path, encoding="utf-8") as fh:
-        return load_config(fh.read())
+        text = fh.read()
+    try:
+        return load_config(text)
+    except ConfigError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
 
 
 _SELECTOR_RE = re.compile(r"^peak:(.+)#(\d+)$")

@@ -12,15 +12,17 @@ derivations can loop.
 
 Renaming apart picks only fresh (`FRESH_PREFIX`) names, so a rule is
 renamed once per set of fresh names in the state and the result reused.
-Targets come from the source's `state.successors`, which inserts the
-atoms of a propagation step in order where that is exact.
+A head is tried only on atoms of its predicate and arity. Targets come
+from the source's `state.successors`, which builds each distinct target
+once and inserts the atoms of a propagation step in order where that is
+exact, so steps that add the same atoms share one target. Steps and
+derivations are `NamedTuple` values, cheap to build and compared in C.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 from .state import CanonicalState, State, canonicalize, successors
 from .syntax import Atom, Program, Rule
@@ -31,16 +33,20 @@ class ReplayError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class LabeledStep:
+class LabeledStep(NamedTuple):
+    """A step: its rule, the store positions its kept and removed heads
+    matched, and its canonical target. Compares by items, as a 4-tuple."""
+
     rule_name: str
     matched_kept: tuple[int, ...]
     matched_removed: tuple[int, ...]
     target: CanonicalState
 
 
-@dataclass(frozen=True)
-class Derivation:
+class Derivation(NamedTuple):
+    """A canonical source and the steps taken from it. Compares by items,
+    as a 2-tuple."""
+
     source: CanonicalState
     steps: tuple[LabeledStep, ...] = ()
 
@@ -61,13 +67,20 @@ def _match_heads(
     if not heads:
         yield used, theta
         return
-    head = heads[0]
+    head, rest = heads[0], heads[1:]
+    pred, arity = head.pred, len(head.args)
     for i, atom in enumerate(store):
-        if i in used or (i and atom == store[i - 1] and i - 1 not in used):
+        if atom.pred != pred or len(atom.args) != arity or i in used:
             continue
-        extended = _match_atom(head, atom, theta)
-        if extended is not None:
-            yield from _match_heads(heads[1:], store, extended, used + (i,))
+        if i and atom == store[i - 1] and i - 1 not in used:
+            continue
+        extended = match(zip(head.args, atom.args), theta)
+        if extended is None:
+            continue
+        if rest:
+            yield from _match_heads(rest, store, extended, used + (i,))
+        else:
+            yield used + (i,), extended
 
 
 def _match_atom(head: Atom, atom: Atom, theta: Subst) -> Optional[Subst]:
@@ -101,11 +114,11 @@ def _fire(
     holds when `new_vars`, and whose heads, kept then removed, `theta`
     matches onto the source's atoms at `pos`, with its target built by the
     source's `successors`; None when the guard fails."""
-    if any(apply(theta, e.lhs) != apply(theta, e.rhs) for e in renamed.guard):
+    if renamed.guard and any(apply(theta, e.lhs) != apply(theta, e.rhs) for e in renamed.guard):
         return None
     n_kept = len(renamed.kept)
-    atoms = [a.subst(theta) for a in renamed.user_body]
-    builtins = tuple(e.subst(theta) for e in renamed.builtin_body)
+    atoms = tuple([a.subst(theta) for a in renamed.user_body])
+    builtins = renamed.builtin_body and tuple([e.subst(theta) for e in renamed.builtin_body])
     removed = pos[n_kept:]
     target_state = target(removed, atoms, builtins, new_vars)
     return LabeledStep(renamed.name, pos[:n_kept], removed, target_state)

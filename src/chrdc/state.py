@@ -8,10 +8,12 @@ store is solved by unification, the solution is applied everywhere, the
 residual constraints on globals are kept, and the store is sorted. A
 state with no built-ins skips solving: its atoms are kept as they are.
 
-A step target from a canonical state with no locals and no residuals,
-by a step that removes nothing and adds neither built-ins nor new
-variables, is the source with the new atoms inserted in order
-(`successors`): there is nothing to solve, prune or label.
+Step targets come from `successors`, which builds each distinct target
+of one source once: steps that remove the same atoms and add the same
+atoms and built-ins share it. A target from a canonical state with no
+locals and no residuals, by a step that removes nothing and adds
+neither built-ins nor new variables, is the source with the new atoms
+inserted in order: there is nothing to solve, prune or label.
 
 Locals get a canonical labelling by individualisation and refinement
 (McKay and Piperno, *Practical graph isomorphism II*, 2014), per
@@ -32,7 +34,7 @@ so the two are never equal.
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Callable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Iterator, Mapping, NamedTuple, Optional, Union
 
 from .syntax import Atom, Eq, atom_text, eq_text
 from .terms import FRESH_PREFIX, Compound, Subst, Term, Var, apply, fresh_mapping, unify
@@ -278,25 +280,28 @@ def _atom_key(a: Atom) -> tuple:
 
 def successors(
     source: Union[State, CanonicalState]
-) -> Callable[[Sequence[int], list[Atom], tuple[Eq, ...], bool], CanonicalState]:
+) -> Callable[[tuple[int, ...], tuple[Atom, ...], tuple[Eq, ...], bool], CanonicalState]:
     """The canonical target of a step from `source`, given the positions
     of the atoms the step removes, the atoms and built-ins it adds, and
     whether its rule's user body holds a variable that no head holds.
 
-    From a canonical source with no locals and no residuals, a step that
-    removes nothing and adds neither built-ins nor new variables only
-    inserts its atoms in order. There every matched variable is a global,
-    so the added atoms hold a new variable exactly when the body does.
-    Whether the source has locals, and its atoms' sort keys, are found on
-    the first such step. Every other target is canonicalized.
+    Each distinct (removed, atoms, built-ins) is built once and its target
+    reused: steps that match other atoms often add the same ones. From a
+    canonical source with no locals and no residuals, a step that removes
+    nothing and adds neither built-ins nor new variables only inserts its
+    atoms in order. There every matched variable is a global, so the added
+    atoms hold a new variable exactly when the body does. Whether the
+    source has locals, and its atoms' sort keys, are found on the first
+    such step. Every other target is canonicalized.
     """
     state = source.as_state() if isinstance(source, CanonicalState) else source
     plain = isinstance(source, CanonicalState) and not state.builtins
     globs = state.globals
     keys = None  # the sort keys of the source's atoms, False when it has locals
+    built: dict[tuple, CanonicalState] = {}
 
-    def target(
-        removed: Sequence[int], atoms: list[Atom], builtins: tuple[Eq, ...], new_vars: bool
+    def build(
+        removed: tuple[int, ...], atoms: tuple[Atom, ...], builtins: tuple[Eq, ...], new_vars: bool
     ) -> CanonicalState:
         nonlocal keys
         if plain and not removed and not builtins and not new_vars:
@@ -310,8 +315,17 @@ def successors(
                     order.insert(i, k)
                     out.insert(i, a)
                 return CanonicalState(tuple(out), (), globs)
-        kept = [a for i, a in enumerate(state.atoms) if i not in removed]
-        return canonicalize(State(tuple(kept + atoms), state.builtins + builtins, globs))
+        kept = tuple(a for i, a in enumerate(state.atoms) if i not in removed)
+        return canonicalize(State(kept + atoms, state.builtins + builtins, globs))
+
+    def target(
+        removed: tuple[int, ...], atoms: tuple[Atom, ...], builtins: tuple[Eq, ...], new_vars: bool
+    ) -> CanonicalState:
+        key = (removed, atoms, builtins)
+        found = built.get(key)
+        if found is None:
+            found = built[key] = build(removed, atoms, builtins, new_vars)
+        return found
 
     return target
 

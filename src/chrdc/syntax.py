@@ -27,7 +27,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Mapping, NamedTuple, Optional
 
-from .terms import Compound, Term, Var, apply, iter_vars, FRESH_PREFIX
+from .terms import Compound, Term, Var, apply_all, iter_all_vars, FRESH_PREFIX
 
 
 class ParseError(Exception):
@@ -46,11 +46,10 @@ class Atom(NamedTuple):
     args: tuple[Term, ...] = ()
 
     def subst(self, s: Mapping[str, Term]) -> "Atom":
-        return Atom(self.pred, tuple(apply(s, a) for a in self.args))
+        return Atom(self.pred, apply_all(s, self.args))
 
     def iter_vars(self) -> Iterator[str]:
-        for a in self.args:
-            yield from iter_vars(a)
+        return iter_all_vars(self.args)
 
 
 class Eq(NamedTuple):
@@ -60,11 +59,10 @@ class Eq(NamedTuple):
     rhs: Term
 
     def subst(self, s: Mapping[str, Term]) -> "Eq":
-        return Eq(apply(s, self.lhs), apply(s, self.rhs))
+        return Eq._make(apply_all(s, self))
 
     def iter_vars(self) -> Iterator[str]:
-        yield from iter_vars(self.lhs)
-        yield from iter_vars(self.rhs)
+        return iter_all_vars(self)
 
 
 class Rule(NamedTuple):

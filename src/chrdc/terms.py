@@ -51,8 +51,17 @@ def iter_vars(t: Term) -> Iterator[str]:
     if isinstance(t, Var):
         yield t.name
     else:
-        for a in t.args:
-            yield from iter_vars(a)
+        yield from iter_all_vars(t.args)
+
+
+def iter_all_vars(terms: Iterable[Term]) -> Iterator[str]:
+    """`iter_vars` of each of `terms` in turn. Variables and constants are
+    handled inline; only a compound with arguments costs a nested walk."""
+    for a in terms:
+        if isinstance(a, Var):
+            yield a.name
+        elif a.args:
+            yield from iter_all_vars(a.args)
 
 
 def term_vars(t: Term) -> set[str]:
@@ -72,7 +81,16 @@ def apply(s: Mapping[str, Term], t: Term) -> Term:
         return s.get(t.name, t)
     if not t.args:
         return t
-    return Compound(t.functor, tuple(apply(s, a) for a in t.args))
+    return Compound(t.functor, apply_all(s, t.args))
+
+
+def apply_all(s: Mapping[str, Term], terms: Iterable[Term]) -> tuple[Term, ...]:
+    """`apply` to each of `terms`. Variables and constants are handled
+    inline; only a compound with arguments costs a recursive call."""
+    return tuple([
+        s.get(a.name, a) if isinstance(a, Var) else apply(s, a) if a.args else a
+        for a in terms
+    ])
 
 
 def compose(s1: Mapping[str, Term], s2: Mapping[str, Term]) -> Subst:

@@ -32,6 +32,13 @@ def naive_apply(s: dict, t: Term) -> Term:
     return Compound(t.functor, tuple(naive_apply(s, a) for a in t.args))
 
 
+def naive_vars(t: Term) -> list[str]:
+    """Every variable occurrence of `t`, left to right, by plain recursion."""
+    if isinstance(t, Var):
+        return [t.name]
+    return [v for a in t.args for v in naive_vars(a)]
+
+
 def _naive_compose(r: dict, s: dict) -> dict:
     out = {}
     for k, v in r.items():

@@ -323,6 +323,17 @@ def test_parse_error_names_the_file_at_fault(tmp_path):
     assert "clashes" in err
 
 
+def test_config_error_names_the_file_at_fault(tmp_path):
+    cfg = tmp_path / "dup.cfg"
+    cfg.write_text("[partition]\ninductive = splus\ninductive = splus\n")
+    code, out, err = run_cli(
+        "check", "--mode", "decreasing", fixture_path("pplus.chr"), "--config", str(cfg)
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {cfg}: line 3: ")
+
+
 def test_decreasing_with_tactics_enumerates_peaks_once(monkeypatch):
     import chrdc.analysis
     import chrdc.cli

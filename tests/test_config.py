@@ -71,6 +71,27 @@ def test_config_errors(text, needle):
     assert needle in str(exc.value)
 
 
+@pytest.mark.parametrize(
+    "text,needle",
+    [
+        (
+            "[order]\nr > s\n[options]\nenumerate_orders = true\n",
+            "line 4: enumerate_orders = true conflicts with the [order] pair on line 2",
+        ),
+        (
+            "[options]\nenumerate_orders = true\n[order]\nr > s\ns >= t\n",
+            "line 2: enumerate_orders = true conflicts with the [order] pair on line 4",
+        ),
+    ],
+)
+def test_enumerated_orders_beside_a_declared_order_are_an_error(text, needle):
+    # The declared order used to replace the enumeration silently.
+    with pytest.raises(ConfigError) as exc:
+        load_config(text)
+    assert needle in str(exc.value)
+    assert load_config(text.replace("true", "false")).order_decls
+
+
 def test_tactic_selector_resolution(philos):
     peaks = critical_peaks(philos, philos)
     cfg = load_config(

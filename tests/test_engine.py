@@ -111,14 +111,12 @@ def test_replay_detects_corruption(pminus, pplus):
     (step,) = applicable_steps(pminus, src, allowed={"sminus"})
     good = Derivation(src, (step,))
     assert replay(pminus, good) == step.target
-    from dataclasses import replace
-
-    renamed = replace(step, rule_name="missing")
+    renamed = step._replace(rule_name="missing")
     with pytest.raises(ReplayError):
         replay(pminus, Derivation(src, (renamed,)))
     # Same positions, different program: the rule no longer matches.
     with pytest.raises(ReplayError):
-        replay(pplus, Derivation(src, (replace(step, rule_name="splus"),)))
+        replay(pplus, Derivation(src, (step._replace(rule_name="splus"),)))
 
 
 def test_reachable_depth_zero(pminus):
@@ -220,27 +218,21 @@ def _one_step(program, text, rule):
 
 
 def test_replay_rejects_a_position_out_of_range(pminus):
-    from dataclasses import replace
-
     src, step = _one_step(pminus, "p(s(a)) # globals:", "sminus")
     with pytest.raises(ReplayError):
-        replay(pminus, Derivation(src, (replace(step, matched_removed=(1,)),)))
+        replay(pminus, Derivation(src, (step._replace(matched_removed=(1,)),)))
 
 
 def test_replay_rejects_a_repeated_position(pminus):
-    from dataclasses import replace
-
     src = canonicalize(parse_state("p(a), p(a) # globals:"))
     step = applicable_steps(pminus, src, allowed={"duplicate"})[0]
     assert replay(pminus, Derivation(src, (step,))) == step.target
-    repeated = replace(step, matched_removed=step.matched_kept)
+    repeated = step._replace(matched_removed=step.matched_kept)
     with pytest.raises(ReplayError):
         replay(pminus, Derivation(src, (repeated,)))
 
 
 def test_replay_rejects_a_step_at_a_later_copy_of_an_equal_atom(pminus):
-    from dataclasses import replace
-
     # A later copy gives the same target, but the relation has one step per
     # rule and per tuple of matched atoms, at the first copies.
     src = canonicalize(parse_state("p(s(a)), p(s(a)) # globals:"))
@@ -249,7 +241,7 @@ def test_replay_rejects_a_step_at_a_later_copy_of_an_equal_atom(pminus):
     assert replay(pminus, Derivation(src, (step,))) == step.target
     (sminus,) = [r for r in pminus.rules if r.name == "sminus"]
     later = fire(sminus, src.as_state(), (1,))
-    assert later == replace(step, matched_removed=(1,))
+    assert later == step._replace(matched_removed=(1,))
     with pytest.raises(ReplayError):
         replay(pminus, Derivation(src, (later,)))
 
@@ -259,7 +251,7 @@ def test_replay_rejects_a_step_at_a_later_copy_of_an_equal_atom(pminus):
     (duplicate,) = [r for r in pminus.rules if r.name == "duplicate"]
     for kept, removed in ((0, 2), (1, 0), (1, 2), (2, 0), (2, 1)):
         later = fire(duplicate, src.as_state(), (kept, removed))
-        assert later == replace(step, matched_kept=(kept,), matched_removed=(removed,))
+        assert later == step._replace(matched_kept=(kept,), matched_removed=(removed,))
         with pytest.raises(ReplayError):
             replay(pminus, Derivation(src, (later,)))
 
@@ -296,12 +288,10 @@ def test_replay_rejects_a_guard_that_no_longer_holds():
 
 
 def test_replay_rejects_a_changed_target(pminus):
-    from dataclasses import replace
-
     src, step = _one_step(pminus, "p(s(a)) # globals:", "sminus")
     other = canonicalize(parse_state("p(b) # globals:"))
     with pytest.raises(ReplayError):
-        replay(pminus, Derivation(src, (replace(step, target=other),)))
+        replay(pminus, Derivation(src, (step._replace(target=other),)))
 
 
 def test_replay_rejects_a_step_from_the_inconsistent_state(pminus):
@@ -405,6 +395,40 @@ def test_steps_from_the_exhaust_peak_are_counted():
     program, states = _exhaust_peak_states()
     steps = sum(len(applicable_steps(program, cst)) for cst in states)
     assert (len(states), steps) == (73, 330)
+
+
+def test_steps_that_add_the_same_atoms_share_one_target(monkeypatch):
+    import chrdc.engine
+
+    program, states = _exhaust_peak_states()
+    successors = chrdc.engine.successors
+    added = []  # (removed positions, added atoms, added built-ins) per step
+
+    def recording(source):
+        target = successors(source)
+
+        def record(removed, atoms, builtins, new_vars):
+            added.append((removed, atoms, builtins))
+            return target(removed, atoms, builtins, new_vars)
+
+        return record
+
+    monkeypatch.setattr(chrdc.engine, "successors", recording)
+    shared = 0
+    for cst in states:
+        added.clear()
+        steps = applicable_steps(program, cst)
+        assert len(added) == len(steps)
+        first: dict = {}
+        for key, step in zip(added, steps):
+            assert key[0] == step.matched_removed
+            assert step.target == _oracle_target(program, cst, step)
+            earlier = first.setdefault(key, step.target)
+            assert earlier is step.target
+        shared += len(steps) - len(first)
+    # Of the 330 steps, this many add what an earlier step from the same
+    # source added, and reuse its target.
+    assert shared == 48
 
 
 # Rules with several heads on one predicate, for stores with equal atoms.

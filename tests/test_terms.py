@@ -14,15 +14,19 @@ from chrdc.terms import (
     apply,
     compose,
     fresh_mapping,
+    iter_vars,
     match,
     term_size,
     term_vars,
     unify,
 )
 from helpers import (
+    _match_into,
     check_value_semantics,
     instance_of,
+    naive_apply,
     naive_unify_pairs,
+    naive_vars,
     random_atom,
     random_term,
 )
@@ -129,6 +133,45 @@ def test_unify_agrees_with_oracle_and_is_most_general():
         assert instance_of(sigma, theta, variables)
         checked += 1
     assert checked > 50
+
+
+def test_term_walks_agree_with_naive_versions():
+    # Variables and constants are handled inline; only compounds recurse.
+    # Terms here hold constants, nested compounds, repeated variables and
+    # variables at depth, which a walk that skipped a nested argument
+    # would miss.
+    rng = random.Random(29)
+    pool = ["X", "Y", "Z"]
+    deep = matched = 0
+    for _ in range(400):
+        terms = [random_term(rng, pool, depth=rng.randint(0, 4)) for _ in range(3)]
+        # Images hold no variable of the domain, so one pass is the full
+        # normal form that `naive_apply` computes.
+        s = {
+            v: random_term(rng, ["U", "W"], depth=2)
+            for v in pool
+            if rng.random() < 0.6
+        }
+        atom, eq = Atom("p", tuple(terms)), Eq(terms[0], terms[1])
+        for t in terms:
+            assert apply(s, t) == naive_apply(s, t)
+            assert list(iter_vars(t)) == naive_vars(t)
+            # A variable inside a compound argument.
+            deep += any(isinstance(x, Compound) and naive_vars(x) for x in getattr(t, "args", ()))
+        assert atom.subst(s) == Atom("p", tuple(naive_apply(s, t) for t in terms))
+        assert eq.subst(s) == Eq(naive_apply(s, terms[0]), naive_apply(s, terms[1]))
+        assert list(atom.iter_vars()) == [v for t in terms for v in naive_vars(t)]
+        assert list(eq.iter_vars()) == naive_vars(terms[0]) + naive_vars(terms[1])
+        # Match the first two terms against an instance of them, and against
+        # two other terms, which mostly fail.
+        pattern = terms[:2]
+        for target in ([naive_apply(s, t) for t in pattern], [terms[2], terms[1]]):
+            expected: dict | None = {}
+            for pat, tgt in zip(pattern, target):
+                expected = _match_into(pat, tgt, expected)
+            assert match(zip(pattern, target)) == expected
+            matched += expected is not None
+    assert deep > 150 and 420 < matched < 780
 
 
 def test_match_binds_pattern_side_only():
