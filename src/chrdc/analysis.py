@@ -29,7 +29,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from typing import (
-    Collection, Hashable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
+    Callable, Collection, Hashable, Iterable, Iterator, Mapping, NamedTuple, Optional,
+    Sequence, Union,
 )
 
 from .engine import Derivation, LabeledStep, applicable_steps
@@ -111,22 +112,14 @@ def capped(allowed: Collection[str], cap: Optional[int] = None) -> _Automaton:
     )
 
 
-def _star_sets(primary: str, secondary: str, order: RulePreorder) -> tuple:
-    """The labels of one closing side of a decreasing diagram: the prefix
-    strictly below `primary`, the one step below-or-equal `secondary`, and
-    the tail strictly below either."""
-    return (
-        order.down_strict([primary]),
-        order.down_eq([secondary]),
-        order.down_strict([primary, secondary]),
-    )
-
-
 def star(primary: str, secondary: str, order: RulePreorder) -> _Automaton:
-    """Prefix labels stay in phase 0; the middle step or a tail label
-    moves to phase 1, which reads only tail labels."""
-    prefix, middle, tail = _star_sets(primary, secondary, order)
-    onward = middle | tail
+    """One closing side of a decreasing diagram: a prefix strictly below
+    `primary`, at most one step below-or-equal `secondary`, and a tail
+    strictly below either. Prefix labels stay in phase 0; the middle step
+    or a tail label moves to phase 1, which reads only tail labels."""
+    prefix = order.down_strict([primary])
+    tail = order.down_strict([primary, secondary])
+    onward = order.down_eq([secondary]) | tail
     first = {
         label: ((0,) if label in prefix else ()) + ((1,) if label in onward else ())
         for label in prefix | onward
@@ -339,8 +332,9 @@ def join_search(
 @dataclass(frozen=True)
 class OrderSearch:
     """The walk over admissible orders: how many there are, whether the
-    walk stopped at `MAX_ORDERS`, and whether an order closed every peak
-    (None when the peaks were never searched)."""
+    walk stopped undecided after `MAX_ORDERS` orders evaluated or branches
+    cut, and whether an order closed every peak (None when the peaks were
+    never searched)."""
 
     orders_tried: int
     truncated: bool
@@ -443,14 +437,120 @@ def live_rules(
     return frozenset(live)
 
 
-def _star_key(peak: CriticalPeak, order: RulePreorder, live: frozenset[str]) -> tuple:
-    """What the star pattern of `order` can matter for on `peak`: both
-    sides' label sets restricted to the peak's live rules."""
-    left, right = peak.rule_left, peak.rule_right
-    return tuple(
-        tuple(labels & live for labels in _star_sets(a, b, order))
-        for a, b in ((left, right), (right, left))
-    )
+class _OrderWalk:
+    """The walk over admissible orders for the coinductive peaks' star
+    searches, cutting branches that hold only failing orders.
+
+    A peak's star verdict depends only on how its live rules compare with
+    its two rules, so its key is fixed once the walk has set the levels of
+    these, its relevant rules. A branch is cut there when the key is known
+    to fail, and the rest of a branch is cut once an order in it failed on
+    a peak whose key the branch has fixed. The first closing order is thus
+    the one a plain walk finds, and only evaluated orders search new keys.
+    The walk stops at `MAX_ORDERS` evaluated orders and cut branches
+    together (`truncated`), or once a peak has failed under every
+    admissible relative order of its relevant rules, since then no order
+    closes it."""
+
+    def __init__(
+        self, program: Program, part: Partition, peaks: Sequence[CriticalPeak],
+        coinductive: list[int], closing: Callable[[int, RulePreorder], PeakVerdict],
+    ):
+        self.program, self.part, self.coinductive, self.closing = (
+            program, part, coinductive, closing
+        )
+        names = program.rule_names()
+        pos = {name: p for p, name in enumerate(names)}
+        self.compared: dict[int, tuple[int, int, list[int]]] = {}
+        self.relevant: dict[int, list[int]] = {}
+        self.patterns: dict[int, int] = {}
+        self.ends: list[list[int]] = [[] for _ in names]
+        for i in coinductive:
+            a, b = pos[peaks[i].rule_left], pos[peaks[i].rule_right]
+            live = sorted(pos[c] for c in live_rules(program, (peaks[i].left, peaks[i].right)))
+            self.compared[i] = (a, b, live)
+            self.relevant[i] = rel = sorted({a, b, *live})
+            co = sum(names[p] in part.coinductive for p in rel)
+            self.patterns[i] = fubini(len(rel) - co) * fubini(co)
+            self.ends[rel[-1]].append(i)
+        self.searched: dict[tuple, PeakVerdict] = {}
+        self.keys: dict[int, tuple] = {}
+        self.failing: dict[int, set[tuple]] = {i: set() for i in coinductive}
+        self.levels: list[int] = []
+        # The branch's levels up to position `failed` make an evaluated
+        # order fail; len(names) when they do not.
+        self.failed = len(names)
+        self.spent = 0
+        self.stopped = self.truncated = False
+
+    def _key(self, i: int) -> tuple:
+        a, b, live = self.compared[i]
+        lv = self.levels
+        return (i, tuple(
+            ((lv[c] > lv[a]) - (lv[c] < lv[a]), (lv[c] > lv[b]) - (lv[c] < lv[b]))
+            for c in live
+        ))
+
+    def _spend(self) -> bool:
+        """Count an evaluated order or a cut branch; False at the bound."""
+        if self.spent == MAX_ORDERS:
+            self.stopped = self.truncated = True
+            return False
+        self.spent += 1
+        return True
+
+    def _fail(self, i: int) -> None:
+        """Note the relative order of peak i's relevant rules as failing."""
+        levels = [self.levels[p] for p in self.relevant[i]]
+        ranks = sorted(set(levels))
+        self.failing[i].add(tuple(ranks.index(lv) for lv in levels))
+        if len(self.failing[i]) == self.patterns[i]:
+            self.stopped = True
+
+    def cut(self, p: int, levels: list[int]) -> bool:
+        """The `orders.Cut` of the walk, which also notes each branch's keys."""
+        if self.stopped:
+            return True
+        if p > self.failed:
+            self._spend()
+            return True
+        self.failed = len(self.ends)
+        self.levels = levels
+        for i in self.ends[p]:
+            self.keys[i] = key = self._key(i)
+            verdict = self.searched.get(key)
+            if verdict is not None and not verdict.closed:
+                if self._spend():
+                    self._fail(i)
+                return True
+        return False
+
+    def run(self, first_only: bool) -> tuple[RulePreorder, dict[int, PeakVerdict]]:
+        """The first order that closes every coinductive peak with its
+        verdicts, else the first order with its verdicts."""
+        chosen = None
+        for cand in admissible_total_preorders(self.program, self.part, cut=self.cut):
+            if not self._spend():
+                break
+            co = {}
+            for i in self.coinductive:
+                key = self.keys[i]
+                if key not in self.searched:
+                    self.searched[key] = self.closing(i, cand)
+                co[i] = self.searched[key]
+                if not co[i].closed:
+                    self._fail(i)
+                    self.failed = min(self.failed, self.relevant[i][-1])
+                    if chosen is not None:
+                        break  # only the first order's verdicts are shown
+            if all(v.closed for v in co.values()):
+                return cand, co
+            chosen = chosen or (cand, co)
+            if first_only or self.stopped:
+                break
+        # The walk is never empty: even the empty program has its
+        # Fubini(0) * Fubini(0) = 1 admissible order.
+        return chosen
 
 
 def check_rule_decreasing(
@@ -464,6 +564,8 @@ def check_rule_decreasing(
     peaks: Optional[Sequence[CriticalPeak]] = None,
 ) -> Report:
     """`peaks`, when given, must be `critical_peaks(program, program)`."""
+    if order is not None and enumerate_orders:
+        raise ValueError("enumerate_orders searches for the order; do not give one")
     criterion = "strongly_rule_decreasing" if not part.inductive else "rule_decreasing"
     if peaks is None:
         peaks = critical_peaks(program, program)
@@ -471,20 +573,13 @@ def check_rule_decreasing(
     term = check_inductive_termination(program, part, assume_terminating)
 
     search: Optional[OrderSearch] = None
-    if order is not None:
-        adm = is_admissible(order, part)
-        orders_to_try: Iterable[RulePreorder] = [order]
-    elif enumerate_orders:
+    if enumerate_orders:
         adm = AdmissibilityResult(True)
         total = fubini(len(part.inductive)) * fubini(len(part.coinductive))
-        orders_to_try = itertools.islice(
-            admissible_total_preorders(program, part), MAX_ORDERS
-        )
-        search = OrderSearch(total, truncated=total > MAX_ORDERS)
+        search = OrderSearch(total, truncated=False)
     else:
-        fallback = RulePreorder.discrete(program.rule_names())
-        adm = is_admissible(fallback, part)
-        orders_to_try = [fallback]
+        shown = order if order is not None else RulePreorder.discrete(program.rule_names())
+        adm = is_admissible(shown, part)
 
     def report(verdicts, holds, shown_order, search) -> Report:
         return _report(
@@ -506,38 +601,22 @@ def check_rule_decreasing(
     }
     inductive_ok = all(v.closed for v in verdicts.values())
 
-    # Orders that agree on a peak's live rules give it the same verdict,
-    # so each peak's star search runs once per distinct key.
-    live = {i: live_rules(program, (peaks[i].left, peaks[i].right)) for i in coinductive}
-    searched: dict[tuple, PeakVerdict] = {}
-    chosen: Optional[tuple[RulePreorder, dict[int, PeakVerdict]]] = None
-    for cand in orders_to_try:
-        co = {}
-        for i in coinductive:
-            key = (i, _star_key(peaks[i], cand, live[i]))
-            if key not in searched:
-                a, b = peaks[i].rule_left, peaks[i].rule_right
-                sides = ((program, star(a, b, cand)), (program, star(b, a, cand)))
-                searched[key] = join_search(
-                    peaks[i], sides, "DECREASING", budget, i, tactics.get(i)
-                )
-            co[i] = searched[key]
-            if chosen is not None and not co[i].closed:
-                break  # only the first order's verdicts are shown when none closes
-        if all(v.closed for v in co.values()):
-            chosen = (cand, co)
-            break
-        chosen = chosen or (cand, co)
-        if not inductive_ok:
-            break  # enumeration cannot help once an inductive peak failed
-    # orders_to_try is never empty: even the empty program has its
-    # Fubini(0) * Fubini(0) = 1 admissible order.
-    chosen_order, co = chosen
-    verdicts.update(co)
+    def closing(i: int, cand: RulePreorder) -> PeakVerdict:
+        a, b = peaks[i].rule_left, peaks[i].rule_right
+        sides = ((program, star(a, b, cand)), (program, star(b, a, cand)))
+        return join_search(peaks[i], sides, "DECREASING", budget, i, tactics.get(i))
 
-    if search is not None:
-        search = replace(search, found=all(v.closed for v in verdicts.values()))
-    return report(verdicts, True, chosen_order if order is None else order, search)
+    if enumerate_orders:
+        # enumeration cannot help once an inductive peak failed
+        walk = _OrderWalk(program, part, peaks, coinductive, closing)
+        shown, co = walk.run(first_only=not inductive_ok)
+        verdicts.update(co)
+        search = replace(
+            search, truncated=walk.truncated, found=all(v.closed for v in verdicts.values())
+        )
+    else:
+        verdicts.update((i, closing(i, shown)) for i in coinductive)
+    return report(verdicts, True, shown, search)
 
 
 def check_modularity(p: Program, q: Program, budget: SearchBudget) -> Report:

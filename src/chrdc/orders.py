@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .syntax import Atom, Program, Rule
 from .terms import term_size
@@ -153,9 +153,14 @@ def is_admissible(order: RulePreorder, part: Partition) -> AdmissibilityResult:
     return AdmissibilityResult(True)
 
 
-# Enumeration tries at most this many orders; the report says `truncated`
-# when the admissible space is larger.
+# The order search evaluates orders and cuts failing branches, at most this
+# many of the two together; the report says `truncated` when the walk
+# stopped at this bound before it was decided.
 MAX_ORDERS = 10_000
+
+
+# cut(position, levels so far) -> whether to drop the branch
+Cut = Callable[[int, list[int]], bool]
 
 
 def fubini(n: int) -> int:
@@ -166,7 +171,9 @@ def fubini(n: int) -> int:
     return counts[n]
 
 
-def _admissible_levels(coinductive: list[bool], k: int) -> Iterator[list[int]]:
+def _admissible_levels(
+    coinductive: list[bool], k: int, cut: Optional[Cut] = None
+) -> Iterator[list[int]]:
     """Surjective maps onto range(k) that put every coinductive position
     above every inductive one, in lexicographic order.
 
@@ -174,7 +181,10 @@ def _admissible_levels(coinductive: list[bool], k: int) -> Iterator[list[int]]:
     completion exists. In a completion the inductive rules fill exactly
     the levels below some threshold t and the coinductive ones the rest,
     so a branch lives while some t fits between the levels used so far
-    and leaves no more free levels on either side than rules remain."""
+    and leaves no more free levels on either side than rules remain.
+    `cut(i, levels)` then sees each live branch once position i has its
+    level, before the branch is extended or yielded, and drops the branch
+    when it returns True."""
     n = len(coinductive)
     rest_co = [sum(coinductive[i:]) for i in range(n + 1)]
     rest_ind = [n - i - rest_co[i] for i in range(n + 1)]
@@ -200,7 +210,7 @@ def _admissible_levels(coinductive: list[bool], k: int) -> Iterator[list[int]]:
                 top, bottom = max(top_ind, lv), bottom_co
             used[lv] += 1
             levels.append(lv)
-            if completable(i + 1, top, bottom):
+            if completable(i + 1, top, bottom) and (cut is None or not cut(i, levels)):
                 yield from extend(i + 1, top, bottom)
             levels.pop()
             used[lv] -= 1
@@ -208,12 +218,15 @@ def _admissible_levels(coinductive: list[bool], k: int) -> Iterator[list[int]]:
     yield from extend(0, -1, k)
 
 
-def admissible_total_preorders(program: Program, part: Partition) -> Iterator[RulePreorder]:
+def admissible_total_preorders(
+    program: Program, part: Partition, cut: Optional[Cut] = None
+) -> Iterator[RulePreorder]:
     """All admissible total preorders on the rule names, lazily, as level
     maps in lexicographic order of the level tuples for k = 0, 1, ...
     levels. An admissible order stacks a total preorder of the coinductive
     rules on one of the inductive rules, so there are Fubini(#inductive) *
-    Fubini(#coinductive) of them.
+    Fubini(#coinductive) of them. `cut` drops branches of the walk, with
+    positions in `program.rule_names()` order (see `_admissible_levels`).
 
     Enumerating total preorders is complete here: any admissible preorder
     extends to a total one that preserves its strict pairs, and the
@@ -222,7 +235,7 @@ def admissible_total_preorders(program: Program, part: Partition) -> Iterator[Ru
     names = program.rule_names()
     coinductive = [name in part.coinductive for name in names]
     for k in range(len(names) + 1):
-        for levels in _admissible_levels(coinductive, k):
+        for levels in _admissible_levels(coinductive, k, cut):
             yield RulePreorder.from_levels(names, dict(zip(names, levels)))
 
 

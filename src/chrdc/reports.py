@@ -16,9 +16,10 @@ right=[...]`, the valley's rule labels; an open one is NOT_CLOSED with
 explored and `notes=[...]` when a reduct admits no step. ADMISSIBLE
 `false` carries `witness=`; ADMISSIBLE `enumerated` carries the order
 search's fields, all written by `admissible_fields`: `orders_tried=` the
-number of admissible orders, `truncated=true` when only the first
-`orders.MAX_ORDERS` were tried, `found=` once the peaks were searched and
-`order=` the strict pairs of the closing order found.
+number of admissible orders, `truncated=true` when the walk stopped
+undecided after `orders.MAX_ORDERS` orders evaluated or branches cut,
+`found=` once the peaks were searched and `order=` the strict pairs of
+the closing order found.
 
 Values are bare tokens or bracketed lists; a report is re-parseable by
 `parse_machine_report` and emission is byte-stable across runs.

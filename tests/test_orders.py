@@ -187,9 +187,25 @@ def test_size_measure_guards_apply_when_the_size_shrinks(rule, decreases):
 # ---------------------------------------------------------------------------
 # Admissible order enumeration and the order search
 
-def _with_fresh(core: str, m: int):
-    """A core program plus m fresh terminating rules `ri @ ai(X) <=> true.`"""
-    return parse_program(core + "".join(f"r{i} @ a{i}(X) <=> true.\n" for i in range(m)))
+def _with_fresh(core: str, m: int, before: bool = False):
+    """A core program plus m fresh terminating rules `ri @ ai(X) <=> true.`,
+    after the core or, with `before`, ahead of it."""
+    fresh = "".join(f"r{i} @ a{i}(X) <=> true.\n" for i in range(m))
+    return parse_program(fresh + core if before else core + fresh)
+
+
+# Its one coinductive peak, al against be on a(X), c(X), closes only when
+# be > de: the right side must take a de step before the al step, and the
+# star shape admits that only strictly below be.
+GADGET = (
+    "al @ a(X) <=> b(X).\n"
+    "be @ a(X), c(X) <=> d(f(X)).\n"
+    "de @ d(f(X)) <=> a(X).\n"
+    "ep @ c(X) <=> true.\n"
+)
+# The same rules with be last: failing and closing orders then differ only
+# in the level of the last rule the peak reads.
+GADGET_BE_LAST = "".join(GADGET.splitlines(keepends=True)[i] for i in (0, 2, 3, 1))
 
 
 def _same_relation(order: RulePreorder, names, level: dict) -> bool:
@@ -296,9 +312,22 @@ def _walk_orders(program, part, budget, tactics):
     # r0 never fires on a philos peak, so orders that differ only in r0's
     # place share a search before eat > thk closes the peaks.
     ("philos.chr", ["eat", "thk", "r0"], 2),
+    # m < 0 puts -m fresh rules ahead of the core, so that the peaks'
+    # relevant rules get their levels last.
+    pytest.param("pplus.chr", ["splus"], -2, id="pplus.chr-splus-fresh2-first"),
+    pytest.param("pplus.chr", ["duplicate", "splus"], -2, id="pplus.chr-both-fresh2-first"),
+    pytest.param("leq.chr", ["transitivity"], -3, id="leq.chr-transitivity-fresh3-first"),
+    pytest.param("philos.chr", ["eat", "thk"], -2, id="philos.chr-eat-thk-fresh2-first"),
+    pytest.param("philos.chr", ["eat", "thk", "r1"], -2, id="philos.chr-r1-fresh2-first"),
+    pytest.param(GADGET, ["al"], 3, id="gadget-al-fresh3"),
+    pytest.param(GADGET, ["al"], -3, id="gadget-al-fresh3-first"),
+    pytest.param(GADGET, ["al", "r0"], 2, id="gadget-al-r0-fresh2"),
+    pytest.param(GADGET_BE_LAST, ["al"], 2, id="gadget-be-last-al-fresh2"),
 ])
 def test_order_search_matches_a_plain_walk(core, coinductive, m):
-    program = _with_fresh((FIXTURES / core).read_text(), m)
+    """`core` is a fixture name or a program's text."""
+    text = core if "@" in core else (FIXTURES / core).read_text()
+    program = _with_fresh(text, abs(m), before=m < 0)
     part = Partition.for_program(program, coinductive=coinductive)
     tactics = {}
     if core == "philos.chr":
@@ -316,11 +345,63 @@ def test_order_search_matches_a_plain_walk(core, coinductive, m):
     assert dict(admissible_fields(rep))["orders_tried"] == str(_order_count(part))
 
 
+def _coin_flip_star_search(seed: int):
+    """A stand-in for `join_search` whose star verdicts are coin flips on
+    what the star shape can matter for: each side's prefix, onward and
+    tail labels among the peak's live rules. Other searches are real."""
+    real = join_search
+
+    def search(peak, sides, status, budget, index, tactics=None, **kwargs):
+        if status != "DECREASING":
+            return real(peak, sides, status, budget, index, tactics, **kwargs)
+        live = live_rules(sides[0][0], (peak.left, peak.right))
+        shape = [index]
+        for _, auto in sides:
+            first = auto.moves[0]
+            shape += [
+                sorted(live.intersection(lab for lab, to in first.items() if 0 in to)),
+                sorted(live.intersection(lab for lab, to in first.items() if 1 in to)),
+                sorted(live.intersection(auto.moves[1])),
+            ]
+        coin = random.Random(repr((seed, shape))).random() < 0.15
+        return analysis.PeakVerdict(
+            index, peak.rule_left, peak.rule_right, status if coin else "NOT_CLOSED"
+        )
+
+    return search
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_order_search_matches_a_plain_walk_on_coin_flip_verdicts(monkeypatch, seed):
+    # Arbitrary verdicts that depend only on the star shape on the live
+    # rules: the cuts must keep the first closing order of a plain walk.
+    # Few shapes close, so the walks pass many failing orders first.
+    rng = random.Random(seed)
+    search = _coin_flip_star_search(seed)
+    monkeypatch.setattr(analysis, "join_search", search)
+    monkeypatch.setitem(globals(), "join_search", search)
+    for core in ("pplus.chr", "leq.chr", "philos.chr", GADGET, GADGET_BE_LAST):
+        text = core if "@" in core else (FIXTURES / core).read_text()
+        program = _with_fresh(text, rng.randint(0, 2), before=rng.random() < 0.5)
+        names = program.rule_names()
+        coinductive = rng.sample(names, rng.randint(1, min(3, len(names))))
+        part = Partition.for_program(program, coinductive=coinductive)
+        budget = SearchBudget(max_depth=4, max_states=200)
+        rep = check_rule_decreasing(
+            program, part, None, budget, enumerate_orders=True, assume_terminating=True
+        )
+        level, verdicts = _walk_orders(program, part, budget, {})
+        if not all(v.closed for v in rep.verdicts if v.index not in verdicts):
+            continue  # a failed inductive peak ends the walk at its first order
+        assert _same_relation(rep.order, names, level)
+        assert {v.index: v for v in rep.verdicts if v.index in verdicts} == verdicts
+
+
 def test_closing_order_among_4683_is_found_quickly(monkeypatch):
     pulled = []
 
-    def counting(*args):
-        for order in admissible_total_preorders(*args):
+    def counting(*args, **kwargs):
+        for order in admissible_total_preorders(*args, **kwargs):
             pulled.append(order)
             yield order
 
@@ -355,6 +436,56 @@ def test_541_failing_orders_share_one_star_search(monkeypatch):
     assert len(calls) == len(rep.peaks) == 1
 
 
+def test_a_peak_failing_under_every_pattern_stops_the_walk():
+    # The duplicate/splus peak's relevant rules are its own two, with one
+    # admissible relative order; once the first order fails there, no order
+    # can close it. With the fresh rules first they get their levels before
+    # the peak's rules, so cuts alone would drop their arrangements one by
+    # one until MAX_ORDERS.
+    for m, before, total in ((6, False, "47293"), (7, True, "545835")):
+        program = _with_fresh((FIXTURES / "pplus.chr").read_text(), m, before)
+        part = Partition.for_program(program, coinductive=["splus"])
+        start = time.perf_counter()
+        rep = check_rule_decreasing(program, part, None, SearchBudget(), enumerate_orders=True)
+        assert time.perf_counter() - start < 0.05
+        assert admissible_fields(rep) == [("orders_tried", total), ("found", "false")]
+
+
+def test_closing_order_past_the_bound_is_found():
+    # With twelve fresh rules after the gadget, 16,384 admissible orders
+    # come before the first with be > de; a walk over single orders stops
+    # at MAX_ORDERS without it.
+    program = _with_fresh(GADGET, 12)
+    part = Partition.for_program(program, coinductive=["al"])
+    first = next(
+        n for n, order in enumerate(admissible_total_preorders(program, part))
+        if order.strictly_greater("be", "de")
+    )
+    assert first == 16384 > MAX_ORDERS
+    start = time.perf_counter()
+    rep = check_rule_decreasing(program, part, None, SearchBudget(), enumerate_orders=True)
+    assert time.perf_counter() - start < 0.5
+    assert rep.established
+    fields = dict(admissible_fields(rep))
+    assert fields["found"] == "true" and "truncated" not in fields
+    names = program.rule_names()
+    assert _same_relation(
+        rep.order, names, {n: 2 if n == "al" else int(n == "be") for n in names}
+    )
+    # be > de is needed: de = be and de > be leave the peak open.
+    for decls in ((("de", ">=", "be"), ("be", ">=", "de")), (("de", ">", "be"),)):
+        decls += tuple(("al", ">", n) for n in names if n != "al")
+        order = RulePreorder.from_declarations(names, decls)
+        assert not check_rule_decreasing(program, part, order, SearchBudget()).established
+
+
+def test_an_order_and_enumeration_together_are_rejected(pplus):
+    part = Partition.for_program(pplus, coinductive=["splus"])
+    order = RulePreorder.from_declarations(pplus.rule_names(), [("splus", ">", "duplicate")])
+    with pytest.raises(ValueError, match="enumerate_orders"):
+        check_rule_decreasing(pplus, part, order, SearchBudget(), enumerate_orders=True)
+
+
 def test_later_orders_stop_at_their_first_failing_peak(monkeypatch, philos):
     # eat=thk fails every peak and is shown if nothing closes; thk>eat
     # fails on its first peak; eat>thk closes all five.
@@ -375,22 +506,27 @@ def test_later_orders_stop_at_their_first_failing_peak(monkeypatch, philos):
 
 
 def test_order_enumeration_past_the_bound_is_truncated(tmp_path, capsys):
+    # The gadget needs be > de and philos needs eat > thk, so a closing
+    # order has four levels. The fresh rules come first, and for each of
+    # their arrangements on two levels the walk cuts the core's failing
+    # orders, until it has cut or evaluated MAX_ORDERS of them.
     program = tmp_path / "p.chr"
     program.write_text(
-        (FIXTURES / "pplus.chr").read_text()
-        + "".join(f"r{i} @ a{i}(X) <=> true.\n" for i in range(6))
+        "".join(f"r{i} @ a{i}(X) <=> true.\n" for i in range(12))
+        + GADGET + (FIXTURES / "philos.chr").read_text()
     )
     cfg = tmp_path / "p.cfg"
-    cfg.write_text("[partition]\ncoinductive = splus\n[options]\nenumerate_orders = true\n")
+    cfg.write_text(
+        "[partition]\ncoinductive = al, eat, thk\n[options]\nenumerate_orders = true\n"
+    )
     start = time.perf_counter()
     code = main(["check", "--mode", "decreasing", str(program), "--config", str(cfg),
                  "--format", "machine"])
     assert time.perf_counter() - start < 2.0
     assert code == 1
     out = capsys.readouterr().out
-    assert "ADMISSIBLE enumerated orders_tried=47293 truncated=true found=false\n" in out
+    head = "orders_tried=2993681482712089 truncated=true found=false\n"
+    assert "ADMISSIBLE enumerated " + head in out
     code = main(["check", "--mode", "decreasing", str(program), "--config", str(cfg)])
     assert code == 1
-    assert "admissible: yes orders_tried=47293 truncated=true found=false\n" in (
-        capsys.readouterr().out
-    )
+    assert "admissible: yes " + head in capsys.readouterr().out
