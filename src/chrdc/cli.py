@@ -29,21 +29,14 @@ from .engine import applicable_steps
 from .orders import Partition, RulePreorder
 from .peaks import classify, critical_peaks
 from .state import canonical_text, canonicalize
-from .syntax import (
-    Arities,
-    ParseError,
-    Program,
-    merge_arities,
-    parse_program_file,
-    parse_state,
-)
+from .syntax import ParseError, Program, parse_program_file, parse_state
 
 
 def _parse_programs(files: list[str]) -> list[Program]:
-    programs = [parse_program_file(f) for f in files]
-    seen: Arities = ({}, {})
-    for program in programs:
-        merge_arities(seen, program.arities)
+    """Each file is read against the arity tables of the files before it."""
+    programs: list[Program] = []
+    for f in files:
+        programs.append(parse_program_file(f, programs[-1].arities if programs else None))
     return programs
 
 
@@ -63,11 +56,9 @@ def _declared(
 def _budget(cfg: AnalysisConfig, max_depth_flag: Optional[int]) -> SearchBudget:
     if max_depth_flag is not None and max_depth_flag < 0:
         raise ValueError("--max-depth must be non-negative")
-    default = SearchBudget()
-    max_depth = max_depth_flag if max_depth_flag is not None else cfg.max_depth
     return SearchBudget(
-        max_depth=default.max_depth if max_depth is None else max_depth,
-        max_states=default.max_states if cfg.max_states is None else cfg.max_states,
+        max_depth=cfg.max_depth if max_depth_flag is None else max_depth_flag,
+        max_states=cfg.max_states,
     )
 
 

@@ -23,7 +23,8 @@ Repeated left=/right= lines inside a tactic section accumulate
 alternative sequences, and `[order]` lines accumulate pairs; a key given
 twice in `[partition]`, `[limits]` or `[options]` is an error, and so is
 `enumerate_orders = true` beside an `[order]` pair, since the declared
-order would replace the enumeration. `%` starts a comment line.
+order would replace the enumeration. `%` starts a comment line. A limit
+left out keeps `analysis.SearchBudget`'s default, the value shown above.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Optional
 
+from .analysis import SearchBudget
 from .peaks import CriticalPeak
 
 
@@ -51,8 +53,8 @@ class AnalysisConfig:
     inductive: Optional[list[str]] = None
     coinductive: Optional[list[str]] = None
     order_decls: list[tuple[str, str, str]] = field(default_factory=list)
-    max_depth: Optional[int] = None
-    max_states: Optional[int] = None
+    max_depth: int = SearchBudget.max_depth
+    max_states: int = SearchBudget.max_states
     assume_terminating: bool = False
     enumerate_orders: bool = False
     out_format: Optional[str] = None

@@ -36,7 +36,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from typing import Callable, Iterator, Mapping, NamedTuple, Optional, Union
 
-from .syntax import Atom, Eq, atom_text, eq_text
+from .syntax import Atom, Eq, conjunction_text
 from .terms import FRESH_PREFIX, Compound, Subst, Term, Var, apply, fresh_mapping, unify
 
 
@@ -371,8 +371,7 @@ def _surface_locals(s: State) -> State:
 def state_text(s: State) -> str:
     """Parseable rendering; `parse_state` of it is equivalent to `s`."""
     s = _surface_locals(s)
-    parts = [atom_text(a) for a in s.atoms] + [eq_text(e) for e in s.builtins]
-    body = ", ".join(parts) if parts else "true"
+    body = conjunction_text(s.atoms, s.builtins)
     globs = ", ".join(sorted(s.globals))
     return f"{body} # globals: {globs}" if globs else f"{body} # globals:"
 
@@ -380,8 +379,7 @@ def state_text(s: State) -> str:
 def canonical_text(c: CanonicalState) -> str:
     if c.bottom:
         return "<false>"
-    parts = [atom_text(a) for a in c.atoms] + [eq_text(e) for e in c.residuals]
-    body = ", ".join(parts) if parts else "true"
+    body = conjunction_text(c.atoms, c.residuals)
     globs = ", ".join(sorted(c.globals))
     if globs:
         return f"<{body} # globals: {globs}>"

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Mapping, NamedTuple, Optional
+from typing import Callable, Iterator, Mapping, NamedTuple, Optional, Union
 
 from .terms import Compound, Term, Var, apply_all, iter_all_vars, FRESH_PREFIX
 
@@ -110,8 +110,8 @@ Arities = tuple[dict[str, int], dict[str, int]]
 @dataclass(frozen=True)
 class Program:
     rules: tuple[Rule, ...]
-    # The parser's tables, so that other files and queries can be checked
-    # against this program's arities.
+    # The parser's tables: those of the programs read before this one plus
+    # this one's, so that later files and queries are checked against them.
     arities: Arities = field(default_factory=lambda: ({}, {}), compare=False, repr=False)
 
     def rule_names(self) -> list[str]:
@@ -204,11 +204,13 @@ def _tokenize(text: str) -> list[_Tok]:
 # Parser
 
 class _Parser:
-    def __init__(self, text: str):
+    def __init__(self, text: str, arities: Optional[Arities] = None):
         self.toks = _tokenize(text)
         self.pos = 0
-        self.pred_arity: dict[str, int] = {}
-        self.fun_arity: dict[str, int] = {}
+        # Copies, so that the tables of what was read before stay as they were.
+        preds, funs = arities or ({}, {})
+        self.pred_arity: dict[str, int] = dict(preds)
+        self.fun_arity: dict[str, int] = dict(funs)
 
     def peek(self) -> _Tok:
         return self.toks[self.pos]
@@ -303,34 +305,30 @@ class _Parser:
         self._check_arity("predicate", self.pred_arity, len(args), t)
         return Atom(t.value, tuple(args))
 
-    def parse_item(self) -> Optional[tuple[str, object]]:
-        """One body/query item: ('atom', Atom), ('eq', Eq), or None for true."""
+    def _opens_equation(self) -> bool:
+        """Whether the item at a name is an equation: `=` or `+`, which no
+        atom allows, follows the name and its argument list."""
+        toks, i = self.toks, self.pos + 1
+        if toks[i].kind == "LPAREN":
+            depth, i = 1, i + 1
+            while depth and toks[i].kind != "EOF":
+                depth += (toks[i].kind == "LPAREN") - (toks[i].kind == "RPAREN")
+                i += 1
+        return toks[i].kind in ("EQ", "PLUS")
+
+    def parse_item(self) -> Union[Atom, Eq, None]:
+        """One body or query item: an `Atom`, an `Eq`, or None for `true`."""
         t = self.peek()
-        if t.kind == "NAME" and t.value == "true" and self.toks[self.pos + 1].kind not in ("LPAREN", "EQ", "PLUS"):
-            self.next()
-            return None
-        if t.kind == "NAME" and t.value == "false" and self.toks[self.pos + 1].kind not in ("LPAREN", "EQ", "PLUS"):
-            self.next()
-            # An inconsistent store is encoded as a clash between constants.
-            return ("eq", Eq(Compound("0"), Compound("1")))
-        if t.kind in ("VAR", "INT", "LPAREN"):
+        if t.kind == "NAME" and not self._opens_equation():
+            if t.value in ("true", "false") and self.toks[self.pos + 1].kind != "LPAREN":
+                self.next()
+                # An inconsistent store is encoded as a clash between constants.
+                return None if t.value == "true" else Eq(Compound("0"), Compound("1"))
+            return self.parse_atom()
+        if t.kind in ("NAME", "VAR", "INT", "LPAREN"):
             lhs = self.parse_term()
             self.expect("EQ")
-            rhs = self.parse_term()
-            return ("eq", Eq(lhs, rhs))
-        if t.kind == "NAME":
-            # A name can open either an atom or the left side of an
-            # equation; try the term reading first and fall back.
-            start = self.pos
-            fun_snap = dict(self.fun_arity)
-            lhs = self.parse_term()
-            if self.peek().kind == "EQ":
-                self.next()
-                rhs = self.parse_term()
-                return ("eq", Eq(lhs, rhs))
-            self.pos = start
-            self.fun_arity = fun_snap
-            return ("atom", self.parse_atom())
+            return Eq(lhs, self.parse_term())
         raise self.error(f"expected an atom or equation, found {t.value!r}")
 
     def parse_list(self, parse_one: Callable[[], object], seps=("COMMA",)) -> list:
@@ -341,9 +339,13 @@ class _Parser:
             out.append(parse_one())
         return out
 
-    def parse_items(self) -> list[tuple[str, object]]:
+    def parse_items(self) -> tuple[tuple[Atom, ...], tuple[Eq, ...]]:
+        """A conjunction, split into its atoms and its equations."""
         items = self.parse_list(self.parse_item, ("COMMA", "SEMI"))
-        return [item for item in items if item is not None]
+        return (
+            tuple(i for i in items if isinstance(i, Atom)),
+            tuple(i for i in items if isinstance(i, Eq)),
+        )
 
     # -- rules -------------------------------------------------------------
 
@@ -369,24 +371,17 @@ class _Parser:
         else:
             raise self.error("expected '\\', '<=>' or '==>'")
 
-        items = self.parse_items()
-        guard: list[Eq] = []
+        user_body, builtin_body = self.parse_items()
+        guard: tuple[Eq, ...] = ()
         if self.peek().kind == "PIPE":
             self.next()
-            for kind, value in items:
-                if kind != "eq":
-                    raise ParseError(
-                        "guards may only contain equations", arrow.line, arrow.col
-                    )
-                guard.append(value)
-            items = self.parse_items()
+            if user_body:
+                raise ParseError("guards may only contain equations", arrow.line, arrow.col)
+            guard = builtin_body
+            user_body, builtin_body = self.parse_items()
         self.expect("DOT")
-
-        user_body = tuple(v for k, v in items if k == "atom")
-        builtin_body = tuple(v for k, v in items if k == "eq")
         return Rule(
-            name_tok.value, tuple(kept), tuple(removed), tuple(guard),
-            user_body, builtin_body,
+            name_tok.value, tuple(kept), tuple(removed), guard, user_body, builtin_body
         )
 
     def parse_program(self) -> Program:
@@ -402,14 +397,7 @@ class _Parser:
         return Program(tuple(rules), (self.pred_arity, self.fun_arity))
 
     def parse_state_parts(self):
-        atoms: list[Atom] = []
-        eqs: list[Eq] = []
-        if self.peek().kind not in ("HASH", "EOF"):
-            for kind, value in self.parse_items():
-                if kind == "atom":
-                    atoms.append(value)
-                else:
-                    eqs.append(value)
+        atoms, eqs = ((), ()) if self.peek().kind in ("HASH", "EOF") else self.parse_items()
         globals_: Optional[list[str]] = None
         if self.peek().kind == "HASH":
             self.next()
@@ -421,49 +409,37 @@ class _Parser:
             if self.peek().kind == "VAR":
                 globals_ = [v.name for v in self.parse_list(self.parse_var)]
         self.expect("EOF")
-        return tuple(atoms), tuple(eqs), globals_
+        return atoms, eqs, globals_
 
 
-def parse_program(text: str) -> Program:
-    return _Parser(text).parse_program()
-
-
-def merge_arities(into: Arities, other: Arities) -> None:
-    """Add `other`'s arity tables to `into`, which holds those of the
-    program read before it; a name used at two arities is an error."""
-    for kind, table, added in zip(("predicate", "functor"), into, other):
-        for name, arity in added.items():
-            prev = table.setdefault(name, arity)
-            if prev != arity:
-                raise ValueError(
-                    f"{kind} {name}/{arity} clashes with the program read before it"
-                    f" (arities {prev} and {arity})"
-                )
+def parse_program(text: str, arities: Optional[Arities] = None) -> Program:
+    """Parse a program. With `arities`, the tables of the programs read
+    before it, a name must keep the arity it had there; the result's
+    `Program.arities` holds the tables of every program read so far."""
+    return _Parser(text, arities).parse_program()
 
 
 def parse_state(text: str, arities: Optional[Arities] = None):
     """Parse a query state; globals default to all free variables.
 
-    With a program's `arities`, the query must use its names at the same
-    arities."""
+    With a program's `arities`, which hold the tables of every program
+    read so far, the query must use its names at the same arities."""
     from .state import State
 
-    parser = _Parser(text)
-    atoms, eqs, globals_ = parser.parse_state_parts()
-    if arities is not None:
-        program_tables = (dict(arities[0]), dict(arities[1]))
-        merge_arities(program_tables, (parser.pred_arity, parser.fun_arity))
+    atoms, eqs, globals_ = _Parser(text, arities).parse_state_parts()
     if globals_ is None:
         globals_ = State(atoms, eqs, frozenset()).free_vars()
     return State(atoms, eqs, frozenset(globals_))
 
 
-def parse_program_file(path: str) -> Program:
-    """Parse a program file; a parse error's message names the file."""
+def parse_program_file(path: str, arities: Optional[Arities] = None) -> Program:
+    """Parse a program file against `arities` as `parse_program` does, so
+    that its `Program.arities` hold the tables of every program read so
+    far; a parse error's message names the file."""
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
     try:
-        return parse_program(text)
+        return parse_program(text, arities)
     except ParseError as exc:
         exc.args = (f"{path}:{exc}",)
         raise
@@ -496,12 +472,15 @@ def eq_text(e: Eq) -> str:
     return f"{term_text(e.lhs)} = {term_text(e.rhs)}"
 
 
+def conjunction_text(atoms: tuple[Atom, ...], eqs: tuple[Eq, ...]) -> str:
+    """Atoms, then equations, as a comma list; `true` when both are empty."""
+    return ", ".join([*map(atom_text, atoms), *map(eq_text, eqs)]) or "true"
+
+
 def rule_text(r: Rule) -> str:
-    body = [atom_text(a) for a in r.user_body] + [eq_text(e) for e in r.builtin_body]
-    body_txt = ", ".join(body) if body else "true"
-    guard_txt = ", ".join(eq_text(e) for e in r.guard)
-    if guard_txt:
-        body_txt = f"{guard_txt} | {body_txt}"
+    body_txt = conjunction_text(r.user_body, r.builtin_body)
+    if r.guard:
+        body_txt = f"{conjunction_text((), r.guard)} | {body_txt}"
     if r.is_propagation:
         heads = ", ".join(atom_text(a) for a in r.kept)
         return f"{r.name} @ {heads} ==> {body_txt}."

@@ -199,7 +199,7 @@ def test_cross_file_arity_clash_exits_2(tmp_path):
     other.write_text("x @ p(X,Y) <=> true.")
     code, _, err = run_cli("peaks", fixture_path("pminus.chr"), str(other))
     assert code == 2
-    assert "arities" in err
+    assert err == f"error: {other}:1:5: predicate p/2 clashes with earlier use at arity 1\n"
 
 
 def test_run_query_arity_clash_exits_2():
@@ -207,7 +207,15 @@ def test_run_query_arity_clash_exits_2():
         "run", fixture_path("pminus.chr"), "--query", "p(a, b)", "--steps", "2"
     )
     assert code == 2
-    assert "clashes with the program" in err
+    assert err == "error: 1:1: predicate p/2 clashes with earlier use at arity 1\n"
+
+
+def test_run_query_atom_may_reuse_a_functor_name_at_another_arity(tmp_path):
+    program = tmp_path / "d.chr"
+    program.write_text("r @ p(f(X)) <=> true.\ns @ f(X, Y) <=> true.\n")
+    code, out, err = run_cli("run", str(program), "--query", "f(a, b)")
+    assert (code, err) == (0, "")
+    assert out == "0: <f(a, b)>\n1: --s--> <true>\nfixpoint\n"
 
 
 def test_run_traces_to_step_limit():

@@ -9,6 +9,7 @@ from chrdc.syntax import (
     Atom,
     Eq,
     ParseError,
+    Rule,
     parse_program,
     parse_state,
     program_text,
@@ -172,3 +173,140 @@ def test_state_pretty_round_trip_is_equivalent():
 def test_comment_and_whitespace_tolerance():
     p = parse_program("% header\n  r @ p(X) <=> true. % trailing\n\n% tail\n")
     assert [r.name for r in p.rules] == ["r"]
+
+
+@pytest.mark.parametrize(
+    "text", ["r @ p(f(X)) <=> f(X, Y).", "r @ f(X, Y) <=> p(f(X))."]
+)
+def test_body_atom_may_reuse_a_functor_name_at_another_arity(text):
+    (r,) = parse_program(text).rules
+    assert Atom("f", (Var("X"), Var("Y"))) in r.heads + r.user_body
+    assert r.builtin_body == ()
+
+
+@pytest.mark.parametrize("text", ["p(f(a)), f(a, b)", "f(a, b), p(f(a))"])
+def test_query_atom_may_reuse_a_functor_name_at_another_arity(text):
+    s = parse_state(text)
+    assert Atom("f", (Compound("a"), Compound("b"))) in s.atoms
+    assert s.builtins == ()
+
+
+def _earlier():
+    return parse_program("r @ p(f(X)) <=> true.")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("s @ q(X) <=> true.\nt @ q(X), p(X, Y) <=> true.",
+         "2:11: predicate p/2 clashes with earlier use at arity 1"),
+        ("s @ q(X) <=> true.\nt @ q(X) <=> X = f(a, b).",
+         "2:18: functor f/2 clashes with earlier use at arity 1"),
+    ],
+)
+def test_program_is_read_against_the_arities_before_it(text, message):
+    with pytest.raises(ParseError) as exc:
+        parse_program(text, _earlier().arities)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("q(a),\n  p(a, b)", "2:3: predicate p/2 clashes with earlier use at arity 1"),
+        ("p(a), q(f) # globals:", "1:9: functor f/0 clashes with earlier use at arity 1"),
+    ],
+)
+def test_query_is_read_against_the_program_arities(text, message):
+    with pytest.raises(ParseError) as exc:
+        parse_state(text, _earlier().arities)
+    assert str(exc.value) == message
+
+
+def test_arities_hold_every_program_read_so_far():
+    first = _earlier()
+    second = parse_program("s @ q(g(X)) <=> p(X).", first.arities)
+    assert first.arities == ({"p": 1}, {"f": 1})
+    assert second.arities == ({"p": 1, "q": 1}, {"f": 1, "g": 1})
+    parse_state("q(g(a)), p(f(b))", second.arities)
+    assert second.arities == ({"p": 1, "q": 1}, {"f": 1, "g": 1})
+
+
+@pytest.mark.parametrize(
+    "text, col",
+    [
+        ("r @ p(X) <=> q(X) | true.", 10),
+        ("r @ k(X) \\ p(X) <=> X = a, q(X) | true.", 17),
+        ("r @ p(X) ==> q(X), X = a | true.", 10),
+    ],
+)
+def test_guard_with_an_atom_is_rejected_at_the_arrow(text, col):
+    with pytest.raises(ParseError) as exc:
+        parse_program(text)
+    assert (exc.value.line, exc.value.col) == (1, col)
+    assert exc.value.message == "guards may only contain equations"
+
+
+@pytest.mark.parametrize(
+    "body, user_body, builtin_body",
+    [
+        ("true", (), ()),
+        ("false", (), (Eq(Compound("0"), Compound("1")),)),
+        ("true(X)", (Atom("true", (Var("X"),)),), ()),
+        ("true = X", (), (Eq(Compound("true"), Var("X")),)),
+        ("false + a = b",
+         (), (Eq(Compound("+", (Compound("false"), Compound("a"))), Compound("b")),)),
+        ("true, q(X), true", (Atom("q", (Var("X"),)),), ()),
+    ],
+)
+def test_true_and_false_alone_against_other_uses_of_the_names(body, user_body, builtin_body):
+    (r,) = parse_program(f"r @ p(X) <=> {body}.").rules
+    assert (r.user_body, r.builtin_body) == (user_body, builtin_body)
+
+
+def test_semicolon_separates_query_items():
+    s = parse_state("p(X); X = a; q # globals: X")
+    assert s.atoms == (Atom("p", (Var("X"),)), Atom("q"))
+    assert s.builtins == (Eq(Var("X"), Compound("a")),)
+
+
+def _random_rule(rng: random.Random, name: str, signature: dict) -> Rule:
+    """A rule over `signature`, name -> (predicate arity, functor arity),
+    so that every name is a predicate at one arity and a functor at
+    another."""
+    names = sorted(signature)
+    pool = ["X", "Y", "Z"]
+
+    def term(depth: int):
+        roll = rng.random()
+        if roll < 0.3 or depth == 0:
+            return Var(rng.choice(pool)) if roll < 0.2 else Compound(str(rng.randrange(3)))
+        if roll < 0.4:
+            return Compound("+", (term(depth - 1), term(depth - 1)))
+        f = rng.choice(names)
+        return Compound(f, tuple(term(depth - 1) for _ in range(signature[f][1])))
+
+    def atom():
+        p = rng.choice(names)
+        return Atom(p, tuple(term(2) for _ in range(signature[p][0])))
+
+    def atoms(least: int):
+        return tuple(atom() for _ in range(rng.randint(least, 3)))
+
+    def eqs():
+        return tuple(Eq(term(2), term(2)) for _ in range(rng.randint(0, 2)))
+
+    kept, removed = rng.choice([(atoms(1), ()), ((), atoms(1)), (atoms(1), atoms(1))])
+    return Rule(name, kept, removed, eqs(), atoms(0), eqs())
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_random_rules_round_trip_through_rule_text(seed):
+    rng = random.Random(seed)
+    signature = {}
+    for name in ("f", "g", "h", "k"):
+        pred, fun = rng.sample(range(3), 2)
+        signature[name] = (pred, fun)
+    rules = tuple(_random_rule(rng, f"r{i}", signature) for i in range(8))
+    text = "\n".join(rule_text(r) for r in rules)
+    assert parse_program(text).rules == rules, text
