@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 import time
 
@@ -18,7 +19,13 @@ from chrdc.state import (
 )
 from chrdc.syntax import Atom, Eq, parse_state
 from chrdc.terms import Compound, Var
-from helpers import brute_equivalent, check_value_semantics, random_state
+from helpers import (
+    brute_equivalent,
+    check_value_semantics,
+    random_atom,
+    random_state,
+    random_term,
+)
 
 
 a, b = Compound("a"), Compound("b")
@@ -287,6 +294,28 @@ def test_canonical_form_ignores_names_beyond_the_oracle():
         c = canonicalize(s)
         for _ in range(3):
             assert canonicalize(_variant(rng, s)) == c
+
+
+def test_solved_form_is_pinned():
+    # Which member names each variable class, and which names the locals
+    # get, are fixed choices that every report depends on; any change to
+    # how the store is solved or the locals are named must keep this
+    # digest. Globals named like canonical locals make the naming skip them.
+    rng = random.Random(3)
+    pool = ["X", "Y", "Z", "W", "L0", "L1", "L2"]
+    digest = hashlib.sha256()
+    for _ in range(1500):
+        atoms = tuple(random_atom(rng, pool, depth=1) for _ in range(rng.randint(0, 4)))
+        eqs = []
+        for _ in range(rng.randint(1, 4)):
+            v, w = Var(rng.choice(pool)), Var(rng.choice(pool))
+            eqs.append(Eq(v, rng.choice([w, random_term(rng, pool, 2)])))
+        eqs = tuple(Eq(e.rhs, e.lhs) if rng.random() < 0.5 else e for e in eqs)
+        globals_ = frozenset(v for v in pool if rng.random() < 0.4)
+        digest.update(f"{canonical_text(canonicalize(State(atoms, eqs, globals_)))}\n".encode())
+    assert digest.hexdigest() == (
+        "df32a1605b4e75156f1edf5a5a972e63d95bf57d89c32f9a0c5291ff392333c4"
+    )
 
 
 def test_canonical_form_with_repeated_shapes_is_a_fixpoint():
