@@ -28,6 +28,7 @@ from .config import AnalysisConfig, ConfigError, load_config_file, resolve_tacti
 from .engine import applicable_steps
 from .orders import Partition, RulePreorder
 from .peaks import classify, critical_peaks
+from .reports import emit_report
 from .state import canonical_text, canonicalize
 from .syntax import ParseError, Program, parse_program_file, parse_state
 
@@ -63,8 +64,6 @@ def _budget(cfg: AnalysisConfig, max_depth_flag: Optional[int]) -> SearchBudget:
 
 
 def _emit(report: Report, cfg: AnalysisConfig, format_flag: Optional[str]) -> None:
-    from .reports import emit_report
-
     fmt = format_flag or cfg.out_format or "text"
     sys.stdout.write(emit_report(report, fmt))
 

@@ -23,8 +23,9 @@ Repeated left=/right= lines inside a tactic section accumulate
 alternative sequences, and `[order]` lines accumulate pairs; a key given
 twice in `[partition]`, `[limits]` or `[options]` is an error, and so is
 `enumerate_orders = true` beside an `[order]` pair, since the declared
-order would replace the enumeration. `%` starts a comment line. A limit
-left out keeps `analysis.SearchBudget`'s default, the value shown above.
+order would replace the enumeration. Only a tactic section takes a name
+(its selector). `%` starts a comment line. A limit left out keeps
+`analysis.SearchBudget`'s default, the value shown above.
 """
 
 from __future__ import annotations
@@ -101,6 +102,8 @@ def load_config(text: str) -> AnalysisConfig:
                 cfg.tactics.append(tactic)
             elif section not in ("partition", "order", "limits", "options"):
                 raise ConfigError(f"line {lineno}: unknown section [{section}]")
+            elif sm.group(2) is not None:
+                raise ConfigError(f"line {lineno}: section [{section}] takes no name")
             continue
         if section is None:
             raise ConfigError(f"line {lineno}: content before any section")

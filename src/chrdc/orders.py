@@ -62,14 +62,10 @@ class RulePreorder:
         below = {a: {a} for a in self.carrier}
         for a, b in geq_pairs:
             below[a].add(b)
-        changed = True
-        while changed:
-            changed = False
-            for a, bs in below.items():
-                closed = bs.union(*(below[b] for b in bs))
-                if len(closed) > len(bs):
-                    below[a] = closed
-                    changed = True
+        for k in self.carrier:
+            for bs in below.values():
+                if k in bs:
+                    bs |= below[k]
         self._down_eq = {a: frozenset(bs) for a, bs in below.items()}
         self._down_strict = {
             a: frozenset(c for c in bs if a not in below[c]) for a, bs in below.items()

@@ -32,7 +32,7 @@ from typing import Iterator
 
 from .engine import fire
 from .orders import Partition
-from .state import CanonicalState, State, _canonical_renaming, _orient, canonicalize
+from .state import CanonicalState, State, _canonical_renaming, canonicalize
 from .syntax import Atom, Program, Rule
 from .terms import Subst, Var, apply, compose, fresh_mapping, iter_vars, rename_apart, unify
 
@@ -73,7 +73,7 @@ def _peak_key(peak: CriticalPeak, symmetric: bool) -> tuple:
     per reduct, ancestor atoms tagged `0#`, reduct atoms tagged `1#` and
     led by their reduct's marker variable (one marker for both reducts
     when `symmetric`), locals renamed apart. No user predicate meets a
-    marker, whose name has no digit before the `#`. `_orient` names a
+    marker, whose name has no digit before the `#`. `unify` names a
     residual variable class by its smallest member, which a renaming need
     not keep, so each member is bound to one fresh variable of the class
     instead."""
@@ -118,11 +118,13 @@ def _peak_key(peak: CriticalPeak, symmetric: bool) -> tuple:
 def _overlaps(c1: Rule, c2: Rule) -> list[tuple[tuple[int, ...], tuple[int, ...], Subst]]:
     """Every overlap of two rules renamed apart whose equations, with both
     guards, unify: heads `sel1` of `c1` paired one to one with heads `sel2`
-    of `c2`, and the unifier. Heads pair only within a predicate and arity,
-    and a branch ends at its first clash. Ordered by size, `sel1`,
+    of `c2`, and the unifier, which names each variable class by a head
+    variable where it holds one. Heads pair only within a predicate and
+    arity, and a branch ends at its first clash. Ordered by size, `sel1`,
     `sorted(sel2)`, then `sel2`, as a walk over equal-sized subsets and
     their bijections would meet them."""
     heads1, heads2 = c1.heads, c2.heads
+    keep = frozenset(v for a in heads1 + heads2 for v in a.iter_vars())
     found: list[tuple[tuple, Subst]] = []
 
     def extend(start: int, sel1: tuple[int, ...], sel2: tuple[int, ...], pairs: list) -> None:
@@ -132,7 +134,7 @@ def _overlaps(c1: Rule, c2: Rule) -> list[tuple[tuple[int, ...], tuple[int, ...]
                 if j in sel2 or a2.pred != a1.pred or len(a2.args) != len(a1.args):
                     continue
                 more = pairs + list(zip(a1.args, a2.args))
-                sigma = unify(more)
+                sigma = unify(more, keep)
                 if sigma is None:
                     continue
                 s1, s2 = sel1 + (i,), sel2 + (j,)
@@ -151,7 +153,6 @@ def _ancestor(
     of its atoms that the heads of `c1` and of `c2` match."""
     heads1, heads2 = c1.heads, c2.heads
     head_vars = dict.fromkeys(v for a in heads1 + heads2 for v in a.iter_vars())
-    sigma = _orient(sigma, frozenset(head_vars))
     names = {
         g: Var(_spreadsheet_name(i)) for i, g in enumerate(v for v in head_vars if v not in sigma)
     }

@@ -32,7 +32,8 @@ from typing import Optional
 
 from .analysis import PeakVerdict, Report
 from .peaks import CriticalPeak
-from .state import canonical_text, canonicalize
+from .state import CanonicalState, State, canonical_text, canonicalize, state_text
+from .syntax import Program, program_text
 
 
 _PEAK_STATUSES = (
@@ -238,9 +239,6 @@ def emit_report(report: Report, fmt: str = "text") -> str:
 
 def pretty(value) -> str:
     """Render any analyzer value as text; parseable where a parser exists."""
-    from .state import CanonicalState, State, state_text
-    from .syntax import Program, program_text
-
     if isinstance(value, Program):
         return program_text(value)
     if isinstance(value, State):

@@ -4,9 +4,11 @@ A state is a user store (multiset of atoms), a built-in store
 (conjunction of equations), and a set of global variables; every other
 variable is local, read existentially. Two states are equivalent exactly
 when their canonical forms are equal. To canonicalize, the built-in
-store is solved by unification, the solution is applied everywhere, the
-residual constraints on globals are kept, and the store is sorted. A
-state with no built-ins skips solving: its atoms are kept as they are.
+store is solved by `unify` keeping the globals, so each class of equal
+variables is named by its smallest global, or by its smallest member
+when it holds none. The solution is applied everywhere, the residual
+constraints on globals are kept, and the store is sorted. A state with
+no built-ins skips solving: its atoms are kept as they are.
 
 Step targets come from `successors`, which builds each distinct target
 of one source once: steps that remove the same atoms and add the same
@@ -37,7 +39,7 @@ from bisect import bisect_right
 from typing import Callable, Iterator, Mapping, NamedTuple, Optional, Union
 
 from .syntax import Atom, Eq, conjunction_text
-from .terms import FRESH_PREFIX, Compound, Subst, Term, Var, apply, fresh_mapping, unify
+from .terms import FRESH_PREFIX, Compound, Subst, Term, Var, fresh_mapping, unify
 
 
 class State(NamedTuple):
@@ -95,33 +97,6 @@ class CanonicalState(NamedTuple):
 INCONSISTENT = CanonicalState(bottom=True)
 
 _LOCAL_PREFIX = "L"
-
-
-def _orient(sigma: Subst, globals_: frozenset[str]) -> Subst:
-    """Re-orient an mgu so variable classes use a canonical representative.
-
-    Globals win over locals, ties go to the smaller name; this makes the
-    solved form independent of the textual order of the input equations.
-    """
-    classes: dict[str, list[str]] = {}
-    for v, t in sigma.items():
-        if isinstance(t, Var):
-            classes.setdefault(t.name, []).append(v)
-    rename: Subst = {}
-    for rep, members in classes.items():
-        candidates = sorted(members + [rep])
-        global_candidates = [c for c in candidates if c in globals_]
-        chosen = global_candidates[0] if global_candidates else candidates[0]
-        for c in candidates:
-            if c != chosen:
-                rename[c] = Var(chosen)
-    out: Subst = {}
-    for v, t in sigma.items():
-        if not isinstance(t, Var):
-            out[v] = apply(rename, t)
-    for v, img in rename.items():
-        out[v] = img
-    return {v: t for v, t in out.items() if t != Var(v)}
 
 
 def _skeleton(t: Term, globs: Optional[frozenset[str]] = None) -> tuple:
@@ -214,12 +189,12 @@ def _label(items: list[tuple[int, tuple[str, ...]]]) -> tuple[tuple, dict[str, i
 def _canonical_renaming(
     atoms: list[Atom], residuals: list[Eq], globs: frozenset[str]
 ) -> tuple[Subst, bool]:
-    """Rename the locals to L0, L1, ... (skipping global names): components
-    are labelled apart, then numbered in the order of their forms. Also
-    whether this is the only renaming that gives the canonical form: the
-    root refinement of every component is discrete and no two components
-    share a form, so the only automorphism is the identity. Both tests are
-    invariant under renaming."""
+    """Rename the locals to L0, L1, ... by `fresh_mapping`, which skips
+    global names: components are labelled apart, then numbered in the
+    order of their forms. Also whether this is the only renaming that
+    gives the canonical form: the root refinement of every component is
+    discrete and no two components share a form, so the only automorphism
+    is the identity. Both tests are invariant under renaming."""
     skeletons = [(0, a.pred, tuple(_skeleton(x, globs) for x in a.args)) for a in atoms]
     skeletons += [(1, _skeleton(e.lhs, globs), _skeleton(e.rhs, globs)) for e in residuals]
     ranks = _positions(dict(enumerate(skeletons)))
@@ -232,13 +207,9 @@ def _canonical_renaming(
     for i, occ in enumerate(occs):
         if occ:
             components.setdefault(_root(parent, occ[0]), []).append((ranks[i], occ))
-    names = [f"{_LOCAL_PREFIX}{k}" for k in range(len(parent) + len(globs))]
-    names = [n for n in names if n not in globs]
-    renaming: Subst = {}
     labelled = sorted(map(_label, components.values()), key=lambda r: r[0])
-    for _, labels, _ in labelled:
-        offset = len(renaming)
-        renaming.update((v, Var(names[offset + i])) for v, i in labels.items())
+    ordered = [v for _, labels, _ in labelled for v in sorted(labels, key=labels.__getitem__)]
+    renaming = fresh_mapping(globs, ordered, _LOCAL_PREFIX)
     unique = all(discrete for _, _, discrete in labelled) and all(
         a[0] != b[0] for a, b in zip(labelled, labelled[1:])
     )
@@ -250,10 +221,9 @@ def canonicalize(s: Union[State, CanonicalState]) -> CanonicalState:
         return s
     atoms, residuals = list(s.atoms), []
     if s.builtins:
-        sigma = unify([(e.lhs, e.rhs) for e in s.builtins])
+        sigma = unify([(e.lhs, e.rhs) for e in s.builtins], s.globals)
         if sigma is None:
             return INCONSISTENT
-        sigma = _orient(sigma, s.globals)
         atoms = [a.subst(sigma) for a in atoms]
         residuals = [Eq(Var(g), sigma[g]) for g in sorted(s.globals) if g in sigma]
 

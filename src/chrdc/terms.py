@@ -134,11 +134,17 @@ def _resolve(t: Term, bind: Subst, memo: dict[str, Term]) -> Term:
     return Compound(t.functor, tuple(_resolve(a, bind, memo) for a in t.args))
 
 
-def unify(pairs: Iterable[tuple[Term, Term]]) -> Optional[Subst]:
+def unify(
+    pairs: Iterable[tuple[Term, Term]], keep: frozenset[str] = frozenset()
+) -> Optional[Subst]:
     """Most general unifier of all pairs, or None on clash/occurs check.
 
     The result is idempotent and never binds a variable to itself.
-    Failure is an ordinary value, not an exception.
+    Failure is an ordinary value, not an exception. A variable is bound to
+    a term, and of two variables the later in the order "in `keep` first,
+    then by name" is bound to the earlier, so each class of variables left
+    equal is named by its first member. The result is therefore the same
+    for any order or orientation of the pairs.
     """
     bind: Subst = {}
     work = list(pairs)
@@ -151,14 +157,14 @@ def unify(pairs: Iterable[tuple[Term, Term]]) -> Optional[Subst]:
             r = bind[r.name]
         if l == r:
             continue
+        if isinstance(r, Var) and (
+            not isinstance(l, Var) or (l.name not in keep, l.name) < (r.name not in keep, r.name)
+        ):
+            l, r = r, l
         if isinstance(l, Var):
             if _occurs(l.name, r, bind):
                 return None
             bind[l.name] = r
-        elif isinstance(r, Var):
-            if _occurs(r.name, l, bind):
-                return None
-            bind[r.name] = l
         else:
             if l.functor != r.functor or len(l.args) != len(r.args):
                 return None
@@ -220,16 +226,8 @@ def fresh_mapping(avoid: set[str], names: Iterable[str], prefix: str = FRESH_PRE
 
 
 def rename_apart(avoid: set[str], value):
-    """Alpha-rename every variable of `value` away from `avoid`.
-
-    Works on terms and on any value exposing `variables()` or
-    `iter_vars()` plus `subst()` (atoms, rules, states).
-    """
+    """Alpha-rename every variable of `value` away from `avoid`: a term, or
+    a value exposing `variables()` and `subst()` (a rule)."""
     if isinstance(value, (Var, Compound)):
-        names = list(dict.fromkeys(iter_vars(value)))
-        return apply(fresh_mapping(avoid, names), value)
-    if hasattr(value, "variables"):
-        names = value.variables()
-    else:
-        names = list(dict.fromkeys(value.iter_vars()))
-    return value.subst(fresh_mapping(avoid, names))
+        return apply(fresh_mapping(avoid, iter_vars(value)), value)
+    return value.subst(fresh_mapping(avoid, value.variables()))

@@ -81,6 +81,28 @@ def naive_unify_pairs(pairs) -> Optional[dict]:
     return subst
 
 
+def orient(sigma: dict, keep: frozenset[str]) -> dict:
+    """An idempotent mgu re-oriented so each class of variables bound to a
+    variable is named by its smallest member in `keep`, else by its
+    smallest member: a second pass over a finished unifier, independent of
+    how `unify` binds as it goes."""
+    classes: dict[str, list[str]] = {}
+    for v, t in sigma.items():
+        if isinstance(t, Var):
+            classes.setdefault(t.name, []).append(v)
+    rename: dict = {}
+    for rep, members in classes.items():
+        candidates = sorted(members + [rep])
+        kept = [c for c in candidates if c in keep]
+        chosen = kept[0] if kept else candidates[0]
+        for c in candidates:
+            if c != chosen:
+                rename[c] = Var(chosen)
+    out = {v: naive_apply(rename, t) for v, t in sigma.items() if not isinstance(t, Var)}
+    out.update(rename)
+    return {v: t for v, t in out.items() if t != Var(v)}
+
+
 def _occurs_in(name: str, t: Term) -> bool:
     if isinstance(t, Var):
         return t.name == name

@@ -171,6 +171,13 @@ def test_modular_needs_two_files():
     assert "two program" in err
 
 
+def test_local_mode_needs_one_file():
+    leq = fixture_path("leq.chr")
+    code, out, err = run_cli("check", "--mode", "local", leq, leq)
+    assert (code, out) == (2, "")
+    assert "mode local needs exactly one program file" in err
+
+
 def test_peaks_between_two_programs():
     code, out, _ = run_cli(
         "peaks", fixture_path("mod_splus.chr"), fixture_path("mod_sminus.chr"),

@@ -4,6 +4,7 @@ import pytest
 
 from chrdc.config import ConfigError, load_config, resolve_tactics
 from chrdc.peaks import critical_peaks
+from chrdc.syntax import parse_program
 
 
 def test_full_config_parses():
@@ -63,6 +64,15 @@ right = thk
         ("[partition]\ninductive = r\ninductive = s\n", "line 3: inductive is already set on line 2"),
         ("[limits]\nmax_depth = 3\n[limits]\nmax_depth = 4\n", "line 4: max_depth is already"),
         ("[options]\nformat = text\nformat = text\n", "line 3: format is already set on line 2"),
+        # Only a tactic section reads its name; the others dropped it silently.
+        ('[limits "oops"]\nmax_depth = 3\n', "line 1: section [limits] takes no name"),
+        ('[options "x"]\n', "line 1: section [options] takes no name"),
+        ('%\n[partition "p"]\ninductive = a\n', "line 2: section [partition] takes no name"),
+        ('[order "o"]\na > b\n', "line 1: section [order] takes no name"),
+        ("[limits]\nmax_depth\n", "line 2: expected 'key = value'"),
+        ("[limits]\nmax_steps = 3\n", "line 2: unknown limit 'max_steps'"),
+        ("[options]\nverbose = true\n", "line 2: unknown option 'verbose'"),
+        ('[tactic "peak:axb#0"]\nmiddle = a\n', "line 2: unknown tactic key 'middle'"),
     ],
 )
 def test_config_errors(text, needle):
@@ -90,6 +100,28 @@ def test_enumerated_orders_beside_a_declared_order_are_an_error(text, needle):
         load_config(text)
     assert needle in str(exc.value)
     assert load_config(text.replace("true", "false")).order_decls
+
+
+def test_an_empty_name_list_is_empty():
+    cfg = load_config("[partition]\ninductive =\ncoinductive = a, b\n")
+    assert cfg.inductive == [] and cfg.coinductive == ["a", "b"]
+
+
+@pytest.mark.parametrize(
+    "selector,needle",
+    [
+        ("eatxeat#0", "malformed tactic selector 'eatxeat#0'"),
+        ("peak:eatxeat", "malformed tactic selector 'peak:eatxeat'"),
+        ("peak:axbxc#0", "tactic selector 'axbxc' is ambiguous"),
+    ],
+)
+def test_tactic_selector_errors(selector, needle):
+    # `axbxc` splits into two known rules in two ways: `a`, `bxc` and `axb`, `c`.
+    program = parse_program("".join(f"{r} @ p <=> true.\n" for r in ("a", "axb", "bxc", "c")))
+    cfg = load_config(f'[tactic "{selector}"]\nleft = a\n')
+    with pytest.raises(ConfigError) as exc:
+        resolve_tactics(cfg, critical_peaks(program, program), set(program.rule_names()))
+    assert needle in str(exc.value)
 
 
 def test_tactic_selector_resolution(philos):

@@ -51,6 +51,16 @@ def test_eat_step_keeps_increment_symbolic(philos):
     assert atom.args[2] == Compound("+", (Var("I"), Compound("1")))
 
 
+@pytest.mark.parametrize("store", ["leq(a, b), p(a)", "leq(a, b), leq(a, c)"])
+def test_fire_is_none_where_a_head_does_not_match(leq, store):
+    # antisymmetry's second head leq(Y, X) meets another predicate, then
+    # leq(a, c) where leq(b, a) is needed.
+    (rule,) = [r for r in leq.rules if r.name == "antisymmetry"]
+    state = parse_state(f"{store} # globals:")
+    assert fire(rule, state, (0, 1)) is None
+    assert fire(rule, parse_state("leq(a, b), leq(b, a) # globals:"), (0, 1)) is not None
+
+
 def test_inconsistent_state_is_a_fixpoint(leq):
     s = parse_state("leq(X,Y), false # globals:")
     assert canonicalize(s).bottom

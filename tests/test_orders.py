@@ -37,6 +37,11 @@ def test_partition_fills_missing_side(leq):
         Partition.for_program(leq, inductive=["duplicate"], coinductive=["duplicate"])
 
 
+def test_partition_leaving_a_rule_out_is_rejected(leq):
+    with pytest.raises(ValueError, match=r"rules in neither part: \['antisymmetry', 'reflexivity'\]"):
+        Partition.for_program(leq, inductive=["duplicate"], coinductive=["transitivity"])
+
+
 def test_closure_is_reflexive_and_transitive():
     order = RulePreorder("abc", [("a", "b"), ("b", "c")])
     for x in "abc":
@@ -503,6 +508,17 @@ def test_later_orders_stop_at_their_first_failing_peak(monkeypatch, philos):
     assert fields["found"] == "true" and fields["order"] == "eat>thk"
     assert len(rep.peaks) == 5
     assert len(calls) == 11
+
+
+def test_the_walk_stops_at_its_bound_on_an_evaluated_order(monkeypatch, philos):
+    # eat=thk is evaluated and fails; at a bound of one the walk then stops
+    # at the next order it would evaluate, before any branch is cut.
+    monkeypatch.setattr(analysis, "MAX_ORDERS", 1)
+    part = Partition.for_program(philos, coinductive=["eat", "thk"])
+    rep = check_rule_decreasing(philos, part, None, SearchBudget(), enumerate_orders=True)
+    assert not rep.established
+    fields = dict(admissible_fields(rep))
+    assert (fields["truncated"], fields["found"]) == ("true", "false")
 
 
 def test_order_enumeration_past_the_bound_is_truncated(tmp_path, capsys):

@@ -272,8 +272,8 @@ def test_equivalent_agrees_with_brute_force_oracle():
 
 
 def test_a_store_without_built_ins_has_the_solved_form():
-    # One trivially true equation sends canonicalize through unify, _orient
-    # and substitution; with no built-ins at all the form must not change.
+    # One trivially true equation sends canonicalize through unify and
+    # substitution; with no built-ins at all the form must not change.
     # Dropping the equations leaves dead globals, and successor stores hold
     # only locals.
     rng = random.Random(41)
@@ -300,7 +300,7 @@ def test_solved_form_is_pinned():
     # Which member names each variable class, and which names the locals
     # get, are fixed choices that every report depends on; any change to
     # how the store is solved or the locals are named must keep this
-    # digest. Globals named like canonical locals make the naming skip them.
+    # digest. Globals named L0, L1, L2 make the locals' names skip them.
     rng = random.Random(3)
     pool = ["X", "Y", "Z", "W", "L0", "L1", "L2"]
     digest = hashlib.sha256()

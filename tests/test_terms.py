@@ -27,6 +27,7 @@ from helpers import (
     naive_apply,
     naive_unify_pairs,
     naive_vars,
+    orient,
     random_atom,
     random_term,
 )
@@ -133,6 +134,36 @@ def test_unify_agrees_with_oracle_and_is_most_general():
         assert instance_of(sigma, theta, variables)
         checked += 1
     assert checked > 50
+
+
+def test_unify_names_each_class_by_its_first_member():
+    # Of two variables `unify` binds the later in the order "in `keep`
+    # first, then by name", so the result equals the oracle's unifier
+    # re-oriented afterwards, and no order or orientation of the pairs
+    # changes it.
+    rng = random.Random(37)
+    pool = ["X", "Y", "Z", "W", "V"]
+    solvable = classes = 0
+    for _ in range(3000):
+        pairs = []
+        for _ in range(rng.randint(1, 4)):
+            side = Var(rng.choice(pool))
+            other = rng.choice([Var(rng.choice(pool)), random_term(rng, pool, 2)])
+            pairs.append((side, other) if rng.random() < 0.5 else (other, side))
+        keep = frozenset(v for v in pool if rng.random() < 0.3)
+        sigma = unify(pairs, keep)
+        theta = naive_unify_pairs(pairs)
+        assert (sigma is None) == (theta is None)
+        if sigma is None:
+            continue
+        solvable += 1
+        classes += any(isinstance(t, Var) for t in sigma.values())
+        assert sigma == orient(theta, keep), (pairs, keep)
+        for _ in range(3):
+            mixed = [(r, l) if rng.random() < 0.5 else (l, r) for l, r in pairs]
+            rng.shuffle(mixed)
+            assert unify(mixed, keep) == sigma
+    assert solvable > 2000 and classes > 1200, (solvable, classes)
 
 
 def test_term_walks_agree_with_naive_versions():
