@@ -33,7 +33,7 @@ from typing import (
     Sequence, Union,
 )
 
-from .engine import Derivation, LabeledStep, applicable_steps
+from .engine import Derivation, LabeledStep, Steps, applicable_steps
 from .orders import (
     MAX_ORDERS,
     AdmissibilityResult,
@@ -183,6 +183,8 @@ class _Side:
         # Per level, state -> nodes; kept only on the side that is looked up.
         self.by_state = [{root: [node]}] if indexed else None
         self.visited: set = {(root, auto.start)}
+        # The steps of the last level's nodes, by node id, for their children.
+        self.expanded: dict[int, Steps] = {}
         self.exhausted = False
         self.truncated = False
 
@@ -214,12 +216,18 @@ class _Side:
 
     def _children(self) -> Iterator[_Node]:
         """The unvisited children of the last level's nodes, in order; a
-        child counts as visited once yielded."""
+        child counts as visited once yielded. Each node's steps are derived
+        from its parent's where the engine can."""
+        parents, self.expanded = self.expanded, {}
         for node in self.levels[-1]:
             allowed = self.auto.labels(node.phase)
             if not allowed:
                 continue
-            for step in applicable_steps(self.program, node.state, allowed):
+            steps = applicable_steps(
+                self.program, node.state, allowed, parents.get(id(node.parent))
+            )
+            self.expanded[id(node)] = steps
+            for step in steps:
                 for phase in self.auto.next(node.phase, step.rule_name):
                     if (step.target, phase) not in self.visited:
                         self.visited.add((step.target, phase))

@@ -11,22 +11,41 @@ store is kept, so the relation is faithfully the abstract one and
 derivations can loop.
 
 Renaming apart picks only fresh (`FRESH_PREFIX`) names, so a rule is
-renamed once per set of fresh names in the state and the result reused.
-A head is tried only on atoms of its predicate and arity. Targets come
-from the source's `state.successors`, which builds each distinct target
-once and inserts the atoms of a propagation step in order where that is
-exact, so steps that add the same atoms share one target. Steps and
-derivations are `NamedTuple` values, cheap to build and compared in C.
+renamed once per set of fresh names in the state, and compiled then, as
+CHR compilers compile head matching per rule (Holzbaur, García de la
+Banda, Stuckey and Duck, TPLP 5, 2005). The plan gives each head
+argument one instruction: bind a variable met first, compare with a
+bound variable, compare with a ground term, or `terms.match` a compound
+that holds variables. The renamed guard and body are the template that
+a match instantiates. A head is tried only on atoms of its predicate and
+arity, depth first, the first head outermost.
+
+Which rules match where, and what they add, depend only on a state's
+atoms and its fresh names. So a child's steps are derived from its
+parent's, as semi-naive evaluation and the TREAT matcher do (Miranker,
+AAAI 1987), when one merge walk finds the parent's atoms in order among
+the child's, the globals are the same and the child's allowed rules are
+among the parent's. The parent's matches are kept, their positions
+moved by the merge; only matches that take an added atom are searched,
+and the two are merged per rule by position. Anything else is
+enumerated in full.
+
+Targets come from the source's `state.successors`, which builds each
+distinct target once and inserts the atoms of a propagation step in
+order where that is exact, so steps that add the same atoms share one
+target. Steps and derivations are `NamedTuple` values, cheap to build
+and compared in C.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .state import CanonicalState, State, canonicalize, successors
-from .syntax import Atom, Program, Rule
-from .terms import FRESH_PREFIX, Subst, apply, match, rename_apart
+from .syntax import Atom, Eq, Program, Rule
+from .terms import FRESH_PREFIX, Subst, Term, Var, apply, iter_vars, match, rename_apart
 
 
 class ReplayError(Exception):
@@ -54,39 +73,27 @@ class Derivation(NamedTuple):
         return [s.rule_name for s in self.steps]
 
 
-def _match_heads(
-    heads: Sequence[Atom],
-    store: Sequence[Atom],
-    theta: Subst,
-    used: tuple[int, ...],
-) -> Iterable[tuple[tuple[int, ...], Subst]]:
-    """Injective assignments of head occurrences to store positions, one
-    per tuple of matched atoms: equal atoms sit side by side in a canonical
-    store, and a head skips a copy whose predecessor no earlier head took,
-    so each tuple comes at its lexicographically first positions."""
-    if not heads:
-        yield used, theta
-        return
-    head, rest = heads[0], heads[1:]
-    pred, arity = head.pred, len(head.args)
-    for i, atom in enumerate(store):
-        if atom.pred != pred or len(atom.args) != arity or i in used:
-            continue
-        if i and atom == store[i - 1] and i - 1 not in used:
-            continue
-        extended = match(zip(head.args, atom.args), theta)
-        if extended is None:
-            continue
-        if rest:
-            yield from _match_heads(rest, store, extended, used + (i,))
-        else:
-            yield used + (i,), extended
+# The instruction for one head argument: bind a variable met first, compare
+# with a bound variable, compare with a ground term, match a compound. An
+# instruction is (kind, argument index, operand); a head is its predicate,
+# its arity and one instruction per argument.
+_BIND, _BOUND, _GROUND, _MATCH = range(4)
+_Op = tuple[int, int, object]
+_Head = tuple[str, int, tuple[_Op, ...]]
 
 
-def _match_atom(head: Atom, atom: Atom, theta: Subst) -> Optional[Subst]:
-    if atom.pred != head.pred or len(atom.args) != len(head.args):
-        return None
-    return match(zip(head.args, atom.args), theta)
+class _Plan(NamedTuple):
+    """A rule renamed apart and compiled: its heads, kept then removed, and
+    the template a match instantiates. `new_vars` tells whether the user
+    body holds a variable that no head holds."""
+
+    name: str
+    n_kept: int
+    heads: tuple[_Head, ...]
+    guard: tuple[Eq, ...]
+    body: tuple[Atom, ...]
+    builtins: tuple[Eq, ...]
+    new_vars: bool
 
 
 def _fresh_names(state: State) -> frozenset[str]:
@@ -94,34 +101,108 @@ def _fresh_names(state: State) -> frozenset[str]:
 
 
 @lru_cache(maxsize=1024)
-def _renamed(rule: Rule, fresh: frozenset[str]) -> tuple[Rule, bool]:
+def _compiled(rule: Rule, fresh: frozenset[str]) -> _Plan:
     """`rule` renamed apart from a state whose fresh names are `fresh`, and
-    whether its user body holds a variable that no head holds; renaming
-    picks only fresh names, so it cannot capture any other."""
+    compiled; renaming picks only fresh names, so it cannot capture any
+    other. A compound's operand is the pattern and its variables bound
+    before it."""
     renamed = rename_apart(set(fresh), rule)
-    head_vars = {v for a in renamed.heads for v in a.iter_vars()}
-    return renamed, any(v not in head_vars for a in renamed.user_body for v in a.iter_vars())
+    bound: set[str] = set()
+    heads = []
+    for head in renamed.heads:
+        ops: list[_Op] = []
+        for k, arg in enumerate(head.args):
+            if isinstance(arg, Var):
+                ops.append((_BOUND if arg.name in bound else _BIND, k, arg.name))
+                bound.add(arg.name)
+                continue
+            names = dict.fromkeys(iter_vars(arg))
+            if names:
+                ops.append((_MATCH, k, (arg, tuple(v for v in names if v in bound))))
+                bound.update(names)
+            else:
+                ops.append((_GROUND, k, arg))
+        heads.append((head.pred, len(head.args), tuple(ops)))
+    new_vars = any(v not in bound for a in renamed.user_body for v in a.iter_vars())
+    return _Plan(
+        renamed.name, len(renamed.kept), tuple(heads), renamed.guard,
+        renamed.user_body, renamed.builtin_body, new_vars,
+    )
 
 
-def _fire(
-    renamed: Rule,
-    new_vars: bool,
-    pos: tuple[int, ...],
+def _match_into(ops: Sequence[_Op], args: Sequence[Term], theta: Subst) -> bool:
+    """Whether one head's plan matches an atom's `args`, binding in `theta`
+    the variables the head meets first. A failed match may leave some of
+    them bound; no earlier head holds them, and the next try rebinds them."""
+    for op, k, x in ops:
+        a = args[k]
+        if op == _BIND:
+            theta[x] = a
+        elif op == _BOUND:
+            if theta[x] != a:
+                return False
+        elif op == _GROUND:
+            if x != a:
+                return False
+        else:
+            pattern, prior = x
+            found = match(((pattern, a),))
+            if found is None or any(found[v] != theta[v] for v in prior):
+                return False
+            theta.update(found)
+    return True
+
+
+def _matches(
+    heads: Sequence[_Head],
+    atoms: Sequence[Atom],
     theta: Subst,
-    target: Callable[..., CanonicalState],
-) -> Optional[LabeledStep]:
-    """The step of `renamed`, whose user body holds a variable that no head
-    holds when `new_vars`, and whose heads, kept then removed, `theta`
-    matches onto the source's atoms at `pos`, with its target built by the
-    source's `successors`; None when the guard fails."""
-    if renamed.guard and any(apply(theta, e.lhs) != apply(theta, e.rhs) for e in renamed.guard):
+    used: tuple[int, ...] = (),
+    added: Optional[Sequence[int]] = None,
+) -> Iterator[tuple[int, ...]]:
+    """Injective assignments of heads to store positions, in lexicographic
+    order, one per tuple of matched atoms: equal atoms sit side by side in a
+    canonical store, and a head skips a copy whose predecessor no earlier
+    head took, so each tuple comes at its first positions. `theta` holds
+    the bindings of the assignment just yielded. With `added`, only those
+    that take one of its positions: the last head tries only them when no
+    earlier head took one."""
+    (pred, arity, ops), rest = heads[0], heads[1:]
+    for i in range(len(atoms)) if added is None or rest else added:
+        atom = atoms[i]
+        if atom.pred != pred or len(atom.args) != arity or i in used:
+            continue
+        if i and atom == atoms[i - 1] and i - 1 not in used:
+            continue
+        if not _match_into(ops, atom.args, theta):
+            continue
+        if rest:
+            yield from _matches(
+                rest, atoms, theta, used + (i,), None if added is None or i in added else added
+            )
+        else:
+            yield used + (i,)
+
+
+def _body(plan: _Plan, theta: Subst) -> Optional[tuple[tuple[Atom, ...], tuple[Eq, ...]]]:
+    """The atoms and built-ins that the step of `plan` with the bindings
+    `theta` adds, or None when its guard fails."""
+    if plan.guard and any(apply(theta, e.lhs) != apply(theta, e.rhs) for e in plan.guard):
         return None
-    n_kept = len(renamed.kept)
-    atoms = tuple([a.subst(theta) for a in renamed.user_body])
-    builtins = renamed.builtin_body and tuple([e.subst(theta) for e in renamed.builtin_body])
-    removed = pos[n_kept:]
-    target_state = target(removed, atoms, builtins, new_vars)
-    return LabeledStep(renamed.name, pos[:n_kept], removed, target_state)
+    atoms = tuple([a.subst(theta) for a in plan.body])
+    return atoms, plan.builtins and tuple([e.subst(theta) for e in plan.builtins])
+
+
+def _step(
+    plan: _Plan,
+    pos: tuple[int, ...],
+    body: tuple[tuple[Atom, ...], tuple[Eq, ...]],
+    target: Callable[..., CanonicalState],
+) -> LabeledStep:
+    """The step of `plan` at `pos` that adds `body`, its target built by
+    the source's `successors`."""
+    kept, removed = pos[:plan.n_kept], pos[plan.n_kept:]
+    return LabeledStep(plan.name, kept, removed, target(removed, *body, plan.new_vars))
 
 
 def fire(
@@ -131,46 +212,98 @@ def fire(
     `state` at `pos` (distinct positions, one per head), or None when they
     do not match or the guard fails. Match positions index `state.atoms`.
     `fresh` is the state's fresh names, found by a walk over it if None."""
-    renamed, new_vars = _renamed(rule, _fresh_names(state) if fresh is None else fresh)
-    theta: Optional[Subst] = {}
-    for head, i in zip(renamed.heads, pos):
-        theta = _match_atom(head, state.atoms[i], theta)
-        if theta is None:
+    plan = _compiled(rule, _fresh_names(state) if fresh is None else fresh)
+    theta: Subst = {}
+    for (pred, arity, ops), i in zip(plan.heads, pos):
+        atom = state.atoms[i]
+        if atom.pred != pred or len(atom.args) != arity or not _match_into(ops, atom.args, theta):
             return None
-    return _fire(renamed, new_vars, pos, theta, successors(state))
+    body = _body(plan, theta)
+    return None if body is None else _step(plan, pos, body, successors(state))
+
+
+class Steps(list):
+    """The steps from one state, as `applicable_steps` lists them, with what
+    a call for a child needs to derive its steps from them: the program,
+    the canonical source, the allowed rules (None for all) and, per rule of
+    the program, its matches that pass the guard as (positions, added atoms
+    and built-ins), None for a rule not allowed."""
+
+    __slots__ = ("program", "source", "allowed", "fired")
+
+
+def _inherited(
+    parent: Optional[Steps], program: Program, cst: CanonicalState, allowed: Optional[frozenset]
+) -> Optional[tuple[list[int], list[int]]]:
+    """The positions of the parent's atoms among `cst`'s, matched in order
+    by one merge walk that takes the first equal atom, and the positions of
+    the added atoms; None when the steps of `cst` cannot be derived from
+    the `parent`'s. The first-copy skip stays exact: an added atom never
+    comes just before an equal atom of the parent."""
+    if parent is None or parent.program is not program or parent.source.bottom:
+        return None
+    if cst.globals != parent.source.globals:
+        return None
+    if parent.allowed is not None and (allowed is None or not allowed <= parent.allowed):
+        return None
+    old = parent.source.atoms
+    remap: list[int] = []
+    added: list[int] = []
+    for i, atom in enumerate(cst.atoms):
+        if len(remap) < len(old) and atom == old[len(remap)]:
+            remap.append(i)
+        else:
+            added.append(i)
+    return (remap, added) if len(remap) == len(old) else None
 
 
 def applicable_steps(
     program: Program,
     state: Union[State, CanonicalState],
     allowed: Optional[Iterable[str]] = None,
-) -> list[LabeledStep]:
+    parent: Optional[Steps] = None,
+) -> Steps:
     """Every step from the canonical state: one per rule and per tuple of
     atoms its heads match injectively, at the first positions of equal
-    atoms. Steps on distinct atoms may still share a target; deduplication
-    is the searcher's business. The inconsistent state is
-    absorbing and reported as a fixpoint (no steps). Targets come from one
-    `state.successors` of the canonical state: a propagation step from a
-    state with no locals and no residuals costs an ordered insert.
+    atoms, by rule and then by positions. Steps on distinct atoms may still
+    share a target; deduplication is the searcher's business. The
+    inconsistent state is absorbing and reported as a fixpoint (no steps).
+    Targets come from one `state.successors` of the canonical state: a
+    propagation step from a state with no locals and no residuals costs an
+    ordered insert.
+
+    `parent` is this function's result for another state, such as one
+    with a step to this one. The steps are derived from it where that is
+    exact and enumerated in full otherwise; the list is the same.
     """
     cst = canonicalize(state)
+    out = Steps()
+    out.program, out.source, out.fired = program, cst, []
+    out.allowed = allowed_set = None if allowed is None else frozenset(allowed)
     if cst.bottom:
-        return []
-    allowed_set = set(allowed) if allowed is not None else None
-    source = cst.as_state()
+        return out
     # Every variable of a canonical state that is not a global is an `L` name.
     fresh = frozenset(g for g in cst.globals if g.startswith(FRESH_PREFIX))
     target = successors(cst)
+    derived = _inherited(parent, program, cst, allowed_set)
+    remap, added = derived or (None, None)
 
-    out: list[LabeledStep] = []
-    for rule in program.rules:
+    for r, rule in enumerate(program.rules):
         if allowed_set is not None and rule.name not in allowed_set:
+            out.fired.append(None)
             continue
-        renamed, new_vars = _renamed(rule, fresh)
-        for pos, theta in _match_heads(renamed.heads, source.atoms, {}, ()):
-            step = _fire(renamed, new_vars, pos, theta, target)
-            if step is not None:
-                out.append(step)
+        plan = _compiled(rule, fresh)
+        theta: Subst = {}
+        fired = [
+            (pos, body)
+            for pos in _matches(plan.heads, cst.atoms, theta, (), added)
+            if (body := _body(plan, theta)) is not None
+        ]
+        if derived is not None:
+            kept = [(tuple([remap[i] for i in pos]), body) for pos, body in parent.fired[r]]
+            fired = sorted(kept + fired, key=itemgetter(0)) if fired else kept
+        out.fired.append(fired)
+        out.extend([_step(plan, pos, body, target) for pos, body in fired])
     return out
 
 

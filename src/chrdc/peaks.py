@@ -1,6 +1,7 @@
 """Critical-peak generation by superposition of two rules' heads.
 
-Each rule pair is renamed apart once. A backtracking enumerator
+Each rule pair whose heads share a predicate and arity is renamed apart
+once; any other pair has no overlap. A backtracking enumerator
 (`_overlaps`) pairs heads one to one, only within a predicate and arity,
 and unifies one pair at a time with both guards, ending a branch at its
 first clash. Overlaps come in the order of a plain walk over sizes,
@@ -14,7 +15,8 @@ fire). The reducts are the engine's steps of the two rules from it
 An overlap is dropped before firing when an earlier one of the rule pair
 had the same ancestor atoms and, for each rule, matched the same atoms by
 value: its reducts are the same. A self-overlap whose two sides match the
-same atoms or give equal reducts is trivially joinable and dropped. The
+same atoms (read off the unifier before the ancestor is built) or give
+equal reducts is trivially joinable and dropped. The
 rest are deduplicated up to one bijective renaming of the globals across
 the whole ancestor/left/right triple, and for a rule with itself up to
 mirror images too (the analyses are symmetric in the two sides). A peak
@@ -169,14 +171,17 @@ def _ancestor(
 
 
 def _rule_pairs(p: Program, q: Program) -> Iterator[tuple[Rule, Rule, bool]]:
-    """Each rule pair renamed apart, and whether it is a rule with itself.
-    One program object passed as both asks for self peaks: each unordered
-    pair once."""
+    """Each rule pair that shares a head predicate and arity, renamed
+    apart, and whether it is a rule with itself. One program object passed
+    as both asks for self peaks: each unordered pair once."""
     same_program = p is q
     for i1, r1 in enumerate(p.rules):
         c1 = rename_apart(set(), r1)
+        preds = {(a.pred, len(a.args)) for a in r1.heads}
         for i2, r2 in enumerate(q.rules):
-            if not same_program or i2 >= i1:
+            if same_program and i2 < i1:
+                continue
+            if any((a.pred, len(a.args)) in preds for a in r2.heads):
                 yield c1, rename_apart(set(c1.variables()), r2), same_program and i1 == i2
 
 
@@ -187,10 +192,12 @@ def _candidates(c1: Rule, c2: Rule, same_rule: bool) -> Iterator[CriticalPeak]:
     for sel1, sel2, sigma in _overlaps(c1, c2):
         if all(i < n_kept1 for i in sel1) and all(j < n_kept2 for j in sel2):
             continue
+        # The unifier arrives oriented, so the two sides of a self-overlap
+        # match the same atoms exactly when its heads agree under it.
+        if same_rule and all(a.subst(sigma) == b.subst(sigma) for a, b in zip(c1.heads, c2.heads)):
+            continue
         ancestor, pos1, pos2 = _ancestor(c1, c2, sel1, sel2, sigma)
         matched = tuple(ancestor.atoms[i] for i in pos1), tuple(ancestor.atoms[j] for j in pos2)
-        if same_rule and matched[0] == matched[1]:
-            continue
         overlap = tuple(sorted(ancestor.atoms)), tuple(sorted(matched)) if same_rule else matched
         if overlap in seen:
             continue

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -14,12 +15,13 @@ from chrdc.engine import (
 from chrdc.peaks import critical_peaks
 from chrdc.state import State, canonical_text, canonicalize, equivalent
 from chrdc.syntax import Atom, Program, Rule, parse_program, parse_state
-from chrdc.terms import Compound, Var
+from chrdc.terms import Compound, Var, iter_vars
 from conftest import load
 from helpers import (
     first_of_class,
     injective_steps,
     oracle_step,
+    random_atom,
     random_ground_state,
     random_state,
     random_tiny_program,
@@ -513,3 +515,191 @@ def test_propagation_targets_skip_canonicalize_on_the_exhaust_peak(monkeypatch):
     # 30 calls for 69 steps; 129 when every target was canonicalized. A
     # bound by the step count would move with the number of steps.
     assert len(calls) <= 30
+
+
+# Rules over the `random_state` signature for the derived-steps property:
+# a simplification that puts back what it removes, a guard, compound head
+# arguments with repeated variables, a built-in body and a new variable.
+_KERNEL = parse_program("""
+readd @ q(X, Y) <=> p(X), q(X, Y).
+guarded @ p(X) \\ q(X, Y) <=> Y = a | r.
+pair @ q(g(X, X), Y), p(Y) ==> q(Y, X).
+nest @ p(f(X)), q(X, X) ==> p(g(X, X)).
+bind @ q(X, Y) ==> X = Y.
+grow @ r ==> p(W), q(W, a).
+""")
+
+
+def _restricted(program, allowed):
+    return Program(tuple(r for r in program.rules if allowed is None or r.name in allowed))
+
+
+def _compound_with_repeats(rule):
+    """Whether a compound head argument holds a variable met twice in the heads."""
+    seen = Counter(v for a in rule.heads for v in a.iter_vars())
+    return any(
+        isinstance(t, Compound) and any(seen[v] > 1 for v in iter_vars(t))
+        for a in rule.heads
+        for t in a.args
+    )
+
+
+def test_derived_steps_are_the_first_of_each_class(monkeypatch):
+    import chrdc.engine
+
+    inherited = chrdc.engine._inherited
+    merges = []  # what each call's merge walk found, None when it fell back
+
+    def recording(*args):
+        merges.append(inherited(*args))
+        return merges[-1]
+
+    monkeypatch.setattr(chrdc.engine, "_inherited", recording)
+    rng = random.Random(41)
+    covered = set()
+    for _ in range(120):
+        program = _with_propagation(random_tiny_program(rng))
+        program = Program(program.rules + _KERNEL.rules)
+        names = program.rule_names()
+        for state in (random_state(rng), random_ground_state(rng), random_state(rng, 6)):
+            source = canonicalize(state)
+            if source.bottom:
+                continue
+            allowed = None if rng.random() < 0.6 else rng.sample(names, len(names) - 1)
+            parent = applicable_steps(program, source, allowed)
+            # The parent's step targets, and the parent with a copy of one
+            # of its atoms and an atom over its globals added.
+            children = [(step.target, step) for step in parent]
+            extra = (rng.choice(source.atoms),) if source.atoms else ()
+            extra += (random_atom(rng, sorted(source.globals), depth=1),)
+            grown = State(source.atoms + extra, source.residuals, source.globals)
+            children.append((canonicalize(grown), None))
+            for child, step in children:
+                sub = allowed
+                if rng.random() < 0.3:
+                    sub = rng.sample(names, rng.randint(1, len(names)))
+                merges.clear()
+                steps = applicable_steps(program, child, sub, parent)
+                expected = first_of_class(injective_steps(_restricted(program, sub), child), child)
+                assert steps == expected
+                assert steps == applicable_steps(program, child, sub)
+                if not merges or merges[0] is None:
+                    continue
+                _, added = merges[0]
+                if step is not None:
+                    covered.add("simplification" if step.matched_removed else "propagation")
+                if any(child.atoms[i] in source.atoms for i in added):
+                    covered.add("equal atom inserted")
+                if child.residuals:
+                    covered.add("built-ins")
+                if not child.globals.issuperset(child.as_state().iter_vars()):
+                    covered.add("locals")
+                for rule in program.rules:
+                    if any(s.rule_name == rule.name for s in steps):
+                        if rule.guard:
+                            covered.add("guards")
+                        if _compound_with_repeats(rule):
+                            covered.add("compound head arguments with repeated variables")
+    assert covered == {
+        "propagation", "simplification", "equal atom inserted", "built-ins", "locals",
+        "guards", "compound head arguments with repeated variables",
+    }
+
+
+def test_compiled_head_plans_agree_with_match():
+    from chrdc.engine import _BIND, _BOUND, _GROUND, _MATCH, _compiled, _match_into
+    from chrdc.terms import match, rename_apart
+
+    rng = random.Random(43)
+    a, b = Compound("a"), Compound("b")
+
+    def pattern(depth=1):
+        roll = rng.random()
+        if roll < 0.45 or depth == 0:
+            return Var(rng.choice("XYZ"))
+        if roll < 0.6:
+            return rng.choice([a, b, Compound("f", (b,))])
+        if roll < 0.8:
+            return Compound("f", (pattern(depth - 1),))
+        return Compound("g", (pattern(depth - 1), pattern(depth - 1)))
+
+    def instance(t, theta):
+        """`t` under `theta`, sometimes with one subterm replaced."""
+        if rng.random() < 0.1:
+            return rng.choice([a, b, Var("G"), Compound("f", (a,))])
+        if isinstance(t, Var):
+            return theta[t.name]
+        return Compound(t.functor, tuple(instance(x, theta) for x in t.args))
+
+    outcomes = set()  # (instruction, matched)
+    for _ in range(600):
+        heads = tuple(
+            Atom(pred, tuple(pattern() for _ in range(n)))
+            for pred, n in rng.sample([("p", 1), ("q", 2), ("r", 3)], rng.randint(1, 2))
+        )
+        rule = Rule("h", (), heads, (), (), ())
+        renamed = rename_apart(set(), rule)
+        plan = _compiled(rule, frozenset())
+        theta = {v: rng.choice([a, b, Var("G"), Compound("g", (a, Var("H")))]) for v in "XYZ"}
+        atoms = [Atom(h.pred, tuple(instance(t, theta) for t in h.args)) for h in heads]
+        expected = match(
+            [(p, t) for h, at in zip(renamed.heads, atoms) for p, t in zip(h.args, at.args)]
+        )
+        bound = {}
+        ok = all(_match_into(ops, at.args, bound) for (_, _, ops), at in zip(plan.heads, atoms))
+        assert ok == (expected is not None)
+        if ok:
+            assert bound == expected
+        outcomes.update((op, ok) for _, _, ops in plan.heads for op, _, _ in ops)
+    kinds = (_BIND, _BOUND, _GROUND, _MATCH)
+    assert outcomes == {(op, ok) for op in kinds for ok in (True, False)}
+
+
+def test_exhaust_search_derives_steps_from_the_parent(monkeypatch):
+    import chrdc.engine
+    from chrdc.analysis import SearchBudget, check_local_confluence
+
+    program = load("exhaust.chr")
+    inherited, match_into = chrdc.engine._inherited, chrdc.engine._match_into
+    merges, tries = [], []
+
+    def recording_merge(parent, *args):
+        merges.append((parent, inherited(parent, *args)))
+        return merges[-1][1]
+
+    def counting_tries(*args):
+        tries.append(args)
+        return match_into(*args)
+
+    def search():
+        tries.clear()
+        return check_local_confluence(program, SearchBudget(8, 40), assume_terminating=True)
+
+    monkeypatch.setattr(chrdc.engine, "_match_into", counting_tries)
+    monkeypatch.setattr(chrdc.engine, "_inherited", lambda *args: None)
+    full, full_tries = search(), len(tries)
+    monkeypatch.setattr(chrdc.engine, "_inherited", recording_merge)
+    assert search() == full
+    # Every expansion below a root has a parent, and each child, made by a
+    # propagation step, holds its parent's atoms: its heads are matched
+    # only where they take an added atom.
+    assert len(merges) == 18
+    assert sum(parent is not None for parent, _ in merges) == 14
+    assert sum(merge is not None for _, merge in merges) == 14
+    assert (full_tries, len(tries)) == (160, 91)
+
+
+def test_a_child_with_other_fresh_names_is_enumerated_in_full():
+    # The parent renames `r` apart from no fresh name, so its body variable
+    # is `_V1`; in the child `_V1` is a global, and an inherited step would
+    # give q(a, _V1) where the rule adds a new local.
+    program = parse_program("r @ p(X) ==> q(X, Y).")
+    parent = applicable_steps(program, parse_state("p(a) # globals:"))
+    fresh = Atom("p", (Var("_V1"),))
+    child = canonicalize(State((Atom("p", (Compound("a"),)), fresh), (), frozenset({"_V1"})))
+    steps = applicable_steps(program, child, None, parent)
+    assert steps == applicable_steps(program, child)
+    assert [canonical_text(s.target) for s in steps] == [
+        "<p(_V1), p(a), q(_V1, L0) # globals: _V1>",
+        "<p(_V1), p(a), q(a, L0) # globals: _V1>",
+    ]
