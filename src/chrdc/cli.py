@@ -45,8 +45,14 @@ def _declared(
     cfg: AnalysisConfig, programs: list[Program]
 ) -> tuple[Partition, Optional[RulePreorder]]:
     """The config's partition and declared order on the rules of all of
-    `programs`; their constructors reject rule names that none of them has."""
+    `programs`; their constructors reject rule names that none of them has.
+    Programs that share a rule name are rejected, since output, partitions
+    and selectors name rules."""
     program = Program(tuple(rule for p in programs for rule in p.rules))
+    names = program.rule_names()
+    if len(set(names)) < len(names):
+        shared = sorted({n for n in names if names.count(n) > 1})
+        raise ValueError(f"programs share rule names: {shared}")
     part = Partition.for_program(program, cfg.inductive, cfg.coinductive)
     order = None
     if cfg.order_decls:

@@ -25,22 +25,48 @@ gets its key (`_peak_key`) only when a peak kept before it has its shape
 canonical form with both reducts renamed by its labelling when that
 labelling is its only one, else one canonical labelling of all three
 states read together.
+
+Overlaps that a symmetry of a rule maps onto earlier ones are skipped
+before their ancestor is built, the lex-leader rule of symmetry breaking
+(Crawford, Ginsberg, Luks and Roy, KR 1996). A head swap of a renamed
+rule (`_head_swaps`) is a pair of its heads, both kept or both removed
+and of one predicate and arity, with a bijective renaming of the head
+variables (variables that no head holds stay fixed) that maps the heads
+onto the heads with those two exchanged, the guard and the built-in body
+onto themselves as sets of unordered equations, and the user body onto
+itself as a multiset. An overlap is skipped when one swap of either rule
+turns it into an overlap that `_overlaps` lists before it
+(`_swapped_earlier`). This is exact. The renaming maps the skipped
+overlap's equations, with both guards, onto the earlier one's, so that
+one unifies too and is processed first. Its ancestor is the skipped one's
+with the globals renamed and some atoms reordered, and since the swap
+maps its rule onto itself, each rule fires on the same atoms, kept or
+removed alike, to the same reducts up to that renaming. So the earlier
+overlap gives a peak with the same key, which deduplication has met
+before the skipped overlap comes, or no peak, and then neither does the
+skipped one. An earlier overlap that is itself skipped, or dropped for
+the atoms of one before it, passes this on to one earlier still, and an
+overlap missing from the `seen` set only costs a later one its firing.
+The peaks, their order and their ancestors are those of the unpruned
+walk. A rule whose only symmetries are longer cycles of heads is left
+unpruned.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from itertools import combinations
+from typing import Iterator, NamedTuple
 
 from .engine import fire
 from .orders import Partition
 from .state import CanonicalState, State, _canonical_renaming, canonicalize
 from .syntax import Atom, Program, Rule
-from .terms import Subst, Var, apply, compose, fresh_mapping, iter_vars, rename_apart, unify
+from .terms import Subst, Var, apply, compose, fresh_mapping, iter_vars, match, rename_apart, unify
 
 
-@dataclass(frozen=True)
-class CriticalPeak:
+class CriticalPeak(NamedTuple):
+    """One critical peak. Compares by items, as a 5-tuple."""
+
     rule_left: str
     rule_right: str
     ancestor: State
@@ -185,12 +211,67 @@ def _rule_pairs(p: Program, q: Program) -> Iterator[tuple[Rule, Rule, bool]]:
                 yield c1, rename_apart(set(c1.variables()), r2), same_program and i1 == i2
 
 
+def _head_swaps(rule: Rule) -> list[tuple[int, int]]:
+    """The pairs of heads, both kept or both removed and of one predicate
+    and arity, whose swap with a bijective renaming of the head variables
+    maps `rule` onto itself: heads onto heads, the guard and the built-in
+    body onto themselves as sets of unordered equations, the user body
+    onto itself as a multiset. Variables that no head holds stay fixed."""
+
+    def rest(r: Rule) -> tuple:
+        unordered = [{frozenset(e) for e in eqs} for eqs in (r.guard, r.builtin_body)]
+        return unordered, sorted(r.user_body)
+
+    heads, n_kept = rule.heads, len(rule.kept)
+    swaps = []
+    for i, j in combinations(range(len(heads)), 2):
+        a, b = heads[i], heads[j]
+        if (i < n_kept) != (j < n_kept) or a.pred != b.pred or len(a.args) != len(b.args):
+            continue
+        image = list(heads)
+        image[i], image[j] = b, a
+        # A renaming that maps the heads onto the heads is onto their
+        # variables, so it is bijective.
+        pi = match((s, t) for h, g in zip(heads, image) for s, t in zip(h.args, g.args))
+        if pi is None or not all(isinstance(t, Var) for t in pi.values()):
+            continue
+        if rest(rule.subst(pi)) == rest(rule):
+            swaps.append((i, j))
+    return swaps
+
+
+def _swapped_earlier(
+    sel1: tuple[int, ...],
+    sel2: tuple[int, ...],
+    swaps1: list[tuple[int, int]],
+    swaps2: list[tuple[int, int]],
+) -> bool:
+    """Whether one head swap of the first rule (`swaps1`) or of the second
+    (`swaps2`) maps the overlap `sel1`/`sel2` onto one that `_overlaps`
+    lists before it."""
+    for i, j in swaps1:
+        if i in sel1 or j in sel1:
+            image = sorted(({i: j, j: i}.get(s, s), t) for s, t in zip(sel1, sel2))
+            if tuple(zip(*image)) < (sel1, sel2):
+                return True
+    for i, j in swaps2:
+        if i in sel2 or j in sel2:
+            image = tuple({i: j, j: i}.get(t, t) for t in sel2)
+            if (sorted(image), image) < (sorted(sel2), sel2):
+                return True
+    return False
+
+
 def _candidates(c1: Rule, c2: Rule, same_rule: bool) -> Iterator[CriticalPeak]:
     """The peaks of one rule pair in order, before key deduplication."""
     n_kept1, n_kept2 = len(c1.kept), len(c2.kept)
+    swaps1 = _head_swaps(c1)
+    swaps2 = swaps1 if same_rule else _head_swaps(c2)
     seen: set[tuple] = set()
     for sel1, sel2, sigma in _overlaps(c1, c2):
         if all(i < n_kept1 for i in sel1) and all(j < n_kept2 for j in sel2):
+            continue
+        if _swapped_earlier(sel1, sel2, swaps1, swaps2):
             continue
         # The unifier arrives oriented, so the two sides of a self-overlap
         # match the same atoms exactly when its heads agree under it.

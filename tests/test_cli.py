@@ -8,7 +8,8 @@ import sys
 import pytest
 
 from chrdc.cli import main
-from conftest import FIXTURES, fixture_path
+from chrdc.peaks import critical_peaks
+from conftest import FIXTURES, fixture_path, load
 
 
 def run_cli(*args):
@@ -188,17 +189,37 @@ def test_peaks_between_two_programs():
 
 
 def test_two_files_of_one_program_give_all_its_peaks_as_cross(tmp_path):
+    # Two program objects holding one program give cross peaks, not self
+    # peaks; on the command line the second file's rules need other names.
     leq = fixture_path("leq.chr")
     renamed = tmp_path / "mleq.chr"
     text = (FIXTURES / "leq.chr").read_text()
     renamed.write_text(re.sub(r"^(\w+) @", r"m\1 @", text, flags=re.M))
-    _, same, _ = run_cli("peaks", leq, leq, "--format", "machine")
+    same = critical_peaks(load("leq.chr"), load("leq.chr"))
     _, other, _ = run_cli("peaks", leq, str(renamed), "--format", "machine")
-    same_pairs = [line.split()[2:] for line in same.splitlines()]
+    same_pairs = [[pk.rule_left, pk.rule_right, "CROSS"] for pk in same]
     other_pairs = [line.split()[2:] for line in other.splitlines()]
     other_pairs = [[left, right.removeprefix("m"), kind] for left, right, kind in other_pairs]
     assert len(same_pairs) == 29
     assert same_pairs == other_pairs
+
+
+@pytest.mark.parametrize(
+    "command", [("peaks",), ("check", "--mode", "modular")], ids=["peaks", "modular"]
+)
+@pytest.mark.parametrize(
+    "fixture, shared",
+    [
+        ("mod_splus.chr", "['splus']"),
+        ("leq.chr", "['antisymmetry', 'duplicate', 'reflexivity', 'transitivity']"),
+    ],
+)
+def test_two_programs_that_share_a_rule_name_exit_2(command, fixture, shared):
+    # Output, partitions and tactic selectors name rules, so a name held by
+    # both programs would be ambiguous.
+    path = fixture_path(fixture)
+    code, out, err = run_cli(*command, path, path)
+    assert (code, out, err) == (2, "", f"error: programs share rule names: {shared}\n")
 
 
 def test_cross_file_arity_clash_exits_2(tmp_path):

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import itertools
 import random
@@ -12,6 +11,7 @@ from chrdc.orders import Partition
 from chrdc.peaks import (
     CriticalPeak,
     _ancestor,
+    _head_swaps,
     _overlaps,
     _peak_key,
     _rule_pairs,
@@ -21,10 +21,10 @@ from chrdc.peaks import (
     critical_peaks,
 )
 from chrdc.state import _canonical_renaming, canonical_text, canonicalize, equivalent
-from chrdc.syntax import Program, parse_program
-from chrdc.terms import Var
+from chrdc.syntax import Atom, Eq, Program, Rule, parse_program
+from chrdc.terms import Compound, Var
 from conftest import load
-from helpers import peak_like, random_tiny_program, states_mod_globals
+from helpers import CONSTANTS, peak_like, random_tiny_program, states_mod_globals
 
 
 def test_pminus_has_a_single_peak(pminus):
@@ -188,12 +188,10 @@ def test_peak_key_ignores_how_the_globals_are_named(leq, philos, pminus, pplus):
                 ren = {g: Var(h) for g, h in zip(globs, images)}
                 left = canonicalize(pk.left.as_state().subst(ren))
                 right = canonicalize(pk.right.as_state().subst(ren))
-                renamed = dataclasses.replace(
-                    pk, ancestor=pk.ancestor.subst(ren), left=left, right=right
-                )
+                renamed = pk._replace(ancestor=pk.ancestor.subst(ren), left=left, right=right)
                 assert _peak_key(renamed, symmetric) == _peak_key(pk, symmetric)
                 if symmetric:
-                    swapped = dataclasses.replace(renamed, left=right, right=left)
+                    swapped = renamed._replace(left=right, right=left)
                     assert _peak_key(swapped, True) == _peak_key(pk, True)
                 checked += 1
     assert checked >= 90
@@ -269,6 +267,159 @@ def test_distinct_predicate_heads_cost_work_per_peak():
     peaks = critical_peaks(p, p)
     assert time.perf_counter() - start < 0.5
     assert len(peaks) == 234
+
+
+def test_symmetric_heads_cost_work_per_orbit():
+    # Each of the 720 orders of the six heads gives an overlap of the rule
+    # with itself; without the head swaps that map one onto another the
+    # peaks of this rule take seconds.
+    heads = ", ".join(f"e(X{i})" for i in range(6))
+    p = parse_program(f"r @ {heads} <=> d(X0), d(X1).")
+    start = time.perf_counter()
+    peaks = critical_peaks(p, p)
+    assert time.perf_counter() - start < 2
+    assert len(peaks) == 38
+
+
+def test_head_swaps_map_the_rule_onto_itself():
+    cases = {
+        "r @ e(X, Y), e(Y, X) <=> X = Y.": [(0, 1)],
+        # The swap must keep each head kept or removed.
+        "r @ e(X, Y) \\ e(Y, X) <=> true.": [],
+        "r @ e(X, Y), e(Y, X) ==> d(X, Y), d(Y, X).": [(0, 1)],
+        # Guard and built-in body as sets of unordered equations.
+        "r @ e(X), e(Y) <=> X = Y | true.": [(0, 1)],
+        "r @ e(X), e(Y) <=> X = a | true.": [],
+        "r @ e(X), e(Y) <=> X = W, W = Y.": [(0, 1)],
+        "r @ e(X), e(Y) <=> X = f(W).": [],
+        # The user body as a multiset; a variable no head holds stays fixed.
+        "r @ e(X), e(Y) <=> d(X, W), d(Y, W), d(X, W).": [],
+        "r @ e(X), e(Y) <=> d(X, W), d(Y, W).": [(0, 1)],
+        "r @ e(X), e(Y), e(Z) <=> d(X).": [(1, 2)],
+        # A variable is renamed only to a variable, and heads that share
+        # a variable with a third head cannot swap.
+        "r @ e(f(X)), e(Y) <=> true.": [],
+        "r @ c(X, Y), c(Y, Z), c(Z, W) <=> true.": [],
+        "r @ c(X, Y), c(Z, Y), c(Y, W) <=> true.": [(0, 1)],
+        "r @ e(X), p(Y), e(Z) <=> d(X, Y), d(Z, Y).": [(0, 2)],
+    }
+    for text, swaps in cases.items():
+        (rule,) = parse_program(text).rules
+        assert _head_swaps(rule) == swaps, text
+
+
+def test_head_swaps_save_work_on_leq(leq, monkeypatch):
+    # Only antisymmetry's two heads swap onto each other; its overlaps
+    # that the swap maps onto earlier ones are skipped before their
+    # ancestor is built.
+    import chrdc.peaks
+
+    assert [_head_swaps(r) for r in leq.rules] == [[], [], [(0, 1)], []]
+    names = ("_ancestor", "fire", "_shape", "_peak_key")
+    calls = Counter()
+    for name in names:
+        def counting(*args, _f=getattr(chrdc.peaks, name), _name=name):
+            calls[_name] += 1
+            return _f(*args)
+
+        monkeypatch.setattr(chrdc.peaks, name, counting)
+    pruned, pruned_calls = critical_peaks(leq, leq), [calls[n] for n in names]
+    calls.clear()
+    monkeypatch.setattr(chrdc.peaks, "_head_swaps", lambda rule: [])
+    assert critical_peaks(leq, leq) == pruned
+    assert [calls[n] for n in names] == [25, 38, 16, 8]
+    assert pruned_calls == [15, 24, 12, 0]
+
+
+def _symmetric_program(rng: random.Random) -> Program:
+    """One or two rules over one or two head predicates. A rule's second
+    head is mostly its first with two variables exchanged; its guard,
+    built-in body and user body get that exchange's images of their items
+    half of the time, so some rules map onto themselves under the swap of
+    the two heads and some miss by one item. Heads are shuffled and kept
+    or removed at random, so propagation and simpagation rules and swaps
+    across a kept and a removed head occur too."""
+    preds = [("e", 2), ("f", 1)][: rng.randint(1, 2)]
+    pool = ["X", "Y", "Z"]
+
+    def term():
+        roll = rng.random()
+        if roll < 0.65:
+            return Var(rng.choice(pool))
+        if roll < 0.85:
+            return rng.choice(CONSTANTS[:2])
+        return Compound("s", (Var(rng.choice(pool)),))
+
+    def atom():
+        pred, arity = rng.choice(preds)
+        return Atom(pred, tuple(term() for _ in range(arity)))
+
+    def some(make, most):
+        return [make() for _ in range(rng.randint(0, most))]
+
+    rules = []
+    for k in range(rng.randint(1, 2)):
+        x, y = rng.sample(pool, 2)
+        swap = {x: Var(y), y: Var(x)}
+        first = atom()
+        heads = [first, first.subst(swap) if rng.random() < 0.8 else atom()]
+        heads += some(atom, 1)
+        rng.shuffle(heads)
+        n_kept = rng.randint(0, len(heads))
+        parts = [
+            some(lambda: Eq(Var(rng.choice(pool)), term()), 1),
+            some(lambda: Atom("d", (term(), Var(rng.choice(pool + ["W"])))), 2),
+            some(lambda: Eq(Var(rng.choice(pool + ["W"])), term()), 1),
+        ]
+        for part in parts:
+            if rng.random() < 0.5:
+                part += [item.subst(swap) for item in part]
+        guard, user_body, builtin_body = (tuple(part) for part in parts)
+        kept, removed = tuple(heads[:n_kept]), tuple(heads[n_kept:])
+        rules.append(Rule(f"r{k}", kept, removed, guard, user_body, builtin_body))
+    return Program(tuple(rules))
+
+
+def _peak_lines(peaks) -> list[str]:
+    return [
+        f"{pk.rule_left}|{pk.rule_right}|{canonical_text(canonicalize(s))}"
+        for pk in peaks
+        for s in (pk.ancestor, pk.left, pk.right)
+    ]
+
+
+def test_head_swap_pruning_keeps_every_peak(monkeypatch):
+    # The peaks with the head swaps must be the peaks without them, in the
+    # same order and with the same ancestors, on programs where the swaps
+    # often hold and often fail by one condition.
+    import chrdc.peaks
+
+    rng = random.Random(113)
+    pairs = [(p, p) for p in (_symmetric_program(rng) for _ in range(400))]
+    pairs += [
+        (_symmetric_program(rng), _renamed_m(_symmetric_program(rng))) for _ in range(60)
+    ]
+    swapped_earlier = chrdc.peaks._swapped_earlier
+    hits = []
+
+    def recording(*args):
+        hits.append(swapped_earlier(*args))
+        return hits[-1]
+
+    monkeypatch.setattr(chrdc.peaks, "_swapped_earlier", recording)
+    pruned, pruning = [], 0
+    for p, q in pairs:
+        hits.clear()
+        pruned.append(critical_peaks(p, q))
+        pruning += any(hits)
+    monkeypatch.setattr(chrdc.peaks, "_head_swaps", lambda rule: [])
+    full = [critical_peaks(p, q) for p, q in pairs]
+    assert [_peak_lines(x) for x in pruned] == [_peak_lines(x) for x in full]
+    assert pruned == full
+    # With this seed the swaps skip an overlap for 138 of the 460 pairs,
+    # which have 1,760 peaks.
+    assert pruning >= 120
+    assert sum(map(len, full)) >= 1500
 
 
 def test_global_names_are_bijective_base_26():
