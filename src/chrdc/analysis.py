@@ -65,20 +65,25 @@ class Valley:
         return (self.left.labels(), self.right.labels())
 
 
+# The statuses a closing earns, by criterion; an open peak is NOT_CLOSED.
+CLOSED_STATUSES = JOINABLE, DECREASING, STRONGLY_JOINABLE = (
+    "JOINABLE", "DECREASING", "STRONGLY_JOINABLE"
+)
+
+
 @dataclass
 class PeakVerdict:
     index: int
     rule_left: str
     rule_right: str
-    status: str  # JOINABLE | DECREASING | STRONGLY_JOINABLE | NOT_CLOSED
+    status: str  # one of CLOSED_STATUSES, or NOT_CLOSED
     valley: Optional[Valley] = None
     notes: tuple[str, ...] = ()
     exhausted: bool = False
-    bounds: Optional[tuple[int, int]] = None
 
     @property
     def closed(self) -> bool:
-        return self.status in ("JOINABLE", "DECREASING", "STRONGLY_JOINABLE")
+        return self.status in CLOSED_STATUSES
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +335,6 @@ def join_search(
         valley,
         notes=shown,
         exhausted=exhausted,
-        bounds=None if valley is not None else (budget.max_depth, budget.max_states),
     )
 
 
@@ -351,10 +355,12 @@ class OrderSearch:
 
 @dataclass
 class Report:
+    """A criterion's or a peak listing's report. A peak's class is read off
+    `partition`, `cross` without one; `budget` bounded every search."""
+
     mode: str
     criterion: str
     established: bool
-    outcome: str
     assumptions: tuple[str, ...] = ()
     partition: Optional[Partition] = None
     order: Optional[RulePreorder] = None
@@ -362,35 +368,37 @@ class Report:
     admissibility: Optional[AdmissibilityResult] = None
     order_search: Optional[OrderSearch] = None
     peaks: tuple[CriticalPeak, ...] = ()
-    classifications: tuple[str, ...] = ()
     verdicts: tuple[PeakVerdict, ...] = ()
+    budget: Optional[SearchBudget] = None
+
+    @property
+    def outcome(self) -> str:
+        return "CONFLUENT" if self.established else "NOT_ESTABLISHED"
 
 
 def _report(
     mode: str,
     criterion: str,
     peaks: Sequence[CriticalPeak],
-    classifications: Iterable[str],
     verdicts: dict[int, PeakVerdict],
+    budget: SearchBudget,
     holds: bool = True,
     assumptions: tuple[str, ...] = (),
     **fields,
 ) -> Report:
     """A criterion's report: established when `holds` and every verdict
     closed; an assumed termination is echoed as an assumption."""
-    established = holds and all(v.closed for v in verdicts.values())
     term = fields.get("termination")
     if term is not None and term.status == "ASSUMED":
         assumptions = ("termination_assumed",)
     return Report(
         mode=mode,
         criterion=criterion,
-        established=established,
-        outcome="CONFLUENT" if established else "NOT_ESTABLISHED",
+        established=holds and all(v.closed for v in verdicts.values()),
         assumptions=assumptions,
         peaks=tuple(peaks),
-        classifications=tuple(classifications),
         verdicts=tuple(verdicts[i] for i in sorted(verdicts)),
+        budget=budget,
         **fields,
     )
 
@@ -404,11 +412,11 @@ def check_local_confluence(
     peaks = critical_peaks(program, program)
     side = (program, capped(program.rule_names()))
     verdicts = {
-        i: join_search(pk, (side, side), "JOINABLE", budget, i) for i, pk in enumerate(peaks)
+        i: join_search(pk, (side, side), JOINABLE, budget, i) for i, pk in enumerate(peaks)
     }
     return _report(
-        "local", "locally_confluent", peaks, (classify(pk, part) for pk in peaks),
-        verdicts, holds=term.acceptable, partition=part, termination=term,
+        "local", "locally_confluent", peaks, verdicts, budget,
+        holds=term.acceptable, partition=part, termination=term,
     )
 
 
@@ -417,13 +425,10 @@ def check_strong_confluence(program: Program, budget: SearchBudget) -> Report:
     peaks = critical_peaks(program, program)
     side = (program, capped(program.rule_names(), 1))
     verdicts = {
-        i: join_search(pk, (side, side), "STRONGLY_JOINABLE", budget, i)
+        i: join_search(pk, (side, side), STRONGLY_JOINABLE, budget, i)
         for i, pk in enumerate(peaks)
     }
-    return _report(
-        "strong", "strongly_confluent", peaks, (classify(pk, part) for pk in peaks),
-        verdicts, partition=part,
-    )
+    return _report("strong", "strongly_confluent", peaks, verdicts, budget, partition=part)
 
 
 def live_rules(
@@ -591,7 +596,7 @@ def check_rule_decreasing(
 
     def report(verdicts, holds, shown_order, search) -> Report:
         return _report(
-            "decreasing", criterion, peaks, classes, verdicts, holds=holds,
+            "decreasing", criterion, peaks, verdicts, budget, holds=holds,
             partition=part, termination=term, order=shown_order,
             admissibility=adm, order_search=search,
         )
@@ -604,7 +609,7 @@ def check_rule_decreasing(
     coinductive = [i for i, cls in enumerate(classes) if cls == "coinductive"]
     side = (program, capped(part.inductive))
     verdicts = {
-        i: join_search(peaks[i], (side, side), "JOINABLE", budget, i, tactics.get(i))
+        i: join_search(peaks[i], (side, side), JOINABLE, budget, i, tactics.get(i))
         for i in inductive
     }
     inductive_ok = all(v.closed for v in verdicts.values())
@@ -612,7 +617,7 @@ def check_rule_decreasing(
     def closing(i: int, cand: RulePreorder) -> PeakVerdict:
         a, b = peaks[i].rule_left, peaks[i].rule_right
         sides = ((program, star(a, b, cand)), (program, star(b, a, cand)))
-        return join_search(peaks[i], sides, "DECREASING", budget, i, tactics.get(i))
+        return join_search(peaks[i], sides, DECREASING, budget, i, tactics.get(i))
 
     if enumerate_orders:
         # enumeration cannot help once an inductive peak failed
@@ -637,10 +642,10 @@ def check_modularity(p: Program, q: Program, budget: SearchBudget) -> Report:
     sides = ((q, capped(q.rule_names())), (p, capped(p.rule_names(), 1)))
     notes = ("left_reduct_admits_no_q_step", "right_reduct_admits_no_p_step")
     verdicts = {
-        i: join_search(pk, sides, "JOINABLE", budget, i, notes=notes)
+        i: join_search(pk, sides, JOINABLE, budget, i, notes=notes)
         for i, pk in enumerate(peaks)
     }
     return _report(
-        "modular", "modular_union_confluent", peaks, ["cross"] * len(peaks), verdicts,
+        "modular", "modular_union_confluent", peaks, verdicts, budget,
         assumptions=("p_confluent", "q_confluent"),
     )

@@ -27,8 +27,8 @@ from .analysis import (
 from .config import AnalysisConfig, ConfigError, load_config_file, resolve_tactics
 from .engine import applicable_steps
 from .orders import Partition, RulePreorder
-from .peaks import classify, critical_peaks
-from .reports import emit_report
+from .peaks import critical_peaks
+from .reports import FORMATS, emit_report
 from .state import canonical_text, canonicalize
 from .syntax import ParseError, Program, parse_program_file, parse_state
 
@@ -70,8 +70,7 @@ def _budget(cfg: AnalysisConfig, max_depth_flag: Optional[int]) -> SearchBudget:
 
 
 def _emit(report: Report, cfg: AnalysisConfig, format_flag: Optional[str]) -> None:
-    fmt = format_flag or cfg.out_format or "text"
-    sys.stdout.write(emit_report(report, fmt))
+    sys.stdout.write(emit_report(report, format_flag or cfg.out_format))
 
 
 def _cmd_peaks(args) -> int:
@@ -80,19 +79,12 @@ def _cmd_peaks(args) -> int:
     programs = _parse_programs(args.files)
     cfg = load_config_file(args.config) if args.config else AnalysisConfig()
     part, _ = _declared(cfg, programs)
-    if len(programs) == 1:
-        peaks = critical_peaks(programs[0], programs[0])
-        classifications = tuple(classify(pk, part) for pk in peaks)
-    else:
-        peaks = critical_peaks(programs[0], programs[1])
-        classifications = tuple("cross" for _ in peaks)
     report = Report(
         mode="peaks",
         criterion="peaks",
         established=True,
-        outcome="",
-        peaks=tuple(peaks),
-        classifications=classifications,
+        partition=part if len(programs) == 1 else None,
+        peaks=tuple(critical_peaks(programs[0], programs[-1])),
     )
     _emit(report, cfg, args.format)
     return 0
@@ -164,7 +156,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     p_peaks = sub.add_parser("peaks", help="enumerate critical peaks")
     p_peaks.add_argument("files", nargs="+", metavar="FILE")
     p_peaks.add_argument("--config", metavar="CFG")
-    p_peaks.add_argument("--format", choices=("text", "machine"))
+    p_peaks.add_argument("--format", choices=FORMATS)
     p_peaks.set_defaults(func=_cmd_peaks)
 
     p_check = sub.add_parser("check", help="run a confluence criterion")
@@ -173,7 +165,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         "--mode", required=True, choices=("local", "strong", "decreasing", "modular")
     )
     p_check.add_argument("--config", metavar="CFG")
-    p_check.add_argument("--format", choices=("text", "machine"))
+    p_check.add_argument("--format", choices=FORMATS)
     p_check.add_argument("--max-depth", type=int, dest="max_depth")
     p_check.set_defaults(func=_cmd_check)
 

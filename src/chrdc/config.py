@@ -36,6 +36,7 @@ from typing import Optional
 
 from .analysis import SearchBudget
 from .peaks import CriticalPeak
+from .reports import FORMATS
 
 
 class ConfigError(Exception):
@@ -58,7 +59,7 @@ class AnalysisConfig:
     max_states: int = SearchBudget.max_states
     assume_terminating: bool = False
     enumerate_orders: bool = False
-    out_format: Optional[str] = None
+    out_format: str = "text"
     tactics: list[TacticDecl] = field(default_factory=list)
 
 
@@ -147,8 +148,8 @@ def load_config(text: str) -> AnalysisConfig:
             elif key == "enumerate_orders":
                 cfg.enumerate_orders = _boolean(value, lineno)
             elif key == "format":
-                if value not in ("text", "machine"):
-                    raise ConfigError(f"line {lineno}: format must be text or machine")
+                if value not in FORMATS:
+                    raise ConfigError(f"line {lineno}: format must be {' or '.join(FORMATS)}")
                 cfg.out_format = value
             else:
                 raise ConfigError(f"line {lineno}: unknown option {key!r}")

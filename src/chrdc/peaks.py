@@ -28,28 +28,28 @@ states read together.
 
 Overlaps that a symmetry of a rule maps onto earlier ones are skipped
 before their ancestor is built, the lex-leader rule of symmetry breaking
-(Crawford, Ginsberg, Luks and Roy, KR 1996). A head swap of a renamed
-rule (`_head_swaps`) is a pair of its heads, both kept or both removed
-and of one predicate and arity, with a bijective renaming of the head
-variables (variables that no head holds stay fixed) that maps the heads
-onto the heads with those two exchanged, the guard and the built-in body
-onto themselves as sets of unordered equations, and the user body onto
-itself as a multiset. An overlap is skipped when one swap of either rule
-turns it into an overlap that `_overlaps` lists before it
-(`_swapped_earlier`). This is exact. The renaming maps the skipped
-overlap's equations, with both guards, onto the earlier one's, so that
-one unifies too and is processed first. Its ancestor is the skipped one's
-with the globals renamed and some atoms reordered, and since the swap
-maps its rule onto itself, each rule fires on the same atoms, kept or
-removed alike, to the same reducts up to that renaming. So the earlier
-overlap gives a peak with the same key, which deduplication has met
-before the skipped overlap comes, or no peak, and then neither does the
-skipped one. An earlier overlap that is itself skipped, or dropped for
-the atoms of one before it, passes this on to one earlier still, and an
-overlap missing from the `seen` set only costs a later one its firing.
-The peaks, their order and their ancestors are those of the unpruned
-walk. A rule whose only symmetries are longer cycles of heads is left
-unpruned.
+(Crawford, Ginsberg, Luks and Roy, KR 1996). A head swap of a rule
+(`_head_swaps`, found once per rule) is a pair of its heads, both kept
+or both removed and of one predicate and arity, with a bijective
+renaming of the head variables (variables that no head holds stay fixed)
+that maps the heads onto the heads with those two exchanged, the guard
+and the built-in body onto themselves as sets of unordered equations,
+and the user body onto itself as a multiset. An overlap is skipped when
+one swap of either rule turns it into an overlap that `_overlaps` lists
+before it (`_swapped_earlier`). This is exact. The renaming maps the
+skipped overlap's equations, with both guards, onto the earlier one's,
+so that one unifies too and is processed first. Its ancestor is the
+skipped one's with the globals renamed and some atoms reordered, and
+since the swap maps its rule onto itself, each rule fires on the same
+atoms, kept or removed alike, to the same reducts up to that renaming.
+So the earlier overlap gives a peak with the same key, which
+deduplication has met before the skipped overlap comes, or no peak, and
+then neither does the skipped one. An earlier overlap that is itself
+skipped, or dropped for the atoms of one before it, passes this on to
+one earlier still, and an overlap missing from the `seen` set only costs
+a later one its firing. The peaks, their order and their ancestors are
+those of the unpruned walk. A rule whose only symmetries are longer
+cycles of heads is left unpruned.
 """
 
 from __future__ import annotations
@@ -211,7 +211,11 @@ def _rule_pairs(p: Program, q: Program) -> Iterator[tuple[Rule, Rule, bool]]:
                 yield c1, rename_apart(set(c1.variables()), r2), same_program and i1 == i2
 
 
-def _head_swaps(rule: Rule) -> list[tuple[int, int]]:
+# Pairs of head positions, as `_head_swaps` finds them.
+_Swaps = list[tuple[int, int]]
+
+
+def _head_swaps(rule: Rule) -> _Swaps:
     """The pairs of heads, both kept or both removed and of one predicate
     and arity, whose swap with a bijective renaming of the head variables
     maps `rule` onto itself: heads onto heads, the guard and the built-in
@@ -241,10 +245,7 @@ def _head_swaps(rule: Rule) -> list[tuple[int, int]]:
 
 
 def _swapped_earlier(
-    sel1: tuple[int, ...],
-    sel2: tuple[int, ...],
-    swaps1: list[tuple[int, int]],
-    swaps2: list[tuple[int, int]],
+    sel1: tuple[int, ...], sel2: tuple[int, ...], swaps1: _Swaps, swaps2: _Swaps
 ) -> bool:
     """Whether one head swap of the first rule (`swaps1`) or of the second
     (`swaps2`) maps the overlap `sel1`/`sel2` onto one that `_overlaps`
@@ -262,11 +263,12 @@ def _swapped_earlier(
     return False
 
 
-def _candidates(c1: Rule, c2: Rule, same_rule: bool) -> Iterator[CriticalPeak]:
-    """The peaks of one rule pair in order, before key deduplication."""
+def _candidates(
+    c1: Rule, c2: Rule, same_rule: bool, swaps1: _Swaps, swaps2: _Swaps
+) -> Iterator[CriticalPeak]:
+    """The peaks of one rule pair in order, before key deduplication;
+    `swaps1` and `swaps2` are the rules' head swaps."""
     n_kept1, n_kept2 = len(c1.kept), len(c2.kept)
-    swaps1 = _head_swaps(c1)
-    swaps2 = swaps1 if same_rule else _head_swaps(c2)
     seen: set[tuple] = set()
     for sel1, sel2, sigma in _overlaps(c1, c2):
         if all(i < n_kept1 for i in sel1) and all(j < n_kept2 for j in sel2):
@@ -316,11 +318,15 @@ def critical_peaks(p: Program, q: Program) -> list[CriticalPeak]:
     """All critical peaks between `p` and `q`, deterministically ordered.
     Self peaks are asked for by passing one program object as both. A peak
     gets a key only when a peak kept before it has its shape."""
+    # Head swaps are pairs of head positions, which renaming apart keeps,
+    # so each rule's are found once, by its name within its program.
+    swaps_p = {r.name: _head_swaps(r) for r in p.rules}
+    swaps_q = swaps_p if p is q else {r.name: _head_swaps(r) for r in q.rules}
     out: list[CriticalPeak] = []
     for c1, c2, same_rule in _rule_pairs(p, q):
         first: dict[tuple, CriticalPeak] = {}
         keys: dict[tuple, set[tuple]] = {}
-        for peak in _candidates(c1, c2, same_rule):
+        for peak in _candidates(c1, c2, same_rule, swaps_p[c1.name], swaps_q[c2.name]):
             shape = _shape(peak, same_rule)
             if shape not in first:
                 first[shape] = peak

@@ -9,17 +9,19 @@ comma lists without spaces:
     VERDICT <criterion> <CONFLUENT|NOT_ESTABLISHED> assumptions=[...]
 
 A `peaks` report holds only PEAK records, whose STATUS is the peak's
-class: INDUCTIVE, COINDUCTIVE or CROSS. In a `check` report a closed
-peak is JOINABLE, STRONGLY_JOINABLE or DECREASING with `left=[...]
-right=[...]`, the valley's rule labels; an open one is NOT_CLOSED with
-`depth=N states=N`, then `exhausted=true` when both search spaces were
-explored and `notes=[...]` when a reduct admits no step. ADMISSIBLE
-`false` carries `witness=`; ADMISSIBLE `enumerated` carries the order
-search's fields, all written by `admissible_fields`: `orders_tried=` the
-number of admissible orders, `truncated=true` when the walk stopped
-undecided after `orders.MAX_ORDERS` orders evaluated or branches cut,
-`found=` once the peaks were searched and `order=` the strict pairs of
-the closing order found.
+class: INDUCTIVE or COINDUCTIVE under the report's partition, CROSS when
+it has none. In a `check` report a closed peak has one of
+`analysis.CLOSED_STATUSES` (JOINABLE, DECREASING or STRONGLY_JOINABLE)
+with `left=[...] right=[...]`, the valley's rule labels; an open one is
+NOT_CLOSED with `depth=N states=N`, the report's search budget, then
+`exhausted=true` when both search spaces were explored and `notes=[...]`
+when a reduct admits no step. ADMISSIBLE `false` carries `witness=`;
+ADMISSIBLE `enumerated` carries the order search's fields, all written
+by `admissible_fields`: `orders_tried=` the number of admissible orders,
+`truncated=true` when the walk stopped undecided after
+`orders.MAX_ORDERS` orders evaluated or branches cut, `found=` once the
+peaks were searched and `order=` the strict pairs of the closing order
+found.
 
 Values are bare tokens or bracketed lists; a report is re-parseable by
 `parse_machine_report` and emission is byte-stable across runs.
@@ -30,37 +32,33 @@ from __future__ import annotations
 import re
 from typing import Optional
 
-from .analysis import PeakVerdict, Report
-from .peaks import CriticalPeak
+from .analysis import CLOSED_STATUSES, PeakVerdict, Report, SearchBudget
+from .peaks import CriticalPeak, classify
 from .state import CanonicalState, State, canonical_text, canonicalize, state_text
 from .syntax import Program, program_text
 
 
-_PEAK_STATUSES = (
-    "JOINABLE",
-    "DECREASING",
-    "STRONGLY_JOINABLE",
-    "NOT_CLOSED",
-    "INDUCTIVE",
-    "COINDUCTIVE",
-    "CROSS",
-)
+_PEAK_STATUSES = (*CLOSED_STATUSES, "NOT_CLOSED", "INDUCTIVE", "COINDUCTIVE", "CROSS")
 
 
 def _bracket(items) -> str:
     return "[" + ",".join(items) + "]"
 
 
-def _machine_peak_line(index: int, v: PeakVerdict) -> str:
-    parts = ["PEAK", str(index), v.rule_left, v.rule_right, v.status]
+def _peak_class(report: Report, peak: CriticalPeak) -> str:
+    return "cross" if report.partition is None else classify(peak, report.partition)
+
+
+def _machine_peak_line(v: PeakVerdict, budget: Optional[SearchBudget]) -> str:
+    parts = ["PEAK", str(v.index), v.rule_left, v.rule_right, v.status]
     if v.valley is not None:
         left_labels, right_labels = v.valley.labels()
         parts.append("left=" + _bracket(left_labels))
         parts.append("right=" + _bracket(right_labels))
     else:
-        if v.bounds is not None:
-            parts.append(f"depth={v.bounds[0]}")
-            parts.append(f"states={v.bounds[1]}")
+        if budget is not None:
+            parts.append(f"depth={budget.max_depth}")
+            parts.append(f"states={budget.max_states}")
         if v.exhausted:
             parts.append("exhausted=true")
         if v.notes:
@@ -86,8 +84,9 @@ def admissible_fields(report: Report) -> list[tuple[str, str]]:
 def machine_report(report: Report) -> str:
     lines: list[str] = []
     if report.mode == "peaks":
-        for i, (peak, cls) in enumerate(zip(report.peaks, report.classifications)):
-            lines.append(f"PEAK {i} {peak.rule_left} {peak.rule_right} {cls.upper()}")
+        for i, peak in enumerate(report.peaks):
+            cls = _peak_class(report, peak).upper()
+            lines.append(f"PEAK {i} {peak.rule_left} {peak.rule_right} {cls}")
         return "\n".join(lines) + ("\n" if lines else "")
     if report.admissibility is not None:
         fields = admissible_fields(report)
@@ -106,7 +105,7 @@ def machine_report(report: Report) -> str:
             line += f" witness={t.witness}"
         lines.append(line)
     for v in report.verdicts:
-        lines.append(_machine_peak_line(v.index, v))
+        lines.append(_machine_peak_line(v, report.budget))
     lines.append(
         f"VERDICT {report.criterion} {report.outcome} assumptions="
         + _bracket(report.assumptions)
@@ -171,7 +170,7 @@ def peak_text(index: int, peak: CriticalPeak, classification: Optional[str] = No
     return "\n".join(lines)
 
 
-def _verdict_text(v: PeakVerdict) -> str:
+def _verdict_text(v: PeakVerdict, budget: Optional[SearchBudget]) -> str:
     if v.valley is not None:
         left_labels, right_labels = v.valley.labels()
         via = "" if "tactic" not in v.notes else " (tactic)"
@@ -182,8 +181,8 @@ def _verdict_text(v: PeakVerdict) -> str:
     bits = [f"  {v.status}"]
     if v.exhausted:
         bits.append("(search space exhausted)")
-    elif v.bounds:
-        bits.append(f"(budget: depth {v.bounds[0]}, states {v.bounds[1]})")
+    elif budget is not None:
+        bits.append(f"(budget: depth {budget.max_depth}, states {budget.max_states})")
     out = " ".join(bits)
     for note in v.notes:
         out += "\n    note: " + note.replace("_", " ")
@@ -194,8 +193,8 @@ def text_report(report: Report) -> str:
     lines: list[str] = []
     if report.mode == "peaks":
         lines.append(f"{len(report.peaks)} critical peak(s)")
-        for i, (peak, cls) in enumerate(zip(report.peaks, report.classifications)):
-            lines.append(peak_text(i, peak, cls))
+        for i, peak in enumerate(report.peaks):
+            lines.append(peak_text(i, peak, _peak_class(report, peak)))
         return "\n".join(lines) + "\n"
 
     lines.append(f"mode: {report.mode}")
@@ -218,23 +217,25 @@ def text_report(report: Report) -> str:
         suffix = f" (witness: {t.witness})" if t.witness else ""
         lines.append(f"termination of inductive part: {t.status}{suffix} by (atoms, size) measure")
     verdict_by_index = {v.index: v for v in report.verdicts}
-    for i, (peak, cls) in enumerate(zip(report.peaks, report.classifications)):
-        lines.append(peak_text(i, peak, cls))
+    for i, peak in enumerate(report.peaks):
+        lines.append(peak_text(i, peak, _peak_class(report, peak)))
         v = verdict_by_index.get(i)
         if v is not None:
-            lines.append(_verdict_text(v))
+            lines.append(_verdict_text(v, report.budget))
         else:
             lines.append("  (not analyzed)")
     lines.append(f"verdict: {report.outcome} ({report.criterion})")
     return "\n".join(lines) + "\n"
 
 
-def emit_report(report: Report, fmt: str = "text") -> str:
-    if fmt == "machine":
-        return machine_report(report)
-    if fmt == "text":
-        return text_report(report)
-    raise ValueError(f"unknown report format {fmt!r}")
+# The output formats by name, for `--format`, the config and `emit_report`.
+FORMATS = {"text": text_report, "machine": machine_report}
+
+
+def emit_report(report: Report, fmt: str) -> str:
+    if fmt not in FORMATS:
+        raise ValueError(f"unknown report format {fmt!r}")
+    return FORMATS[fmt](report)
 
 
 def pretty(value) -> str:

@@ -121,60 +121,42 @@ class Program:
 # ---------------------------------------------------------------------------
 # Tokenizer
 
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<WS>\s+)
-  | (?P<COMMENT>%[^\n]*)
-  | (?P<SIMP><=>)
-  | (?P<PROP>==>)
-  | (?P<VAR>[A-Z_][A-Za-z0-9_]*)
-  | (?P<NAME>[a-z][A-Za-z0-9_]*)
-  | (?P<INT>\d+)
-  | (?P<AT>@)
-  | (?P<BSLASH>\\)
-  | (?P<PIPE>\|)
-  | (?P<COMMA>,)
-  | (?P<SEMI>;)
-  | (?P<LPAREN>\()
-  | (?P<RPAREN>\))
-  | (?P<DOT>\.)
-  | (?P<EQ>=)
-  | (?P<PLUS>\+)
-  | (?P<HASH>\#)
-  | (?P<COLON>:)
-    """,
-    re.VERBOSE,
+# Each token kind in match order, with its pattern and its name in error
+# messages. Whitespace and comments are dropped, so no message names them;
+# EOF ends every input and has no pattern.
+_TOKENS = (
+    ("WS", r"\s+", None),
+    ("COMMENT", r"%[^\n]*", None),
+    ("SIMP", r"<=>", "'<=>'"),
+    ("PROP", r"==>", "'==>'"),
+    ("VAR", r"[A-Z_][A-Za-z0-9_]*", "a variable"),
+    ("NAME", r"[a-z][A-Za-z0-9_]*", "an identifier"),
+    ("INT", r"\d+", "an integer"),
+    ("AT", r"@", "'@'"),
+    ("BSLASH", r"\\", "'\\'"),
+    ("PIPE", r"\|", "'|'"),
+    ("COMMA", r",", "','"),
+    ("SEMI", r";", "';'"),
+    ("LPAREN", r"\(", "'('"),
+    ("RPAREN", r"\)", "')'"),
+    ("DOT", r"\.", "'.'"),
+    ("EQ", r"=", "'='"),
+    ("PLUS", r"\+", "'+'"),
+    ("HASH", r"#", "'#'"),
+    ("COLON", r":", "':'"),
+    ("EOF", None, "end of input"),
 )
+_TOKEN_RE = re.compile(
+    "|".join(f"(?P<{kind}>{pattern})" for kind, pattern, _ in _TOKENS if pattern)
+)
+_TOKEN_NAMES = {kind: name for kind, _, name in _TOKENS}
 
 
-@dataclass(frozen=True)
-class _Tok:
+class _Tok(NamedTuple):
     kind: str
     value: str
     line: int
     col: int
-
-
-_TOKEN_NAMES = {
-    "SIMP": "'<=>'",
-    "PROP": "'==>'",
-    "VAR": "a variable",
-    "NAME": "an identifier",
-    "INT": "an integer",
-    "AT": "'@'",
-    "BSLASH": "'\\'",
-    "PIPE": "'|'",
-    "COMMA": "','",
-    "SEMI": "';'",
-    "LPAREN": "'('",
-    "RPAREN": "')'",
-    "DOT": "'.'",
-    "EQ": "'='",
-    "PLUS": "'+'",
-    "HASH": "'#'",
-    "COLON": "':'",
-    "EOF": "end of input",
-}
 
 
 def _tokenize(text: str) -> list[_Tok]:
@@ -221,15 +203,19 @@ class _Parser:
         return t
 
     def expect(self, kind: str) -> _Tok:
-        t = self.peek()
-        if t.kind != kind:
-            what = _TOKEN_NAMES.get(kind, kind)
-            raise ParseError(f"expected {what}, found {t.value!r}", t.line, t.col)
+        if self.peek().kind != kind:
+            raise self.unexpected(_TOKEN_NAMES[kind])
         return self.next()
 
     def error(self, msg: str) -> ParseError:
         t = self.peek()
         return ParseError(msg, t.line, t.col)
+
+    def unexpected(self, what: str) -> ParseError:
+        """`expected <what>, found <the next token>`, at that token."""
+        t = self.peek()
+        found = _TOKEN_NAMES["EOF"] if t.kind == "EOF" else repr(t.value)
+        return self.error(f"expected {what}, found {found}")
 
     # -- terms ------------------------------------------------------------
 
@@ -277,7 +263,7 @@ class _Parser:
                 return Compound(t.value, tuple(args))
             self._check_arity("functor", self.fun_arity, 0, t)
             return Compound(t.value)
-        raise self.error(f"expected a term, found {t.value!r}")
+        raise self.unexpected("a term")
 
     def parse_term(self) -> Term:
         left = self.parse_primary()
@@ -292,7 +278,7 @@ class _Parser:
     def parse_atom(self) -> Atom:
         t = self.peek()
         if t.kind != "NAME":
-            raise self.error(f"expected an atom, found {t.value!r}")
+            raise self.unexpected("an atom")
         self.next()
         args: list[Term] = []
         if self.peek().kind == "LPAREN":
@@ -329,7 +315,7 @@ class _Parser:
             lhs = self.parse_term()
             self.expect("EQ")
             return Eq(lhs, self.parse_term())
-        raise self.error(f"expected an atom or equation, found {t.value!r}")
+        raise self.unexpected("an atom or equation")
 
     def parse_list(self, parse_one: Callable[[], object], seps=("COMMA",)) -> list:
         """`parse_one`, then again after each separator."""

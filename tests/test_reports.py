@@ -11,7 +11,7 @@ from chrdc.analysis import (
     check_strong_confluence,
 )
 from chrdc.orders import Partition, RulePreorder
-from chrdc.peaks import classify, critical_peaks
+from chrdc.peaks import critical_peaks
 from chrdc.reports import (
     emit_report,
     machine_report,
@@ -73,6 +73,27 @@ def test_machine_parser_rejects_noise():
         parse_machine_report("PEAK 0 a b NOT_A_STATUS\n")
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("VERDICT locally_confluent CONFLUENT assumptions=[] extra",
+         "line 1: positional field after key=value: 'extra'"),
+        ("VERDICT locally_confluent", "line 1: malformed VERDICT record"),
+    ],
+)
+def test_machine_parser_names_what_is_malformed(line, message):
+    with pytest.raises(ValueError) as exc:
+        parse_machine_report(line + "\n")
+    assert str(exc.value) == message
+
+
+def test_machine_parser_skips_blank_lines():
+    text = "ADMISSIBLE true\n\n  \nVERDICT local CONFLUENT assumptions=[]\n"
+    records = parse_machine_report(text)
+    assert [r["record"] for r in records] == ["ADMISSIBLE", "VERDICT"]
+    assert records[1]["fields"] == ["local", "CONFLUENT"]
+
+
 def test_peaks_mode_machine_lines(pminus):
     part = Partition.for_program(pminus)
     peaks = critical_peaks(pminus, pminus)
@@ -80,9 +101,8 @@ def test_peaks_mode_machine_lines(pminus):
         mode="peaks",
         criterion="peaks",
         established=True,
-        outcome="",
+        partition=part,
         peaks=tuple(peaks),
-        classifications=tuple(classify(pk, part) for pk in peaks),
     )
     text = machine_report(rep)
     assert text == "PEAK 0 duplicate sminus INDUCTIVE\n"

@@ -1,16 +1,19 @@
-"""chrdc imports nothing outside the standard library, and each of its
-modules imports on its own, whatever was imported before it."""
+"""chrdc imports nothing outside the standard library, each of its
+modules imports on its own, whatever was imported before it, and each
+parses under the oldest Python that `pyproject.toml` declares."""
 
 from __future__ import annotations
 
 import ast
 import pathlib
+import re
 import subprocess
 import sys
 
 import pytest
 
-SRC = pathlib.Path(__file__).parent.parent / "src" / "chrdc"
+ROOT = pathlib.Path(__file__).parent.parent
+SRC = ROOT / "src" / "chrdc"
 
 
 def test_every_import_is_relative_or_stdlib():
@@ -41,3 +44,12 @@ def test_each_module_imports_first_in_a_fresh_interpreter(module):
         capture_output=True, text=True,
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_every_module_parses_under_the_declared_python_floor():
+    # A regex, not tomllib, so that the test also runs on the floor itself.
+    declared = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    major, minor = re.search(r'requires-python = ">=(\d+)\.(\d+)"', declared).groups()
+    floor = (int(major), int(minor))
+    for path in sorted(SRC.glob("*.py")):
+        ast.parse(path.read_text(encoding="utf-8"), path.name, feature_version=floor)

@@ -98,6 +98,27 @@ def test_malformed_token_has_position():
     assert "malformed" in str(exc.value)
 
 
+@pytest.mark.parametrize(
+    "parse, text, message",
+    [
+        (parse_program, "r @ p(X) <=> true", "1:18: expected '.', found end of input"),
+        (parse_program, "r @ p(X) <=> q(", "1:16: expected a term, found end of input"),
+        (parse_program, "r @ 1 <=> true.", "1:5: expected an atom, found '1'"),
+        (parse_program, "r @ p(X) <=> , .", "1:14: expected an atom or equation, found ','"),
+        (parse_program, "r @ p(X) q(X).", "1:10: expected '\\', '<=>' or '==>'"),
+        (parse_program, "r @ p(X <=> true.", "1:9: expected ')', found '<=>'"),
+        (parse_state, "p(a) # glob: X", "1:8: expected 'globals' after '#'"),
+        (parse_state, "p(a) # globals X", "1:16: expected ':', found 'X'"),
+        (parse_state, "p(a) q(b)", "1:6: expected end of input, found 'q'"),
+        (parse_state, "leq(X", "1:6: expected ')', found end of input"),
+    ],
+)
+def test_parse_error_messages(parse, text, message):
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert str(exc.value) == message
+
+
 def test_integer_and_plus_sugar():
     p = parse_program("eat @ thk(X,Y,I), frk(X), frk(Y) <=> eat(X,Y,I+1).")
     (r,) = p.rules
