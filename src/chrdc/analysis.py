@@ -27,7 +27,6 @@ are definite.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
 from typing import (
     Callable, Collection, Hashable, Iterable, Iterator, Mapping, NamedTuple, Optional,
     Sequence, Union,
@@ -50,14 +49,12 @@ from .state import CanonicalState, State
 from .syntax import Program
 
 
-@dataclass(frozen=True)
-class SearchBudget:
+class SearchBudget(NamedTuple):
     max_depth: int = 8
     max_states: int = 2000
 
 
-@dataclass
-class Valley:
+class Valley(NamedTuple):
     left: Derivation
     right: Derivation
 
@@ -71,8 +68,7 @@ CLOSED_STATUSES = JOINABLE, DECREASING, STRONGLY_JOINABLE = (
 )
 
 
-@dataclass
-class PeakVerdict:
+class PeakVerdict(NamedTuple):
     index: int
     rule_left: str
     rule_right: str
@@ -89,8 +85,7 @@ class PeakVerdict:
 # ---------------------------------------------------------------------------
 # Trace automata
 
-@dataclass(frozen=True)
-class _Automaton:
+class _Automaton(NamedTuple):
     """`moves[phase][label]` gives the phases after reading `label` in
     `phase`; `accepts` holds the accepting phases, None meaning all."""
 
@@ -341,8 +336,7 @@ def join_search(
 # ---------------------------------------------------------------------------
 # Reports
 
-@dataclass(frozen=True)
-class OrderSearch:
+class OrderSearch(NamedTuple):
     """The walk over admissible orders: how many there are, whether the
     walk stopped undecided after `MAX_ORDERS` orders evaluated or branches
     cut, and whether an order closed every peak (None when the peaks were
@@ -353,8 +347,7 @@ class OrderSearch:
     found: Optional[bool] = None
 
 
-@dataclass
-class Report:
+class Report(NamedTuple):
     """A criterion's or a peak listing's report. A peak's class is read off
     `partition`, `cross` without one; `budget` bounded every search."""
 
@@ -624,8 +617,8 @@ def check_rule_decreasing(
         walk = _OrderWalk(program, part, peaks, coinductive, closing)
         shown, co = walk.run(first_only=not inductive_ok)
         verdicts.update(co)
-        search = replace(
-            search, truncated=walk.truncated, found=all(v.closed for v in verdicts.values())
+        search = search._replace(
+            truncated=walk.truncated, found=all(v.closed for v in verdicts.values())
         )
     else:
         verdicts.update((i, closing(i, shown)) for i in coinductive)

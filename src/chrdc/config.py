@@ -26,13 +26,16 @@ twice in `[partition]`, `[limits]` or `[options]` is an error, and so is
 order would replace the enumeration. Only a tactic section takes a name
 (its selector). `%` starts a comment line. A limit left out keeps
 `analysis.SearchBudget`'s default, the value shown above.
+
+`load_config` collects the values it reads and builds its
+`AnalysisConfig`, a `NamedTuple`, once at the end, so a config is never
+assigned to after it is loaded.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional, Sequence
 
 from .analysis import SearchBudget
 from .peaks import CriticalPeak
@@ -43,24 +46,22 @@ class ConfigError(Exception):
     pass
 
 
-@dataclass
-class TacticDecl:
+class TacticDecl(NamedTuple):
     selector: str
-    left: list[list[str]] = field(default_factory=list)
-    right: list[list[str]] = field(default_factory=list)
+    left: list[list[str]]
+    right: list[list[str]]
 
 
-@dataclass
-class AnalysisConfig:
+class AnalysisConfig(NamedTuple):
     inductive: Optional[list[str]] = None
     coinductive: Optional[list[str]] = None
-    order_decls: list[tuple[str, str, str]] = field(default_factory=list)
-    max_depth: int = SearchBudget.max_depth
-    max_states: int = SearchBudget.max_states
+    order_decls: Sequence[tuple[str, str, str]] = ()
+    max_depth: int = SearchBudget().max_depth
+    max_states: int = SearchBudget().max_states
     assume_terminating: bool = False
     enumerate_orders: bool = False
     out_format: str = "text"
-    tactics: list[TacticDecl] = field(default_factory=list)
+    tactics: Sequence[TacticDecl] = ()
 
 
 _SECTION_RE = re.compile(r'^\[(\w+)(?:\s+"([^"]*)")?\]$')
@@ -84,7 +85,7 @@ def _boolean(raw: str, lineno: int) -> bool:
 
 
 def load_config(text: str) -> AnalysisConfig:
-    cfg = AnalysisConfig()
+    fields: dict = {"order_decls": [], "tactics": []}  # AnalysisConfig's, as read
     section: Optional[str] = None
     tactic: Optional[TacticDecl] = None
     seen: dict[tuple[str, str], int] = {}  # (section, key) -> line
@@ -99,8 +100,8 @@ def load_config(text: str) -> AnalysisConfig:
             if section == "tactic":
                 if sm.group(2) is None:
                     raise ConfigError(f"line {lineno}: tactic section needs a selector")
-                tactic = TacticDecl(sm.group(2))
-                cfg.tactics.append(tactic)
+                tactic = TacticDecl(sm.group(2), [], [])
+                fields["tactics"].append(tactic)
             elif section not in ("partition", "order", "limits", "options"):
                 raise ConfigError(f"line {lineno}: unknown section [{section}]")
             elif sm.group(2) is not None:
@@ -112,7 +113,7 @@ def load_config(text: str) -> AnalysisConfig:
             om = _ORDER_RE.match(line)
             if om is None:
                 raise ConfigError(f"line {lineno}: expected 'a > b' or 'a >= b'")
-            cfg.order_decls.append((om.group(1), om.group(2), om.group(3)))
+            fields["order_decls"].append((om.group(1), om.group(2), om.group(3)))
             first_pair = first_pair or lineno
             continue
         km = _KEYVAL_RE.match(line)
@@ -126,12 +127,9 @@ def load_config(text: str) -> AnalysisConfig:
                 )
             seen[section, key] = lineno
         if section == "partition":
-            if key == "inductive":
-                cfg.inductive = _name_list(value)
-            elif key == "coinductive":
-                cfg.coinductive = _name_list(value)
-            else:
+            if key not in ("inductive", "coinductive"):
                 raise ConfigError(f"line {lineno}: unknown partition key {key!r}")
+            fields[key] = _name_list(value)
         elif section == "limits":
             if key not in ("max_depth", "max_states"):
                 raise ConfigError(f"line {lineno}: unknown limit {key!r}")
@@ -141,28 +139,26 @@ def load_config(text: str) -> AnalysisConfig:
                 raise ConfigError(f"line {lineno}: {key} must be an integer")
             if number < 0:
                 raise ConfigError(f"line {lineno}: {key} must be non-negative")
-            setattr(cfg, key, number)
+            fields[key] = number
         elif section == "options":
-            if key == "assume_terminating":
-                cfg.assume_terminating = _boolean(value, lineno)
-            elif key == "enumerate_orders":
-                cfg.enumerate_orders = _boolean(value, lineno)
+            if key in ("assume_terminating", "enumerate_orders"):
+                fields[key] = _boolean(value, lineno)
             elif key == "format":
                 if value not in FORMATS:
                     raise ConfigError(f"line {lineno}: format must be {' or '.join(FORMATS)}")
-                cfg.out_format = value
+                fields["out_format"] = value
             else:
                 raise ConfigError(f"line {lineno}: unknown option {key!r}")
         elif section == "tactic":
             if key not in ("left", "right"):
                 raise ConfigError(f"line {lineno}: unknown tactic key {key!r}")
             getattr(tactic, key).append(_name_list(value))
-    if cfg.enumerate_orders and first_pair is not None:
+    if fields.get("enumerate_orders") and first_pair is not None:
         raise ConfigError(
             f"line {seen['options', 'enumerate_orders']}: enumerate_orders = true"
             f" conflicts with the [order] pair on line {first_pair}"
         )
-    return cfg
+    return AnalysisConfig(**fields)
 
 
 def load_config_file(path: str) -> AnalysisConfig:

@@ -10,15 +10,13 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .syntax import Atom, Program, Rule
 from .terms import term_size
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(NamedTuple):
     inductive: frozenset[str]
     coinductive: frozenset[str]
 
@@ -137,8 +135,7 @@ class RulePreorder:
         return out
 
 
-@dataclass(frozen=True)
-class AdmissibilityResult:
+class AdmissibilityResult(NamedTuple):
     ok: bool
     witness: Optional[tuple[str, str]] = None
 
@@ -238,8 +235,7 @@ def admissible_total_preorders(
             yield RulePreorder.from_levels(names, dict(zip(names, levels)))
 
 
-@dataclass(frozen=True)
-class TerminationResult:
+class TerminationResult(NamedTuple):
     status: str  # VERIFIED | ASSUMED | REFUTED
     witness: Optional[str] = None
 

@@ -17,14 +17,15 @@ written the same way with an optional `# globals: X, Y` suffix.
 `Atom` and `Eq` are `NamedTuple` value types, like the terms they hold:
 hashing and equality run in C. They compare equal by items across
 types, so `Atom("p", args) == Compound("p", args)`; no set, dict or
-`==` in chrdc mixes atoms with terms. `Rule` is a `NamedTuple` as well;
-programs are frozen dataclasses.
+`==` in chrdc mixes atoms with terms. `Rule` and `Program` are
+`NamedTuple`s as well. A program compares by its rules and by its arity
+tables, which only the parser fills, so two programs the parser read
+from the same text in the same context are equal.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from typing import Callable, Iterator, Mapping, NamedTuple, Optional, Union
 
 from .terms import Compound, Term, Var, apply_all, iter_all_vars, FRESH_PREFIX
@@ -107,12 +108,12 @@ class Rule(NamedTuple):
 Arities = tuple[dict[str, int], dict[str, int]]
 
 
-@dataclass(frozen=True)
-class Program:
+class Program(NamedTuple):
     rules: tuple[Rule, ...]
     # The parser's tables: those of the programs read before this one plus
-    # this one's, so that later files and queries are checked against them.
-    arities: Arities = field(default_factory=lambda: ({}, {}), compare=False, repr=False)
+    # this one's, so that later files and queries are checked against them;
+    # None for a program built without the parser.
+    arities: Optional[Arities] = None
 
     def rule_names(self) -> list[str]:
         return [r.name for r in self.rules]

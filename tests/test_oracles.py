@@ -1,0 +1,110 @@
+"""The paper's subsumption results and renaming invariance, as oracles.
+
+The decreasing criterion "generalizes all preexisting criteria". With
+every rule coinductive and all rules on one level, a decreasing closing
+is a strong one: `star` then allows at most one step of any label on
+each side. With every rule inductive, a decreasing closing is a local
+one. Both identities are exact, so no budget boundary can split them.
+
+A verdict names rules, and a peak's sides depend on which rule comes
+first, but the peaks and whether each closes do not depend on the rules'
+names or order. Renamed runs are compared only when every verdict was
+decided (closed, or both search spaces exhausted), so that a budget
+boundary cannot fake a mismatch.
+"""
+
+from __future__ import annotations
+
+import random
+from collections import Counter
+
+from chrdc.analysis import (
+    SearchBudget,
+    check_local_confluence,
+    check_rule_decreasing,
+    check_strong_confluence,
+)
+from chrdc.engine import replay
+from chrdc.orders import Partition, RulePreorder
+from chrdc.state import equivalent
+from chrdc.syntax import Program
+from helpers import random_tiny_program
+
+BUDGET = SearchBudget(6, 400)
+
+
+def test_strong_confluence_is_rule_decreasing_on_one_coinductive_level():
+    rng = random.Random(11)
+    established = peaks = 0
+    for _ in range(200):
+        p = random_tiny_program(rng)
+        names = p.rule_names()
+        strong = check_strong_confluence(p, BUDGET)
+        decreasing = check_rule_decreasing(
+            p,
+            Partition.for_program(p, coinductive=names),
+            RulePreorder.from_levels(names, {n: 0 for n in names}),
+            BUDGET,
+        )
+        assert [v.closed for v in strong.verdicts] == [v.closed for v in decreasing.verdicts]
+        assert strong.established == decreasing.established
+        established += strong.established
+        peaks += len(strong.verdicts)
+    assert established >= 80 and peaks >= 150
+
+
+def test_local_confluence_is_rule_decreasing_with_every_rule_inductive():
+    rng = random.Random(11)
+    established = searched = 0
+    for _ in range(200):
+        p = random_tiny_program(rng)
+        local = check_local_confluence(p, BUDGET)
+        decreasing = check_rule_decreasing(p, Partition.for_program(p), None, BUDGET)
+        assert local.established == decreasing.established
+        if decreasing.termination.acceptable:
+            assert [v.closed for v in local.verdicts] == [v.closed for v in decreasing.verdicts]
+            searched += 1
+        established += local.established
+    assert established >= 30 and searched >= 60
+
+
+def _renamed_reversed(p: Program) -> Program:
+    return Program(tuple(r._replace(name="m" + r.name) for r in reversed(p.rules)))
+
+
+def _decided(report) -> bool:
+    return all(v.closed or v.exhausted for v in report.verdicts)
+
+
+def _peak_multiset(report) -> Counter:
+    """Each peak's unordered pair of original rule names, and whether it closed."""
+    return Counter(
+        (frozenset(name.removeprefix("m") for name in (v.rule_left, v.rule_right)), v.closed)
+        for v in report.verdicts
+    )
+
+
+def _replay_certificates(program: Program, report) -> int:
+    replayed = 0
+    for v in report.verdicts:
+        if v.valley is not None:
+            assert equivalent(replay(program, v.valley.left), replay(program, v.valley.right))
+            replayed += 1
+    return replayed
+
+
+def test_verdicts_do_not_depend_on_rule_names_or_order():
+    rng = random.Random(7)
+    compared = certificates = 0
+    for _ in range(300):
+        p = random_tiny_program(rng)
+        q = _renamed_reversed(p)
+        for check in (check_local_confluence, check_strong_confluence):
+            mine, theirs = check(p, BUDGET), check(q, BUDGET)
+            certificates += _replay_certificates(p, mine) + _replay_certificates(q, theirs)
+            if not (_decided(mine) and _decided(theirs)):
+                continue
+            assert _peak_multiset(mine) == _peak_multiset(theirs)
+            assert mine.established == theirs.established
+            compared += 1
+    assert compared >= 500 and certificates >= 100

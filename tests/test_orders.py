@@ -441,19 +441,35 @@ def test_541_failing_orders_share_one_star_search(monkeypatch):
     assert len(calls) == len(rep.peaks) == 1
 
 
-def test_a_peak_failing_under_every_pattern_stops_the_walk():
+def test_a_peak_failing_under_every_pattern_stops_the_walk(monkeypatch):
     # The duplicate/splus peak's relevant rules are its own two, with one
     # admissible relative order; once the first order fails there, no order
     # can close it. With the fresh rules first they get their levels before
     # the peak's rules, so cuts alone would drop their arrangements one by
-    # one until MAX_ORDERS.
+    # one until MAX_ORDERS. The counts pin the work beside the time bound.
+    pulled, calls = [], []
+
+    def counting(*args, **kwargs):
+        for order in admissible_total_preorders(*args, **kwargs):
+            pulled.append(order)
+            yield order
+
+    def searching(*args, **kwargs):
+        calls.append(args[0])
+        return join_search(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "admissible_total_preorders", counting)
+    monkeypatch.setattr(analysis, "join_search", searching)
     for m, before, total in ((6, False, "47293"), (7, True, "545835")):
+        pulled.clear()
+        calls.clear()
         program = _with_fresh((FIXTURES / "pplus.chr").read_text(), m, before)
         part = Partition.for_program(program, coinductive=["splus"])
         start = time.perf_counter()
         rep = check_rule_decreasing(program, part, None, SearchBudget(), enumerate_orders=True)
         assert time.perf_counter() - start < 0.05
         assert admissible_fields(rep) == [("orders_tried", total), ("found", "false")]
+        assert len(pulled) == len(calls) == 1
 
 
 def test_closing_order_past_the_bound_is_found():

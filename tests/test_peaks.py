@@ -258,15 +258,26 @@ def test_peak_key_matches_the_renaming_oracle(leq, philos, pminus, pplus):
     assert paths[True] >= 20 and paths[False] >= 20
 
 
-def test_distinct_predicate_heads_cost_work_per_peak():
+def test_distinct_predicate_heads_cost_work_per_peak(monkeypatch):
     # A walk over every bijection between equal-sized head subsets makes
-    # 1,441,728 overlap attempts here and takes seconds.
+    # 1,441,728 overlap attempts here and takes seconds. Each peak's
+    # ancestor is built once; the count pins the work beside the time bound.
+    import chrdc.peaks
+
+    built = []
+
+    def counting(*args, _f=chrdc.peaks._ancestor):
+        built.append(args)
+        return _f(*args)
+
+    monkeypatch.setattr(chrdc.peaks, "_ancestor", counting)
     heads = ", ".join(f"c{i}(X{i},X{i + 1})" for i in range(8))
     p = parse_program(f"r @ {heads} <=> true.")
     start = time.perf_counter()
     peaks = critical_peaks(p, p)
     assert time.perf_counter() - start < 0.5
     assert len(peaks) == 234
+    assert len(built) == 234
 
 
 def test_symmetric_heads_cost_work_per_orbit():

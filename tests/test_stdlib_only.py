@@ -53,3 +53,32 @@ def test_every_module_parses_under_the_declared_python_floor():
     floor = (int(major), int(minor))
     for path in sorted(SRC.glob("*.py")):
         ast.parse(path.read_text(encoding="utf-8"), path.name, feature_version=floor)
+
+
+def test_no_module_imports_dataclasses():
+    """Every record in chrdc is a `NamedTuple`, one kind of value."""
+    importing = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module]
+            else:
+                continue
+            importing += [path.name for m in modules if m == "dataclasses"]
+    assert importing == []
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    """Each process the CLI starts pays for what its import loads."""
+    done = subprocess.run(
+        [
+            sys.executable, "-c",
+            "import chrdc.cli, chrdc.reports, sys; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))",
+        ],
+        capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
