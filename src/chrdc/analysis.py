@@ -20,8 +20,15 @@ sides with `capped` and `star` and hands it to `join_search`:
 Certificates are deterministic: the valley with the smallest combined
 length wins, ties broken lexicographically by rule position in the
 program. Negative peak verdicts mean "not established within budget",
-never "non-confluent"; only admissibility and termination refutations
-are definite.
+never "non-confluent". An admissibility refutation is definite. A
+termination refutation (`REFUTED`) names an inductive rule on which the
+(atoms, size) measure does not decrease; it does not mean the program
+loops: `r @ p(X) <=> q(X).` stops after one step, yet is refuted.
+`assume_terminating` records termination as an assumption instead.
+
+A report holds verdicts, a termination result and an admissibility
+result, and derives from them what it concludes: whether the criterion
+is established, which criterion it names and what it assumes.
 """
 
 from __future__ import annotations
@@ -62,10 +69,11 @@ class Valley(NamedTuple):
         return (self.left.labels(), self.right.labels())
 
 
-# The statuses a closing earns, by criterion; an open peak is NOT_CLOSED.
+# The statuses a closing earns, by criterion, and an open peak's.
 CLOSED_STATUSES = JOINABLE, DECREASING, STRONGLY_JOINABLE = (
     "JOINABLE", "DECREASING", "STRONGLY_JOINABLE"
 )
+NOT_CLOSED = "NOT_CLOSED"
 
 
 class PeakVerdict(NamedTuple):
@@ -326,7 +334,7 @@ def join_search(
         index,
         peak.rule_left,
         peak.rule_right,
-        "NOT_CLOSED" if valley is None else status,
+        NOT_CLOSED if valley is None else status,
         valley,
         notes=shown,
         exhausted=exhausted,
@@ -337,24 +345,32 @@ def join_search(
 # Reports
 
 class OrderSearch(NamedTuple):
-    """The walk over admissible orders: how many there are, whether the
-    walk stopped undecided after `MAX_ORDERS` orders evaluated or branches
-    cut, and whether an order closed every peak (None when the peaks were
-    never searched)."""
+    """The walk over admissible orders: whether it stopped undecided after
+    `MAX_ORDERS` orders evaluated or branches cut, and whether an order
+    closed every peak (None when the peaks were never searched)."""
 
-    orders_tried: int
     truncated: bool
     found: Optional[bool] = None
 
 
+# The criterion each mode's report names; see `Report.criterion`.
+_CRITERIA = {
+    "peaks": "peaks",
+    "local": "locally_confluent",
+    "strong": "strongly_confluent",
+    "decreasing": "rule_decreasing",
+    "modular": "modular_union_confluent",
+}
+
+
 class Report(NamedTuple):
     """A criterion's or a peak listing's report. A peak's class is read off
-    `partition`, `cross` without one; `budget` bounded every search."""
+    `partition`, `cross` without one; `budget` bounded every search. What
+    the report concludes is derived from what it holds, so it cannot claim
+    confluence beside an open verdict, a refuted termination or an
+    inadmissible order."""
 
     mode: str
-    criterion: str
-    established: bool
-    assumptions: tuple[str, ...] = ()
     partition: Optional[Partition] = None
     order: Optional[RulePreorder] = None
     termination: Optional[TerminationResult] = None
@@ -365,35 +381,35 @@ class Report(NamedTuple):
     budget: Optional[SearchBudget] = None
 
     @property
+    def established(self) -> bool:
+        return (
+            (self.termination is None or self.termination.acceptable)
+            and (self.admissibility is None or self.admissibility.ok)
+            and all(v.closed for v in self.verdicts)
+        )
+
+    @property
     def outcome(self) -> str:
         return "CONFLUENT" if self.established else "NOT_ESTABLISHED"
 
+    @property
+    def criterion(self) -> str:
+        """The mode's criterion; with no inductive rule a decreasing
+        diagram closes every peak in one step per side, the strong variant."""
+        part = self.partition
+        if self.mode == "decreasing" and part is not None and not part.inductive:
+            return "strongly_rule_decreasing"
+        return _CRITERIA[self.mode]
 
-def _report(
-    mode: str,
-    criterion: str,
-    peaks: Sequence[CriticalPeak],
-    verdicts: dict[int, PeakVerdict],
-    budget: SearchBudget,
-    holds: bool = True,
-    assumptions: tuple[str, ...] = (),
-    **fields,
-) -> Report:
-    """A criterion's report: established when `holds` and every verdict
-    closed; an assumed termination is echoed as an assumption."""
-    term = fields.get("termination")
-    if term is not None and term.status == "ASSUMED":
-        assumptions = ("termination_assumed",)
-    return Report(
-        mode=mode,
-        criterion=criterion,
-        established=holds and all(v.closed for v in verdicts.values()),
-        assumptions=assumptions,
-        peaks=tuple(peaks),
-        verdicts=tuple(verdicts[i] for i in sorted(verdicts)),
-        budget=budget,
-        **fields,
-    )
+    @property
+    def assumptions(self) -> tuple[str, ...]:
+        """What the verdict rests on without checking it: the component
+        programs' confluence under modularity, an assumed termination."""
+        if self.mode == "modular":
+            return ("p_confluent", "q_confluent")
+        if self.termination is not None and self.termination.status == "ASSUMED":
+            return ("termination_assumed",)
+        return ()
 
 
 def check_local_confluence(
@@ -402,26 +418,23 @@ def check_local_confluence(
     """Newman-style check: terminating plus joinable critical peaks."""
     part = Partition.for_program(program)
     term = check_inductive_termination(program, part, assume_terminating)
-    peaks = critical_peaks(program, program)
+    peaks = tuple(critical_peaks(program, program))
     side = (program, capped(program.rule_names()))
-    verdicts = {
-        i: join_search(pk, (side, side), JOINABLE, budget, i) for i, pk in enumerate(peaks)
-    }
-    return _report(
-        "local", "locally_confluent", peaks, verdicts, budget,
-        holds=term.acceptable, partition=part, termination=term,
+    verdicts = tuple(
+        join_search(pk, (side, side), JOINABLE, budget, i) for i, pk in enumerate(peaks)
     )
+    return Report("local", part, termination=term, peaks=peaks, verdicts=verdicts, budget=budget)
 
 
 def check_strong_confluence(program: Program, budget: SearchBudget) -> Report:
     part = Partition.for_program(program)
-    peaks = critical_peaks(program, program)
+    peaks = tuple(critical_peaks(program, program))
     side = (program, capped(program.rule_names(), 1))
-    verdicts = {
-        i: join_search(pk, (side, side), STRONGLY_JOINABLE, budget, i)
+    verdicts = tuple(
+        join_search(pk, (side, side), STRONGLY_JOINABLE, budget, i)
         for i, pk in enumerate(peaks)
-    }
-    return _report("strong", "strongly_confluent", peaks, verdicts, budget, partition=part)
+    )
+    return Report("strong", part, peaks=peaks, verdicts=verdicts, budget=budget)
 
 
 def live_rules(
@@ -572,30 +585,26 @@ def check_rule_decreasing(
     """`peaks`, when given, must be `critical_peaks(program, program)`."""
     if order is not None and enumerate_orders:
         raise ValueError("enumerate_orders searches for the order; do not give one")
-    criterion = "strongly_rule_decreasing" if not part.inductive else "rule_decreasing"
     if peaks is None:
         peaks = critical_peaks(program, program)
     classes = [classify(pk, part) for pk in peaks]
     term = check_inductive_termination(program, part, assume_terminating)
 
-    search: Optional[OrderSearch] = None
     if enumerate_orders:
         adm = AdmissibilityResult(True)
-        total = fubini(len(part.inductive)) * fubini(len(part.coinductive))
-        search = OrderSearch(total, truncated=False)
     else:
         shown = order if order is not None else RulePreorder.discrete(program.rule_names())
         adm = is_admissible(shown, part)
 
-    def report(verdicts, holds, shown_order, search) -> Report:
-        return _report(
-            "decreasing", criterion, peaks, verdicts, budget, holds=holds,
-            partition=part, termination=term, order=shown_order,
-            admissibility=adm, order_search=search,
+    def report(verdicts, shown_order, search) -> Report:
+        return Report(
+            "decreasing", part, shown_order, termination=term, admissibility=adm,
+            order_search=search, peaks=tuple(peaks),
+            verdicts=tuple(verdicts[i] for i in sorted(verdicts)), budget=budget,
         )
 
     if not adm.ok or not term.acceptable:
-        return report({}, False, order, search)
+        return report({}, order, OrderSearch(False) if enumerate_orders else None)
 
     tactics = tactics or {}
     inductive = [i for i, cls in enumerate(classes) if cls == "inductive"]
@@ -617,12 +626,11 @@ def check_rule_decreasing(
         walk = _OrderWalk(program, part, peaks, coinductive, closing)
         shown, co = walk.run(first_only=not inductive_ok)
         verdicts.update(co)
-        search = search._replace(
-            truncated=walk.truncated, found=all(v.closed for v in verdicts.values())
-        )
+        search = OrderSearch(walk.truncated, all(v.closed for v in verdicts.values()))
     else:
         verdicts.update((i, closing(i, shown)) for i in coinductive)
-    return report(verdicts, True, shown, search)
+        search = None
+    return report(verdicts, shown, search)
 
 
 def check_modularity(p: Program, q: Program, budget: SearchBudget) -> Report:
@@ -631,14 +639,10 @@ def check_modularity(p: Program, q: Program, budget: SearchBudget) -> Report:
     overlap = set(p.rule_names()) & set(q.rule_names())
     if overlap:
         raise ValueError(f"programs share rule names: {sorted(overlap)}")
-    peaks = critical_peaks(p, q)
+    peaks = tuple(critical_peaks(p, q))
     sides = ((q, capped(q.rule_names())), (p, capped(p.rule_names(), 1)))
     notes = ("left_reduct_admits_no_q_step", "right_reduct_admits_no_p_step")
-    verdicts = {
-        i: join_search(pk, sides, JOINABLE, budget, i, notes=notes)
-        for i, pk in enumerate(peaks)
-    }
-    return _report(
-        "modular", "modular_union_confluent", peaks, verdicts, budget,
-        assumptions=("p_confluent", "q_confluent"),
+    verdicts = tuple(
+        join_search(pk, sides, JOINABLE, budget, i, notes=notes) for i, pk in enumerate(peaks)
     )
+    return Report("modular", peaks=peaks, verdicts=verdicts, budget=budget)

@@ -5,9 +5,10 @@
           [--config CFG] [--format text|machine] [--max-depth N]
     chrdc run FILE --query "atoms # globals: ..." [--steps N]
 
-Exit codes: 0 established / done, 1 property not established, 2 input
-or configuration error, including a term nested too deeply to process.
-Output is byte-identical across runs on identical inputs.
+`peaks` and `check` share one command path, with `peaks` as one more
+mode. Exit codes: 0 established / done, 1 property not established, 2
+input or configuration error, including a term nested too deeply to
+process. Output is byte-identical across runs on identical inputs.
 """
 
 from __future__ import annotations
@@ -33,14 +34,6 @@ from .state import canonical_text, canonicalize
 from .syntax import ParseError, Program, parse_program_file, parse_state
 
 
-def _parse_programs(files: list[str]) -> list[Program]:
-    """Each file is read against the arity tables of the files before it."""
-    programs: list[Program] = []
-    for f in files:
-        programs.append(parse_program_file(f, programs[-1].arities if programs else None))
-    return programs
-
-
 def _declared(
     cfg: AnalysisConfig, programs: list[Program]
 ) -> tuple[Partition, Optional[RulePreorder]]:
@@ -60,49 +53,41 @@ def _declared(
     return part, order
 
 
-def _budget(cfg: AnalysisConfig, max_depth_flag: Optional[int]) -> SearchBudget:
-    if max_depth_flag is not None and max_depth_flag < 0:
-        raise ValueError("--max-depth must be non-negative")
-    return SearchBudget(
-        max_depth=cfg.max_depth if max_depth_flag is None else max_depth_flag,
-        max_states=cfg.max_states,
-    )
-
-
 def _emit(report: Report, cfg: AnalysisConfig, format_flag: Optional[str]) -> None:
     sys.stdout.write(emit_report(report, format_flag or cfg.out_format))
 
 
-def _cmd_peaks(args) -> int:
-    if len(args.files) > 2:
+def _cmd_analyze(args) -> int:
+    """`peaks`, a listing, or a `check` mode, a criterion. `peaks` checks
+    its file count before it parses; each mode of `check` after it has
+    parsed, loaded the config and checked `--max-depth`."""
+    if args.mode == "peaks" and len(args.files) > 2:
         raise ValueError("peaks takes one or two program files")
-    programs = _parse_programs(args.files)
+    # Each file is read against the arity tables of the files before it.
+    programs: list[Program] = []
+    for f in args.files:
+        programs.append(parse_program_file(f, programs[-1].arities if programs else None))
     cfg = load_config_file(args.config) if args.config else AnalysisConfig()
-    part, _ = _declared(cfg, programs)
-    report = Report(
-        mode="peaks",
-        criterion="peaks",
-        established=True,
-        partition=part if len(programs) == 1 else None,
-        peaks=tuple(critical_peaks(programs[0], programs[-1])),
+    if args.max_depth is not None and args.max_depth < 0:
+        raise ValueError("--max-depth must be non-negative")
+    budget = SearchBudget(
+        cfg.max_depth if args.max_depth is None else args.max_depth, cfg.max_states
     )
-    _emit(report, cfg, args.format)
-    return 0
-
-
-def _cmd_check(args) -> int:
-    programs = _parse_programs(args.files)
-    cfg = load_config_file(args.config) if args.config else AnalysisConfig()
-    budget = _budget(cfg, args.max_depth)
 
     if args.mode == "modular" and len(programs) != 2:
         raise ValueError("mode modular needs exactly two program files")
-    if args.mode != "modular" and len(programs) != 1:
+    if args.mode not in ("peaks", "modular") and len(programs) != 1:
         raise ValueError(f"mode {args.mode} needs exactly one program file")
     part, order = _declared(cfg, programs)
     program = programs[0]
 
-    if args.mode == "modular":
+    if args.mode == "peaks":
+        report = Report(
+            "peaks",
+            partition=part if len(programs) == 1 else None,
+            peaks=tuple(critical_peaks(program, programs[-1])),
+        )
+    elif args.mode == "modular":
         report = check_modularity(programs[0], programs[1], budget)
     elif args.mode == "local":
         report = check_local_confluence(program, budget, cfg.assume_terminating)
@@ -157,7 +142,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     p_peaks.add_argument("files", nargs="+", metavar="FILE")
     p_peaks.add_argument("--config", metavar="CFG")
     p_peaks.add_argument("--format", choices=FORMATS)
-    p_peaks.set_defaults(func=_cmd_peaks)
+    p_peaks.set_defaults(func=_cmd_analyze, mode="peaks", max_depth=None)
 
     p_check = sub.add_parser("check", help="run a confluence criterion")
     p_check.add_argument("files", nargs="+", metavar="FILE")
@@ -167,7 +152,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     p_check.add_argument("--config", metavar="CFG")
     p_check.add_argument("--format", choices=FORMATS)
     p_check.add_argument("--max-depth", type=int, dest="max_depth")
-    p_check.set_defaults(func=_cmd_check)
+    p_check.set_defaults(func=_cmd_analyze)
 
     p_run = sub.add_parser("run", help="bounded execution trace for debugging")
     p_run.add_argument("file", metavar="FILE")

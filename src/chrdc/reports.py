@@ -32,13 +32,14 @@ from __future__ import annotations
 import re
 from typing import Optional
 
-from .analysis import CLOSED_STATUSES, PeakVerdict, Report, SearchBudget
+from .analysis import CLOSED_STATUSES, NOT_CLOSED, PeakVerdict, Report, SearchBudget
+from .orders import fubini
 from .peaks import CriticalPeak, classify
 from .state import CanonicalState, State, canonical_text, canonicalize, state_text
 from .syntax import Program, program_text
 
 
-_PEAK_STATUSES = (*CLOSED_STATUSES, "NOT_CLOSED", "INDUCTIVE", "COINDUCTIVE", "CROSS")
+_PEAK_STATUSES = (*CLOSED_STATUSES, NOT_CLOSED, "INDUCTIVE", "COINDUCTIVE", "CROSS")
 
 
 def _bracket(items) -> str:
@@ -67,11 +68,13 @@ def _machine_peak_line(v: PeakVerdict, budget: Optional[SearchBudget]) -> str:
 
 
 def admissible_fields(report: Report) -> list[tuple[str, str]]:
-    """The order search's key=value fields, the same in both formats."""
-    search = report.order_search
+    """The order search's key=value fields, the same in both formats;
+    `orders_tried` counts the admissible orders of the report's partition."""
+    search, part = report.order_search, report.partition
     if search is None:
         return []
-    fields = [("orders_tried", str(search.orders_tried))]
+    tried = fubini(len(part.inductive)) * fubini(len(part.coinductive))
+    fields = [("orders_tried", str(tried))]
     if search.truncated:
         fields.append(("truncated", "true"))
     if search.found is not None:

@@ -340,6 +340,41 @@ def test_negative_max_depth_flag_exits_2():
     assert "max-depth must be non-negative" in err
 
 
+def test_check_names_a_bad_max_depth_before_the_file_count():
+    leq = fixture_path("leq.chr")
+    code, out, err = run_cli("check", "--mode", "local", leq, leq, "--max-depth", "-1")
+    assert (code, out) == (2, "")
+    assert "--max-depth must be non-negative" in err
+    assert "program file" not in err
+
+
+def test_peaks_counts_its_files_before_it_parses(tmp_path):
+    bad = tmp_path / "bad.chr"
+    bad.write_text("r @ p(X <=> true.\n")
+    code, out, err = run_cli(
+        "peaks", str(bad), fixture_path("leq.chr"), fixture_path("pminus.chr")
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: peaks takes one or two program files\n"
+
+
+def test_check_reads_its_program_before_its_config(tmp_path):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("[nosuchsection]\n")
+    missing = tmp_path / "missing.chr"
+    code, out, err = run_cli("check", "--mode", "local", str(missing), "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert str(missing) in err
+    assert str(cfg) not in err
+
+
+def test_a_bare_check_names_its_required_arguments_in_order(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["check"])
+    assert exc.value.code == 2
+    assert "the following arguments are required: FILE, --mode\n" in capsys.readouterr().err
+
+
 def test_negative_steps_flag_exits_2():
     code, out, err = run_cli(
         "run", fixture_path("pminus.chr"), "--query", "p(s(a))", "--steps", "-1"

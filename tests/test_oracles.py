@@ -8,15 +8,18 @@ one. Both identities are exact, so no budget boundary can split them.
 
 A verdict names rules, and a peak's sides depend on which rule comes
 first, but the peaks and whether each closes do not depend on the rules'
-names or order. Renamed runs are compared only when every verdict was
-decided (closed, or both search spaces exhausted), so that a budget
-boundary cannot fake a mismatch.
+names or order, on the names of their variables or predicates, or on a
+rule that no other rule's atoms can meet. Renamed runs are compared only
+when every verdict was decided (closed, or both search spaces
+exhausted), so that a budget boundary cannot fake a mismatch.
 """
 
 from __future__ import annotations
 
 import random
 from collections import Counter
+
+import pytest
 
 from chrdc.analysis import (
     SearchBudget,
@@ -27,7 +30,8 @@ from chrdc.analysis import (
 from chrdc.engine import replay
 from chrdc.orders import Partition, RulePreorder
 from chrdc.state import equivalent
-from chrdc.syntax import Program
+from chrdc.syntax import Atom, Eq, Program, Rule
+from chrdc.terms import Compound, Var
 from helpers import random_tiny_program
 
 BUDGET = SearchBudget(6, 400)
@@ -108,3 +112,54 @@ def test_verdicts_do_not_depend_on_rule_names_or_order():
             assert mine.established == theirs.established
             compared += 1
     assert compared >= 500 and certificates >= 100
+
+
+def _mapped(p: Program, var=lambda name: name, pred=lambda name: name) -> Program:
+    """`p` with every variable and every predicate renamed."""
+
+    def term(t):
+        if isinstance(t, Var):
+            return Var(var(t.name))
+        return Compound(t.functor, tuple(map(term, t.args)))
+
+    def atoms(xs):
+        return tuple(Atom(pred(a.pred), tuple(map(term, a.args))) for a in xs)
+
+    def eqs(xs):
+        return tuple(Eq(term(e.lhs), term(e.rhs)) for e in xs)
+
+    return Program(tuple(
+        Rule(r.name, atoms(r.kept), atoms(r.removed), eqs(r.guard), atoms(r.user_body),
+             eqs(r.builtin_body))
+        for r in p.rules
+    ))
+
+
+VARIANTS = {
+    # L0, L1, ... are the names canonical forms give locals, and a user
+    # may write them too.
+    "variables": lambda p: _mapped(p, var={"X": "L1", "Y": "L0"}.__getitem__),
+    # The new names sort the other way round.
+    "predicates": lambda p: _mapped(p, pred={"p": "zp", "q": "aq"}.__getitem__),
+    "fresh_rule": lambda p: Program(
+        p.rules + (Rule("fresh", (), (Atom("fz", (Var("X"),)),), (), (), ()),)
+    ),
+}
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_verdicts_do_not_depend_on_variable_or_predicate_names_or_a_fresh_rule(variant):
+    rng = random.Random(7)
+    compared = certificates = 0
+    for _ in range(200):
+        p = random_tiny_program(rng)
+        q = VARIANTS[variant](p)
+        for check in (check_local_confluence, check_strong_confluence):
+            mine, theirs = check(p, BUDGET), check(q, BUDGET)
+            certificates += _replay_certificates(p, mine) + _replay_certificates(q, theirs)
+            if not (_decided(mine) and _decided(theirs)):
+                continue
+            assert _peak_multiset(mine) == _peak_multiset(theirs)
+            assert mine.established == theirs.established
+            compared += 1
+    assert compared >= 350 and certificates >= 80

@@ -243,12 +243,22 @@ def test_admissible_orders_follow_the_product_oracle():
                 assert _same_relation(order, names, dict(zip(names, levels)))
 
 
-def test_admissible_orders_are_generated_lazily():
+def test_admissible_orders_are_generated_lazily(monkeypatch):
+    # The first of Fubini(8) orders builds one order, not all of them; the
+    # count pins the work beside the time bound.
+    built = []
+
+    def counting(*args, _f=RulePreorder.from_levels):
+        built.append(args)
+        return _f(*args)
+
+    monkeypatch.setattr(RulePreorder, "from_levels", staticmethod(counting))
     program = _with_fresh("", 8)
     part = Partition.for_program(program, coinductive=["r7"])
     start = time.perf_counter()
     first = next(admissible_total_preorders(program, part))
     assert time.perf_counter() - start < 0.1
+    assert len(built) == 1
     names = program.rule_names()
     assert _same_relation(first, names, {n: int(n == "r7") for n in names})
 
@@ -472,10 +482,11 @@ def test_a_peak_failing_under_every_pattern_stops_the_walk(monkeypatch):
         assert len(pulled) == len(calls) == 1
 
 
-def test_closing_order_past_the_bound_is_found():
+def test_closing_order_past_the_bound_is_found(monkeypatch):
     # With twelve fresh rules after the gadget, 16,384 admissible orders
     # come before the first with be > de; a walk over single orders stops
-    # at MAX_ORDERS without it.
+    # at MAX_ORDERS without it. The cuts leave five orders to evaluate;
+    # the counts pin the work beside the time bound.
     program = _with_fresh(GADGET, 12)
     part = Partition.for_program(program, coinductive=["al"])
     first = next(
@@ -483,9 +494,23 @@ def test_closing_order_past_the_bound_is_found():
         if order.strictly_greater("be", "de")
     )
     assert first == 16384 > MAX_ORDERS
+    pulled, calls = [], []
+
+    def counting(*args, **kwargs):
+        for order in admissible_total_preorders(*args, **kwargs):
+            pulled.append(order)
+            yield order
+
+    def searching(*args, **kwargs):
+        calls.append(args[0])
+        return join_search(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "admissible_total_preorders", counting)
+    monkeypatch.setattr(analysis, "join_search", searching)
     start = time.perf_counter()
     rep = check_rule_decreasing(program, part, None, SearchBudget(), enumerate_orders=True)
     assert time.perf_counter() - start < 0.5
+    assert (len(pulled), len(calls)) == (5, 6)
     assert rep.established
     fields = dict(admissible_fields(rep))
     assert fields["found"] == "true" and "truncated" not in fields
@@ -537,11 +562,19 @@ def test_the_walk_stops_at_its_bound_on_an_evaluated_order(monkeypatch, philos):
     assert (fields["truncated"], fields["found"]) == ("true", "false")
 
 
-def test_order_enumeration_past_the_bound_is_truncated(tmp_path, capsys):
+def test_order_enumeration_past_the_bound_is_truncated(tmp_path, capsys, monkeypatch):
     # The gadget needs be > de and philos needs eat > thk, so a closing
     # order has four levels. The fresh rules come first, and for each of
     # their arrangements on two levels the walk cuts the core's failing
-    # orders, until it has cut or evaluated MAX_ORDERS of them.
+    # orders, until it has cut or evaluated MAX_ORDERS of them. Cut
+    # branches search nothing; the count pins the work beside the time bound.
+    calls = []
+
+    def searching(*args, **kwargs):
+        calls.append(args[0])
+        return join_search(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "join_search", searching)
     program = tmp_path / "p.chr"
     program.write_text(
         "".join(f"r{i} @ a{i}(X) <=> true.\n" for i in range(12))
@@ -556,6 +589,7 @@ def test_order_enumeration_past_the_bound_is_truncated(tmp_path, capsys):
                  "--format", "machine"])
     assert time.perf_counter() - start < 2.0
     assert code == 1
+    assert len(calls) == 7
     out = capsys.readouterr().out
     head = "orders_tried=2993681482712089 truncated=true found=false\n"
     assert "ADMISSIBLE enumerated " + head in out

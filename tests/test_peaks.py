@@ -280,16 +280,28 @@ def test_distinct_predicate_heads_cost_work_per_peak(monkeypatch):
     assert len(built) == 234
 
 
-def test_symmetric_heads_cost_work_per_orbit():
+def test_symmetric_heads_cost_work_per_orbit(monkeypatch):
     # Each of the 720 orders of the six heads gives an overlap of the rule
     # with itself; without the head swaps that map one onto another the
-    # peaks of this rule take seconds.
+    # peaks of this rule take seconds. An ancestor is built per orbit that
+    # no swap maps onto an earlier overlap; the count pins the work beside
+    # the time bound.
+    import chrdc.peaks
+
+    built = []
+
+    def counting(*args, _f=chrdc.peaks._ancestor):
+        built.append(args)
+        return _f(*args)
+
+    monkeypatch.setattr(chrdc.peaks, "_ancestor", counting)
     heads = ", ".join(f"e(X{i})" for i in range(6))
     p = parse_program(f"r @ {heads} <=> d(X0), d(X1).")
     start = time.perf_counter()
     peaks = critical_peaks(p, p)
     assert time.perf_counter() - start < 2
     assert len(peaks) == 38
+    assert len(built) == 52
 
 
 def test_head_swaps_map_the_rule_onto_itself():

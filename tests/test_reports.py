@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 
 from chrdc.analysis import (
+    NOT_CLOSED,
     Report,
     SearchBudget,
     check_local_confluence,
@@ -10,13 +11,14 @@ from chrdc.analysis import (
     check_rule_decreasing,
     check_strong_confluence,
 )
-from chrdc.orders import Partition, RulePreorder
+from chrdc.orders import AdmissibilityResult, Partition, RulePreorder, TerminationResult
 from chrdc.peaks import critical_peaks
 from chrdc.reports import (
     emit_report,
     machine_report,
     parse_machine_report,
     peak_text,
+    text_report,
 )
 from conftest import load
 
@@ -99,8 +101,6 @@ def test_peaks_mode_machine_lines(pminus):
     peaks = critical_peaks(pminus, pminus)
     rep = Report(
         mode="peaks",
-        criterion="peaks",
-        established=True,
         partition=part,
         peaks=tuple(peaks),
     )
@@ -112,6 +112,36 @@ def test_peaks_mode_machine_lines(pminus):
         "sminus",
         "INDUCTIVE",
     ]
+
+
+def test_a_report_cannot_claim_more_than_it_holds(leq):
+    # Built by hand from a confluent report's parts: one verdict opened,
+    # the termination refuted, the order made inadmissible.
+    held = _decreasing_report(leq)
+    fields = held._asdict()
+    opened = held.verdicts[0]._replace(status=NOT_CLOSED, valley=None)
+    cases = {
+        "open verdict": dict(fields, verdicts=(opened, *held.verdicts[1:])),
+        "refuted termination": dict(
+            fields, termination=TerminationResult("REFUTED", "transitivity")
+        ),
+        "inadmissible order": dict(
+            fields, admissibility=AdmissibilityResult(False, ("duplicate", "transitivity"))
+        ),
+    }
+    for case, kwargs in cases.items():
+        rep = Report(**kwargs)
+        assert not rep.established, case
+        assert text_report(rep).endswith("verdict: NOT_ESTABLISHED (rule_decreasing)\n"), case
+        assert machine_report(rep).endswith(
+            "VERDICT rule_decreasing NOT_ESTABLISHED assumptions=[]\n"
+        ), case
+    rep = Report(**fields)
+    assert all(v.closed for v in rep.verdicts) and rep.established
+    assert text_report(rep).endswith("verdict: CONFLUENT (rule_decreasing)\n")
+    assert machine_report(rep).endswith("VERDICT rule_decreasing CONFLUENT assumptions=[]\n")
+    # Without a partition a decreasing report still names its criterion.
+    assert text_report(Report("decreasing")).endswith("verdict: CONFLUENT (rule_decreasing)\n")
 
 
 def test_machine_grammar_survives_random_programs():

@@ -345,17 +345,29 @@ def _hung_cycles(prefix: str) -> State:
     return State(tuple(atoms), (), frozenset())
 
 
-@pytest.mark.parametrize("left, right, expected", [
-    (_cycle(_names(9)), _cycle(_names(4)) + _cycle(_names(5, "Y")), False),
-    (sum((_cycle(_names(3, f"C{k}_")) for k in range(4)), ()), _cycle(_names(12)), False),
-    (_hung_cycles("A").atoms, _hung_cycles("B").atoms[::-1], True),
+@pytest.mark.parametrize("left, right, expected, refinements", [
+    (_cycle(_names(9)), _cycle(_names(4)) + _cycle(_names(5, "Y")), False, 25),
+    (sum((_cycle(_names(3, f"C{k}_")) for k in range(4)), ()), _cycle(_names(12)), False, 35),
+    (_hung_cycles("A").atoms, _hung_cycles("B").atoms[::-1], True, 64),
     (tuple(Atom("q", (Var(v),)) for v in _names(8)),
-     tuple(Atom("q", (Var(v),)) for v in _names(8, "Y")[::-1]), True),
+     tuple(Atom("q", (Var(v),)) for v in _names(8, "Y")[::-1]), True, 18),
 ], ids=["9-cycle", "3-cycles", "hung-cycles", "8-copies"])
-def test_symmetric_stores_are_compared_quickly(left, right, expected):
+def test_symmetric_stores_are_compared_quickly(left, right, expected, refinements, monkeypatch):
+    # Automorphisms prune the labelling search; the count of colourings
+    # (`_positions` calls) pins the work beside the time bound.
+    import chrdc.state
+
+    coloured = []
+
+    def counting(values, _f=chrdc.state._positions):
+        coloured.append(len(values))
+        return _f(values)
+
+    monkeypatch.setattr(chrdc.state, "_positions", counting)
     start = time.perf_counter()
     assert equivalent(State(left, (), frozenset()), State(right, (), frozenset())) == expected
     assert time.perf_counter() - start < 1.0
+    assert len(coloured) == refinements
 
 
 def test_state_text_renames_internal_locals():

@@ -1,6 +1,7 @@
 """chrdc imports nothing outside the standard library, each of its
 modules imports on its own, whatever was imported before it, and each
-parses under the oldest Python that `pyproject.toml` declares."""
+module, test and benchmark script parses under the oldest Python that
+`pyproject.toml` declares."""
 
 from __future__ import annotations
 
@@ -47,12 +48,15 @@ def test_each_module_imports_first_in_a_fresh_interpreter(module):
 
 
 def test_every_module_parses_under_the_declared_python_floor():
+    """The package, its tests and its benchmark alike."""
     # A regex, not tomllib, so that the test also runs on the floor itself.
     declared = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
     major, minor = re.search(r'requires-python = ">=(\d+)\.(\d+)"', declared).groups()
     floor = (int(major), int(minor))
-    for path in sorted(SRC.glob("*.py")):
-        ast.parse(path.read_text(encoding="utf-8"), path.name, feature_version=floor)
+    paths = [p for d in (SRC, ROOT / "tests", ROOT / "perfbench") for p in sorted(d.glob("*.py"))]
+    assert len(paths) > len(list(SRC.glob("*.py")))
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=floor)
 
 
 def test_no_module_imports_dataclasses():
