@@ -1,16 +1,18 @@
 """Critical-peak generation by superposition of two rules' heads.
 
 Each rule pair whose heads share a predicate and arity is renamed apart
-once; any other pair has no overlap. A backtracking enumerator
-(`_overlaps`) pairs heads one to one, only within a predicate and arity,
-and unifies one pair at a time with both guards, ending a branch at its
-first clash. Overlaps come in the order of a plain walk over sizes,
-subsets and bijections, which tactic selectors and peak indices depend
-on. A satisfiable, non-trivial overlap gives the ancestor: the
-instantiated heads, whose variables are the globals A, B, ... (a guard
-variable that no head holds is never in it, or that rule could not
-fire). The reducts are the engine's steps of the two rules from it
-(`engine.fire`); if either rule does not fire, there is no peak.
+once; any other pair has no overlap. An overlap that keeps every head on
+both sides is no peak, as both steps leave the ancestor whole, so a pair
+of rules that both remove nothing is skipped too. A backtracking
+enumerator (`_overlaps`) pairs heads one to one, only within a predicate
+and arity, and unifies one pair at a time with both guards, ending a
+branch at its first clash. Overlaps come in the order of a plain walk
+over sizes, subsets and bijections, which tactic selectors and peak
+indices depend on. A satisfiable, non-trivial overlap gives the
+ancestor: the instantiated heads, whose variables are the globals A, B,
+... (a guard variable that no head holds is never in it, or that rule
+could not fire). The reducts are the engine's steps of the two rules
+from it (`engine.fire`); if either rule does not fire, there is no peak.
 
 An overlap is dropped before firing when an earlier one of the rule pair
 had the same ancestor atoms and, for each rule, matched the same atoms by
@@ -197,15 +199,16 @@ def _ancestor(
 
 
 def _rule_pairs(p: Program, q: Program) -> Iterator[tuple[Rule, Rule, bool]]:
-    """Each rule pair that shares a head predicate and arity, renamed
-    apart, and whether it is a rule with itself. One program object passed
-    as both asks for self peaks: each unordered pair once."""
+    """Each rule pair that shares a head predicate and arity and in which
+    a rule removes a head, renamed apart, and whether it is a rule with
+    itself. One program object passed as both asks for self peaks: each
+    unordered pair once."""
     same_program = p is q
     for i1, r1 in enumerate(p.rules):
         c1 = rename_apart(set(), r1)
         preds = {(a.pred, len(a.args)) for a in r1.heads}
         for i2, r2 in enumerate(q.rules):
-            if same_program and i2 < i1:
+            if same_program and i2 < i1 or r1.is_propagation and r2.is_propagation:
                 continue
             if any((a.pred, len(a.args)) in preds for a in r2.heads):
                 yield c1, rename_apart(set(c1.variables()), r2), same_program and i1 == i2

@@ -15,7 +15,10 @@ of one source once: steps that remove the same atoms and add the same
 atoms and built-ins share it. A target from a canonical state with no
 locals and no residuals, by a step that removes nothing and adds
 neither built-ins nor new variables, is the source with the new atoms
-inserted in order: there is nothing to solve, prune or label.
+inserted in order: there is nothing to solve, prune or label. Such a
+target has no locals either, and the insert has computed its atoms'
+sort keys, so `successors` hands those keys back and takes them in for
+that target as a source; the added atoms' keys may be handed in too.
 
 Locals get a canonical labelling by individualisation and refinement
 (McKay and Piperno, *Practical graph isomorphism II*, 2014), per
@@ -249,55 +252,59 @@ def _atom_key(a: Atom) -> tuple:
 
 
 def successors(
-    source: Union[State, CanonicalState]
-) -> Callable[[tuple[int, ...], tuple[Atom, ...], tuple[Eq, ...], bool], CanonicalState]:
+    source: Union[State, CanonicalState], keys: Optional[list[tuple]] = None
+) -> tuple[Callable[..., CanonicalState], dict[CanonicalState, list[tuple]]]:
     """The canonical target of a step from `source`, given the positions
-    of the atoms the step removes, the atoms and built-ins it adds, and
-    whether its rule's user body holds a variable that no head holds.
+    of the atoms the step removes, the atoms and built-ins it adds, the
+    added atoms' sort keys (None when not known) and whether its rule's
+    user body holds a variable that no head holds; and a dict that holds
+    the sort keys of each target built by ordered insert.
 
     Each distinct (removed, atoms, built-ins) is built once and its target
     reused: steps that match other atoms often add the same ones. From a
     canonical source with no locals and no residuals, a step that removes
     nothing and adds neither built-ins nor new variables only inserts its
     atoms in order. There every matched variable is a global, so the added
-    atoms hold a new variable exactly when the body does. Whether the
-    source has locals, and its atoms' sort keys, are found on the first
-    such step. Every other target is canonicalized.
+    atoms hold a new variable exactly when the body does. `keys`, when
+    given, are the sort keys of the source's atoms, and the source has no
+    locals; else both are found on the first such step. Every other target
+    is canonicalized.
     """
     state = source.as_state() if isinstance(source, CanonicalState) else source
     plain = isinstance(source, CanonicalState) and not state.builtins
     globs = state.globals
-    keys = None  # the sort keys of the source's atoms, False when it has locals
     built: dict[tuple, CanonicalState] = {}
+    inserted: dict[CanonicalState, list[tuple]] = {}
 
-    def build(
-        removed: tuple[int, ...], atoms: tuple[Atom, ...], builtins: tuple[Eq, ...], new_vars: bool
+    def target(
+        removed: tuple[int, ...],
+        atoms: tuple[Atom, ...],
+        builtins: tuple[Eq, ...],
+        added: Optional[tuple[tuple, ...]],
+        new_vars: bool,
     ) -> CanonicalState:
-        nonlocal keys
+        nonlocal keys  # False once the source is found to have locals
+        memo = (removed, atoms, builtins)
+        found = built.get(memo)
+        if found is not None:
+            return found
         if plain and not removed and not builtins and not new_vars:
             if keys is None:
                 keys = globs.issuperset(state.iter_vars()) and list(map(_atom_key, state.atoms))
             if keys is not False:
                 order, out = list(keys), list(state.atoms)
-                for a in atoms:
-                    k = _atom_key(a)
+                for a, k in zip(atoms, map(_atom_key, atoms) if added is None else added):
                     i = bisect_right(order, k)
                     order.insert(i, k)
                     out.insert(i, a)
-                return CanonicalState(tuple(out), (), globs)
+                found = built[memo] = CanonicalState(tuple(out), (), globs)
+                inserted[found] = order
+                return found
         kept = tuple(a for i, a in enumerate(state.atoms) if i not in removed)
-        return canonicalize(State(kept + atoms, state.builtins + builtins, globs))
-
-    def target(
-        removed: tuple[int, ...], atoms: tuple[Atom, ...], builtins: tuple[Eq, ...], new_vars: bool
-    ) -> CanonicalState:
-        key = (removed, atoms, builtins)
-        found = built.get(key)
-        if found is None:
-            found = built[key] = build(removed, atoms, builtins, new_vars)
+        found = built[memo] = canonicalize(State(kept + atoms, state.builtins + builtins, globs))
         return found
 
-    return target
+    return target, inserted
 
 
 def equivalent(s1: Union[State, CanonicalState], s2: Union[State, CanonicalState]) -> bool:

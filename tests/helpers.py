@@ -295,6 +295,16 @@ def random_tiny_program(rng: random.Random) -> Program:
     return Program(tuple(rules))
 
 
+def with_propagation(program: Program) -> Program:
+    """`program` plus, for each rule, the propagation rule keeping all of
+    its heads; the tiny programs alone always remove a head."""
+    kept_all = tuple(
+        Rule(f"{r.name}k", r.heads, (), r.guard, r.user_body, r.builtin_body)
+        for r in program.rules
+    )
+    return Program(program.rules + kept_all)
+
+
 def small_universe(depth: int = 1) -> list[Term]:
     """Every ground term over {a, b, f/1, g/2} up to the given depth."""
     terms: list[Term] = CONSTANTS[:2]

@@ -26,6 +26,7 @@ from helpers import (
     random_state,
     random_tiny_program,
     reachable,
+    with_propagation,
 )
 
 
@@ -334,16 +335,6 @@ def _assert_steps_match_the_oracle(program, state):
     return steps
 
 
-def _with_propagation(program):
-    """`program` plus, for each rule, the propagation rule keeping all of
-    its heads; the tiny programs alone always remove a head."""
-    kept_all = tuple(
-        Rule(f"{r.name}k", r.heads, (), r.guard, r.user_body, r.builtin_body)
-        for r in program.rules
-    )
-    return Program(program.rules + kept_all)
-
-
 # Propagation (`p*`) and simplification (`s*`) rules whose user body holds
 # a variable that no head holds (`*new*`), and rules whose body holds none.
 _BODY_VARIABLES = parse_program("""
@@ -364,7 +355,7 @@ def test_step_targets_match_an_independent_oracle():
     # (propagation, body adds variables, source has locals) of the steps seen
     covered = set()
     for _ in range(200):
-        program = _with_propagation(random_tiny_program(rng))
+        program = with_propagation(random_tiny_program(rng))
         states = [random_state(rng), random_ground_state(rng)]
         plain = random_ground_state(rng)
         # Every variable global: no locals and no residuals.
@@ -416,14 +407,14 @@ def test_steps_that_add_the_same_atoms_share_one_target(monkeypatch):
     successors = chrdc.engine.successors
     added = []  # (removed positions, added atoms, added built-ins) per step
 
-    def recording(source):
-        target = successors(source)
+    def recording(source, keys=None):
+        target, inserted = successors(source, keys)
 
-        def record(removed, atoms, builtins, new_vars):
+        def record(removed, atoms, builtins, atom_keys, new_vars):
             added.append((removed, atoms, builtins))
-            return target(removed, atoms, builtins, new_vars)
+            return target(removed, atoms, builtins, atom_keys, new_vars)
 
-        return record
+        return record, inserted
 
     monkeypatch.setattr(chrdc.engine, "successors", recording)
     shared = 0
@@ -465,10 +456,10 @@ def _assert_first_of_each_class(program, state):
 
 def test_steps_are_the_first_of_each_class_of_equal_matches():
     rng = random.Random(23)
-    one_predicate = _with_propagation(_ONE_PREDICATE)
+    one_predicate = with_propagation(_ONE_PREDICATE)
     repeats = 0
     for _ in range(100):
-        programs = [_with_propagation(random_tiny_program(rng)), one_predicate]
+        programs = [with_propagation(random_tiny_program(rng)), one_predicate]
         plain = random_ground_state(rng)
         copies = tuple(rng.choice(plain.atoms) for _ in range(rng.randint(1, 3)))
         mixed = random_state(rng)
@@ -517,6 +508,29 @@ def test_propagation_targets_skip_canonicalize_on_the_exhaust_peak(monkeypatch):
     assert len(calls) <= 30
 
 
+def test_exhaust_search_computes_each_sort_key_once(monkeypatch):
+    import sys
+
+    import chrdc.state
+    from chrdc.analysis import SearchBudget, check_local_confluence
+
+    atom_key, calls = chrdc.state._atom_key, []
+
+    def counting_atom_key(atom):
+        calls.append(atom)
+        return atom_key(atom)
+
+    # Modules that imported the name hold their own bindings to it.
+    for name, module in list(sys.modules.items()):
+        if name.startswith("chrdc.") and getattr(module, "_atom_key", None) is atom_key:
+            monkeypatch.setattr(module, "_atom_key", counting_atom_key)
+    check_local_confluence(load("exhaust.chr"), SearchBudget(8, 40), assume_terminating=True)
+    # A child built by ordered insert takes its atoms' sort keys from its
+    # parent's steps, and an inherited match keeps its added atom's key:
+    # 149 calls when every source's keys were computed again.
+    assert len(calls) == 39
+
+
 # Rules over the `random_state` signature for the derived-steps property:
 # a simplification that puts back what it removes, a guard, compound head
 # arguments with repeated variables, a built-in body and a new variable.
@@ -558,7 +572,7 @@ def test_derived_steps_are_the_first_of_each_class(monkeypatch):
     rng = random.Random(41)
     covered = set()
     for _ in range(120):
-        program = _with_propagation(random_tiny_program(rng))
+        program = with_propagation(random_tiny_program(rng))
         program = Program(program.rules + _KERNEL.rules)
         names = program.rule_names()
         for state in (random_state(rng), random_ground_state(rng), random_state(rng, 6)):

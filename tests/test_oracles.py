@@ -12,6 +12,11 @@ names or order, on the names of their variables or predicates, or on a
 rule that no other rule's atoms can meet. Renamed runs are compared only
 when every verdict was decided (closed, or both search spaces
 exhausted), so that a budget boundary cannot fake a mismatch.
+
+Programs with propagation rules reach the targets that the engine builds
+by ordered insert rather than by `canonicalize`, which the tiny programs
+alone never do. Renaming the predicates changes the order those inserts
+sort into, and every state on a certificate must be in canonical form.
 """
 
 from __future__ import annotations
@@ -29,10 +34,10 @@ from chrdc.analysis import (
 )
 from chrdc.engine import replay
 from chrdc.orders import Partition, RulePreorder
-from chrdc.state import equivalent
+from chrdc.state import canonicalize, equivalent
 from chrdc.syntax import Atom, Eq, Program, Rule
 from chrdc.terms import Compound, Var
-from helpers import random_tiny_program
+from helpers import random_tiny_program, with_propagation
 
 BUDGET = SearchBudget(6, 400)
 
@@ -163,3 +168,35 @@ def test_verdicts_do_not_depend_on_variable_or_predicate_names_or_a_fresh_rule(v
             assert mine.established == theirs.established
             compared += 1
     assert compared >= 350 and certificates >= 80
+
+
+def _canonical_certificates(report) -> bool:
+    """Whether every state on the report's certificates is in canonical form."""
+    return all(
+        canonicalize(s.as_state()) == s
+        for v in report.verdicts
+        if v.valley is not None
+        for d in v.valley
+        for s in (d.source, *(step.target for step in d.steps))
+    )
+
+
+def test_verdicts_with_propagation_rules_do_not_depend_on_predicate_names():
+    # A propagation rule fires again on its own output, so a local search
+    # that takes one is never exhausted: small budgets keep the test fast.
+    budget = SearchBudget(4, 60)
+    rng = random.Random(3)
+    compared = certificates = 0
+    for _ in range(60):
+        p = with_propagation(random_tiny_program(rng))
+        q = VARIANTS["predicates"](p)
+        for check in (check_local_confluence, check_strong_confluence):
+            mine, theirs = check(p, budget), check(q, budget)
+            certificates += _replay_certificates(p, mine) + _replay_certificates(q, theirs)
+            assert _canonical_certificates(mine) and _canonical_certificates(theirs)
+            if not (_decided(mine) and _decided(theirs)):
+                continue
+            assert _peak_multiset(mine) == _peak_multiset(theirs)
+            assert mine.established == theirs.established
+            compared += 1
+    assert compared >= 70 and certificates >= 350
