@@ -18,9 +18,15 @@ sides with `capped` and `star` and hands it to `join_search`:
   * tactics     user-supplied label sequences (`trie`), tried first.
 
 Certificates are deterministic: the valley with the smallest combined
-length wins, ties broken lexicographically by rule position in the
-program. Negative peak verdicts mean "not established within budget",
-never "non-confluent". An admissibility refutation is definite. A
+length wins. Each (state, phase) of a side keeps the first derivation
+the breadth-first search meets, and among the valleys of that length
+the least pair (left key, right key) wins, a key being the trace's rule
+positions in the program; this is not always the lexicographically
+least pair of traces. `max_depth` bounds each side's trace length and
+`max_states` the states both sides add together, their roots included;
+a valley decided before either bound is reached is returned. Negative
+peak verdicts mean "not established within budget", never
+"non-confluent". An admissibility refutation is definite. A
 termination refutation (`REFUTED`) names an inductive rule on which the
 (atoms, size) measure does not decrease; it does not mean the program
 loops: `r @ p(X) <=> q(X).` stops after one step, yet is refuted.
@@ -173,7 +179,7 @@ def matches_star(
 
 class _Node(NamedTuple):
     """A search node; the root has no parent and no step. Derivations and
-    trace keys are read off the parent chain, for candidate valleys only."""
+    trace keys are read off the parent chain, only once a valley is met."""
 
     state: CanonicalState
     phase: Hashable
@@ -195,9 +201,17 @@ class _Side:
         self.expanded: dict[int, Steps] = {}
         self.exhausted = False
         self.truncated = False
+        # The state the other side's last level may stop on: the root's,
+        # when an empty trace is accepted.
+        self.goal = root if auto.accepting(auto.start) else None
+        # The least-keyed node on a goal, once decided.
+        self.met: Optional[_Node] = None
 
-    def ensure_level(self, depth: int, budget: SearchBudget, counter: dict) -> bool:
-        """Compute levels up to `depth`; True when that level exists."""
+    def ensure_level(self, depth: int, budget: SearchBudget, counter: dict, goal=None) -> bool:
+        """Compute levels up to `depth`; True when that level exists. A level
+        built with a `goal` may stop early: True as well when its
+        least-keyed accepting node on `goal` is decided, which is left in
+        `met`; that partial level is not kept."""
         while len(self.levels) <= depth:
             if self.exhausted or self.truncated:
                 return False
@@ -205,12 +219,15 @@ class _Side:
                 self.truncated = True
                 return False
             new_nodes: list[_Node] = []
-            for child in self._children():
+            for child in self._children(goal):
                 if counter["states"] >= budget.max_states:
                     self.truncated = True
+                    self.met = None
                     return False
                 counter["states"] += 1
                 new_nodes.append(child)
+            if self.met is not None:
+                return True
             if not new_nodes:
                 self.exhausted = True
                 return False
@@ -222,12 +239,29 @@ class _Side:
                 self.by_state.append(by_state)
         return True
 
-    def _children(self) -> Iterator[_Node]:
+    def _children(self, goal: Optional[CanonicalState] = None) -> Iterator[_Node]:
         """The unvisited children of the last level's nodes, in order; a
-        child counts as visited once yielded. Each node's steps are derived
-        from its parent's where the engine can."""
+        child counts as visited once generated. Each node's steps are
+        derived from its parent's where the engine can.
+
+        An accepting child on `goal` is met instead of yielded, and `met`
+        keeps the least-keyed one, the first among equal keys. A parent's
+        steps come in rule order, so its children after a met one have
+        keys no less, and a child's key is at least its parent's followed
+        by 0. Children stop once no parent left can give a key below the
+        least met, which is then decided. Until then every parent is
+        expanded, so each (state, phase) keeps the first derivation met,
+        as in a full level."""
         parents, self.expanded = self.expanded, {}
-        for node in self.levels[-1]:
+        level = self.levels[-1]
+        floors: list[tuple[int, ...]] = []  # per position, the least parent key from there on
+
+        def decided(i: int) -> bool:
+            return i == len(level) or floors[i] + (0,) >= best
+
+        for i, node in enumerate(level):
+            if floors and decided(i):
+                return
             allowed = self.auto.labels(node.phase)
             if not allowed:
                 continue
@@ -237,9 +271,21 @@ class _Side:
             self.expanded[id(node)] = steps
             for step in steps:
                 for phase in self.auto.next(node.phase, step.rule_name):
-                    if (step.target, phase) not in self.visited:
-                        self.visited.add((step.target, phase))
-                        yield _Node(step.target, phase, node, step)
+                    if (step.target, phase) in self.visited:
+                        continue
+                    self.visited.add((step.target, phase))
+                    child = _Node(step.target, phase, node, step)
+                    if step.target != goal or not self.auto.accepting(phase):
+                        yield child
+                        continue
+                    key = self.key(child)
+                    if not floors:
+                        keys = map(self.key, reversed(level))
+                        floors = list(itertools.accumulate(keys, min))[::-1]
+                    if self.met is None or key < best:
+                        self.met, best = child, key
+                    if decided(i + 1):
+                        return
 
     def derivation(self, node: _Node) -> Derivation:
         """The derivation from the root to `node`, read off its parents."""
@@ -249,8 +295,9 @@ class _Side:
             node = node.parent
         return Derivation(node.state, tuple(reversed(steps)))
 
-    def trace_key(self, deriv: Derivation) -> tuple[int, ...]:
-        return tuple(self.index[step.rule_name] for step in deriv.steps)
+    def key(self, node: _Node) -> tuple[int, ...]:
+        """The rule positions of the trace from the root to `node`."""
+        return tuple(self.index[step.rule_name] for step in self.derivation(node).steps)
 
 
 def _closing_search(
@@ -260,32 +307,43 @@ def _closing_search(
 ) -> tuple[Optional[Valley], bool]:
     """Minimal valley between the peak's reducts, plus a definite-failure flag.
 
+    At each total depth, the splits are compared from 0 up, and the least
+    (left key, right key) over all their valleys wins. Split 0 pairs the
+    left root with the new right level: its empty left key beats every
+    other split, so that level is built with the left root as its goal and
+    a decided valley there is returned at once. The last split does the
+    same on the left when no earlier split of its total has a valley.
+
     The failure flag is True only when both search spaces were fully
     explored without truncation, making the non-joinability exact."""
     left = _Side(*sides[0], peak.left)
     right = _Side(*sides[1], peak.right, indexed=True)
     counter = {"states": 2}
     for total in itertools.count():
-        candidates: list[Valley] = []
+        candidates: list[tuple[_Node, _Node]] = []
         for l_depth in range(total + 1):
             r_depth = total - l_depth
-            if not left.ensure_level(l_depth, budget, counter):
+            # A new level stops on the other root where its valley wins outright.
+            l_goal = right.goal if l_depth == total and not candidates else None
+            r_goal = left.goal if l_depth == 0 else None
+            if not (
+                left.ensure_level(l_depth, budget, counter, l_goal)
+                and right.ensure_level(r_depth, budget, counter, r_goal)
+            ):
                 continue
-            if not right.ensure_level(r_depth, budget, counter):
-                continue
+            if left.met or right.met:
+                candidates = [(left.met or left.levels[0][0], right.met or right.levels[0][0])]
+                break
             for lnode in left.levels[l_depth]:
                 if not left.auto.accepting(lnode.phase):
                     continue
                 for rnode in right.by_state[r_depth].get(lnode.state, []):
                     if right.auto.accepting(rnode.phase):
-                        candidates.append(
-                            Valley(left.derivation(lnode), right.derivation(rnode))
-                        )
+                        candidates.append((lnode, rnode))
         if candidates:
             # min keeps the first found among equal keys
-            return min(
-                candidates, key=lambda v: (left.trace_key(v.left), right.trace_key(v.right))
-            ), False
+            lnode, rnode = min(candidates, key=lambda c: (left.key(c[0]), right.key(c[1])))
+            return Valley(left.derivation(lnode), right.derivation(rnode)), False
         # A stopped side has all its levels; past their summed depths no
         # pair of levels is left to compare.
         stopped = [side.truncated or side.exhausted for side in (left, right)]

@@ -528,6 +528,76 @@ def reachable(
     return result
 
 
+# ---------------------------------------------------------------------------
+# The closing search with every level built in full, for `join_search`
+
+def _plain_levels(program: Program, auto, root: CanonicalState, max_depth: int, room: int):
+    """The levels of a breadth-first walk from `root` up to `max_depth`,
+    each built in full: per level, the (state, phase, steps) of the
+    children whose (state, phase) no earlier node had, in parent order,
+    then step order, then phase order. Also whether the walk ran out of
+    children, and how many states it added; it stops once that passes
+    `room`."""
+    levels = [[(root, auto.start, ())]]
+    seen = {(root, auto.start)}
+    added = 0
+    while len(levels) <= max_depth and added <= room:
+        level = []
+        for state, phase, steps in levels[-1]:
+            allowed = auto.labels(phase)
+            if not allowed:
+                continue
+            for step in applicable_steps(program, state, allowed):
+                for nxt in auto.next(phase, step.rule_name):
+                    if (step.target, nxt) not in seen:
+                        seen.add((step.target, nxt))
+                        level.append((step.target, nxt, steps + (step,)))
+        if not level:
+            return levels, True, added
+        added += len(level)
+        levels.append(level)
+    return levels, False, added
+
+
+def plain_closing(peak, sides, budget):
+    """The least valley of `peak` whose traces the automata of `sides`
+    accept: the least total length, then the least (left key, right key),
+    where a key is the trace's rule positions, the first found among
+    equal keys when splits go from 0 up. Each side's levels are built in
+    full to `budget.max_depth` with `applicable_steps`.
+
+    Returns the valley as a pair of derivations or None, whether both
+    sides ran out of steps, and whether `budget.max_states` cut the walk;
+    the first two are meaningless when it did."""
+    room = budget.max_states - 2
+    walks = []
+    for (program, auto), root in zip(sides, (peak.left, peak.right)):
+        levels, done, added = _plain_levels(program, auto, root, budget.max_depth, room)
+        room -= added
+        index = {r.name: i for i, r in enumerate(program.rules)}
+        walks.append((levels, done, auto, index))
+    if room < 0:
+        return None, False, True
+    (left, l_done, l_auto, l_index), (right, r_done, r_auto, r_index) = walks
+    for total in range(len(left) + len(right) - 1):
+        found = []
+        for l_depth in range(max(0, total - len(right) + 1), min(total, len(left) - 1) + 1):
+            for l_state, l_phase, l_steps in left[l_depth]:
+                if not l_auto.accepting(l_phase):
+                    continue
+                for r_state, r_phase, r_steps in right[total - l_depth]:
+                    if r_state == l_state and r_auto.accepting(r_phase):
+                        key = (
+                            tuple(l_index[s.rule_name] for s in l_steps),
+                            tuple(r_index[s.rule_name] for s in r_steps),
+                        )
+                        found.append((key, l_steps, r_steps))
+        if found:
+            _, l_steps, r_steps = min(found, key=lambda f: f[0])
+            return (Derivation(peak.left, l_steps), Derivation(peak.right, r_steps)), False, False
+    return None, l_done and r_done, False
+
+
 def check_value_semantics(values: list, text) -> None:
     """`==` on `values` agrees with equality of their printed form `text`,
     equal values hash equal, and each value works as a set member and a

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import chrdc.analysis
 from chrdc.analysis import (
     SearchBudget,
     capped,
@@ -13,15 +14,18 @@ from chrdc.analysis import (
     check_strong_confluence,
     join_search,
     matches_star,
+    star,
 )
 from chrdc.engine import applicable_steps, replay
 from chrdc.orders import Partition, RulePreorder
-from chrdc.peaks import critical_peaks
+from chrdc.peaks import CriticalPeak, critical_peaks
 from chrdc.reports import admissible_fields
-from chrdc.state import equivalent
-from chrdc.syntax import parse_program
+from chrdc.state import canonicalize, equivalent
+from chrdc.syntax import parse_program, parse_state
 from conftest import load
-from helpers import any_sides, peak_like, random_tiny_program, star_sides
+from helpers import (
+    any_sides, peak_like, plain_closing, random_tiny_program, star_sides, with_propagation,
+)
 
 BUDGET = SearchBudget()
 
@@ -130,6 +134,120 @@ def test_join_search_star_closes_example_peak(leq):
     v = join_search(pk, star_sides(leq, pk, order), "DECREASING", BUDGET)
     assert v.status == "DECREASING"
     assert v.valley.labels() == ([], ["reflexivity", "antisymmetry"])
+
+
+def _peak(rule_left, rule_right, ancestor, left, right):
+    return CriticalPeak(
+        rule_left, rule_right, parse_state(ancestor),
+        canonicalize(parse_state(left)), canonicalize(parse_state(right)),
+    )
+
+
+def test_early_stop_keeps_the_least_key_over_both_star_phases():
+    # The right reduct meets the left one at depth 2 through [a, b] first,
+    # then through [a, a], whose key is less: the search keeps expanding
+    # the parents that may still give a smaller key.
+    program = parse_program("""
+    a @ n(X) <=> n(f(X)).
+    b @ n(f(X)), n(Y) <=> n(X), n(f(f(Y))).
+    c @ zc <=> true.
+    d @ zd <=> true.
+    """)
+    order = RulePreorder.from_declarations(program.rule_names(), [("d", ">", "a"), ("c", ">=", "b")])
+    pk = _peak("c", "d", "n(1), n(2)", "n(1), n(f(f(2)))", "n(1), n(2)")
+    sides = ((program, star("c", "d", order)), (program, star("d", "c", order)))
+    v = join_search(pk, sides, "DECREASING", BUDGET)
+    assert v.valley.labels() == ([], ["a", "a"])
+    assert equivalent(replay(program, v.valley.left), replay(program, v.valley.right))
+
+
+def test_ties_keep_the_first_derivation_met_per_state_and_phase():
+    # [k, hi] and [k, lo] both reach the left reduct. `k` on u(a) comes
+    # first, and `hi` from its target reaches the reduct before `lo` does
+    # from the target of `k` on u(b). Each (state, phase) keeps the first
+    # derivation met, so the lex-least [k, lo] is never a candidate.
+    program = parse_program("""
+    lo @ m \\ u(a) <=> s(a).
+    hi @ m \\ u(b) <=> s(b).
+    k @ u(X) <=> s(X), m.
+    """)
+    pk = _peak("k", "k", "u(a), u(b)", "m, s(a), s(b)", "u(a), u(b)")
+    v = join_search(pk, any_sides(program), "JOINABLE", BUDGET)
+    assert v.valley.labels() == ([], ["k", "hi"])
+
+
+def test_a_decided_valley_within_max_states_is_kept(leq):
+    pk = critical_peaks(leq, leq)[9]
+    assert (pk.rule_left, pk.rule_right) == ("antisymmetry", "transitivity")
+    full = join_search(pk, any_sides(leq), "JOINABLE", BUDGET, 9)
+    assert full.valley.labels() == ([], ["antisymmetry", "duplicate"])
+    # The left root is met in the right side's first expansion at depth 2
+    # and no later parent can give a smaller key, so the search returns
+    # before its budget runs out; the whole level took max_states 24.
+    assert not join_search(pk, any_sides(leq), "JOINABLE", SearchBudget(8, 6), 9).closed
+    for states in (7, 8, 24):
+        v = join_search(pk, any_sides(leq), "JOINABLE", SearchBudget(8, states), 9)
+        assert v.valley == full.valley
+    assert equivalent(replay(leq, v.valley.left), replay(leq, v.valley.right))
+
+
+def test_a_valley_is_returned_once_decided_before_its_siblings_count():
+    # `r0` fires first from the right reduct and meets the left one: no
+    # later child can have a smaller key, so x1 and x2 are never added.
+    program = parse_program("r0 @ go <=> done.\nr1 @ go <=> x1.\nr2 @ go <=> x2.\n")
+    pk = _peak("r0", "r1", "go", "done", "go")
+    v = join_search(pk, any_sides(program), "JOINABLE", SearchBudget(8, 2))
+    assert v.valley.labels() == ([], ["r0"])
+
+
+def test_a_tactic_prefix_does_not_meet_the_other_reduct():
+    # r0 takes the right reduct to the left one, but only as a proper
+    # prefix of the tactic's one alternative: the tactic does not close
+    # the peak, and the search without it does.
+    program = parse_program("r0 @ go <=> done.\nr1 @ done <=> go.\n")
+    pk = _peak("r0", "r1", "go", "done", "go")
+    v = join_search(pk, any_sides(program), "JOINABLE", BUDGET, tactic=([[]], [["r0", "r1"]]))
+    assert v.valley.labels() == ([], ["r0"])
+    assert v.notes == ()
+
+
+def test_an_undecided_valley_is_dropped_with_its_cut_level():
+    # As in the tie-break test, [k, hi] is met at depth 2 before the
+    # second parent, which could still give a smaller key, is expanded. A
+    # budget cut before that drops the level as a whole, so the left
+    # side's level 1 is compared next and no valley is claimed.
+    program = parse_program("""
+    lo @ m \\ u(a) <=> s(a).
+    hi @ m \\ u(b) <=> s(b).
+    k @ u(X) <=> s(X), m.
+    e @ m, s(a), s(b) <=> done.
+    """)
+    pk = _peak("k", "k", "u(a), u(b)", "m, s(a), s(b)", "u(a), u(b)")
+    assert not join_search(pk, any_sides(program), "JOINABLE", SearchBudget(8, 5)).closed
+    v = join_search(pk, any_sides(program), "JOINABLE", SearchBudget(8, 6))
+    assert v.valley.labels() == ([], ["k", "hi"])
+
+
+def test_search_work_on_leq_local_is_pinned(leq, monkeypatch):
+    stepping, calls, steps = chrdc.analysis.applicable_steps, [], []
+
+    def counting_steps(*args):
+        out = stepping(*args)
+        calls.append(args)
+        steps.extend(out)
+        return out
+
+    monkeypatch.setattr(chrdc.analysis, "applicable_steps", counting_steps)
+    check_local_confluence(leq, BUDGET)
+    # 54 calls and 190 steps when each closing search built its last
+    # level in full.
+    assert (len(calls), len(steps)) == (36, 76)
+    del calls[:], steps[:]
+    part = Partition.for_program(leq, coinductive=["transitivity"])
+    check_rule_decreasing(leq, part, leq_order(leq.rule_names()), BUDGET)
+    # 46 and 42 in full; 39 and 35 when a parent whose least key only ties
+    # the least met is expanded too.
+    assert (len(calls), len(steps)) == (37, 33)
 
 
 # ---------------------------------------------------------------------------
@@ -588,3 +706,29 @@ def test_random_programs_keep_verdicts_budget_monotone():
         flips += int(lo.established != hi.established)
     # not an assertion target, just exercising both branches
     assert flips >= 0
+
+
+def test_join_search_agrees_with_the_plain_closing_search():
+    # Every level built in full, and the least (left key, right key) over
+    # all candidates of the least total, as the search did before it
+    # stopped early; compared where max_states did not cut the plain walk.
+    rng = random.Random(5)
+    budget = SearchBudget(max_depth=3, max_states=300)
+    compared = closed = 0
+    for n in range(80):
+        program = random_tiny_program(rng)
+        if n % 2:
+            program = with_propagation(program)
+        names = program.rule_names()
+        order = RulePreorder.from_levels(names, {name: rng.randrange(3) for name in names})
+        for pk in critical_peaks(program, program):
+            for sides in (any_sides(program), star_sides(program, pk, order)):
+                valley, exhausted, cut = plain_closing(pk, sides, budget)
+                if cut:
+                    continue
+                v = join_search(pk, sides, "JOINABLE", budget)
+                assert v.valley == valley, (program, pk)
+                assert v.exhausted == (valley is None and exhausted)
+                compared += 1
+                closed += valley is not None
+    assert compared >= 400 and closed >= 150

@@ -1,11 +1,11 @@
-"""The machine reports of the benchmark's generated jobs, pinned by digest.
+"""The reports of the benchmark's jobs, pinned by digest.
 
 The golden files pin the fixture scenarios' reports; this pins the bytes
-of every `exhaust` and `orders` job that `perfbench/workloads.py`
-generates at seed 1, run once each through `chrdc.cli.main` in-process,
-as `perfbench/run.py` runs them. The digests are the `sha256=` values
-that `run.py` prints per job, so a bench run at seed 1 can be compared
-with them by eye.
+of every job of every workload that `perfbench/workloads.py` builds at
+seed 1, run once each through `chrdc.cli.main` in-process, as
+`perfbench/run.py` runs them. The digests are the `sha256=` values that
+`run.py` prints per job, so a bench run at seed 1 can be compared with
+them by eye.
 """
 
 from __future__ import annotations
@@ -36,6 +36,21 @@ def _workloads():
 
 
 DIGESTS = {
+    "corpus": {
+        "leq-decreasing": "87ae92218351c283c4fb7cfc0a058b8195a61e5cb10dd7ed87980402239dbcca",
+        "leq-local": "3576b631a497535e51db63bb7312ffd3ac63aa5f30f57c18bb31e37c657a283e",
+        "leq-strong": "95d5b3abdda22ae138eee1de3ca1d5bd42ac1a166d923c3d0b1b3d90be427a1b",
+        "leq-strong-rd": "2a26820de55d7fe212ab40727fefbcce6389f88c8c4896264f9d0ec933eaa385",
+        "mod-reflex-dup": "f92e6459c1b8b1e63e368f7c0c5143496d481b37dfe3e07e02c221fdc7887eb8",
+        "mod-splus-sminus": "101deef5f5478ad0793f1eb9a7711114d48dd0da091f60e02d278d453e65929c",
+        "mod-violating": "a3402604f97000cc8a0afe68a84753b9d4409d69813408d0c795c24bb5ecb75e",
+        "philos-decreasing": "01297c0098bbe0baa1ca86e521df6303cb952c25e7c9149764a0172e8cac31f2",
+        "philos-peaks": "e71890c4cc951cb15084423c77ccd76c1be2340630537cd8de3fb33232d7d597",
+        "pminus-allind": "33992c00b771933542b52817baf06a3cd68cb15e83a025207aac123b480e2056",
+        "pminus-coind": "026e79a3093b18c6528a5e0e0a1a83132cfe8cab037c8abad50eb54850cf5cf2",
+        "pplus-allcoind": "5b96484ed32728945442e58df22b5ff3d1132882a52e1e66014c4d02a8d25f9e",
+        "pplus-ind": "f5ead168f444c7c4740638a9f807023d7956429bca8efb02b11484b7c85825ec",
+    },
     "exhaust": {
         "ex0-trans-s40": "4dbf3331697585cd2f8ef050be4ea9e16b7abbe76eff846cfd21f1c0cb22554f",
         "ex1-trans-s70": "9da8298c7ca34f9d480bf43e7e506c772af6e8626b717233d2ab365edde8b48c",
