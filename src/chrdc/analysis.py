@@ -83,9 +83,9 @@ NOT_CLOSED = "NOT_CLOSED"
 
 
 class PeakVerdict(NamedTuple):
+    """The closing search's outcome on peak `index` of its report."""
+
     index: int
-    rule_left: str
-    rule_right: str
     status: str  # one of CLOSED_STATUSES, or NOT_CLOSED
     valley: Optional[Valley] = None
     notes: tuple[str, ...] = ()
@@ -389,13 +389,7 @@ def join_search(
             if not applicable_steps(prog, reduct)
         )
     return PeakVerdict(
-        index,
-        peak.rule_left,
-        peak.rule_right,
-        NOT_CLOSED if valley is None else status,
-        valley,
-        notes=shown,
-        exhausted=exhausted,
+        index, NOT_CLOSED if valley is None else status, valley, shown, exhausted
     )
 
 
@@ -404,11 +398,10 @@ def join_search(
 
 class OrderSearch(NamedTuple):
     """The walk over admissible orders: whether it stopped undecided after
-    `MAX_ORDERS` orders evaluated or branches cut, and whether an order
-    closed every peak (None when the peaks were never searched)."""
+    `MAX_ORDERS` orders evaluated or branches cut. Whether an order closed
+    every peak is the report's `established`."""
 
     truncated: bool
-    found: Optional[bool] = None
 
 
 # The criterion each mode's report names; see `Report.criterion`.
@@ -684,7 +677,7 @@ def check_rule_decreasing(
         walk = _OrderWalk(program, part, peaks, coinductive, closing)
         shown, co = walk.run(first_only=not inductive_ok)
         verdicts.update(co)
-        search = OrderSearch(walk.truncated, all(v.closed for v in verdicts.values()))
+        search = OrderSearch(walk.truncated)
     else:
         verdicts.update((i, closing(i, shown)) for i in coinductive)
         search = None

@@ -63,7 +63,7 @@ from .engine import fire
 from .orders import Partition
 from .state import CanonicalState, State, _canonical_renaming, canonicalize
 from .syntax import Atom, Program, Rule
-from .terms import Subst, Var, apply, compose, fresh_mapping, iter_vars, match, rename_apart, unify
+from .terms import Subst, Var, apply, fresh_mapping, iter_vars, match, rename_apart, unify
 
 
 class CriticalPeak(NamedTuple):
@@ -186,10 +186,9 @@ def _ancestor(
     names = {
         g: Var(_spreadsheet_name(i)) for i, g in enumerate(v for v in head_vars if v not in sigma)
     }
-    sigma = compose(sigma, names)
     unshared = [j for j in range(len(heads2)) if j not in sel2]
     ancestor = State(
-        tuple(a.subst(sigma) for a in heads1 + tuple(heads2[j] for j in unshared)),
+        tuple(a.subst(sigma).subst(names) for a in heads1 + tuple(heads2[j] for j in unshared)),
         (),
         frozenset(v.name for v in names.values()),
     )

@@ -20,8 +20,9 @@ ADMISSIBLE `enumerated` carries the order search's fields, all written
 by `admissible_fields`: `orders_tried=` the number of admissible orders,
 `truncated=true` when the walk stopped undecided after
 `orders.MAX_ORDERS` orders evaluated or branches cut, `found=` once the
-peaks were searched and `order=` the strict pairs of the closing order
-found.
+peaks were searched (termination not refuted), true exactly when the
+report is established, and then `order=` the strict pairs of the
+closing order found.
 
 Values are bare tokens or bracketed lists; a report is re-parseable by
 `parse_machine_report` and emission is byte-stable across runs.
@@ -50,8 +51,9 @@ def _peak_class(report: Report, peak: CriticalPeak) -> str:
     return "cross" if report.partition is None else classify(peak, report.partition)
 
 
-def _machine_peak_line(v: PeakVerdict, budget: Optional[SearchBudget]) -> str:
-    parts = ["PEAK", str(v.index), v.rule_left, v.rule_right, v.status]
+def _machine_peak_line(report: Report, v: PeakVerdict) -> str:
+    peak, budget = report.peaks[v.index], report.budget
+    parts = ["PEAK", str(v.index), peak.rule_left, peak.rule_right, v.status]
     if v.valley is not None:
         left_labels, right_labels = v.valley.labels()
         parts.append("left=" + _bracket(left_labels))
@@ -77,9 +79,9 @@ def admissible_fields(report: Report) -> list[tuple[str, str]]:
     fields = [("orders_tried", str(tried))]
     if search.truncated:
         fields.append(("truncated", "true"))
-    if search.found is not None:
-        fields.append(("found", "true" if search.found else "false"))
-    if search.found:
+    if report.termination is None or report.termination.acceptable:
+        fields.append(("found", "true" if report.established else "false"))
+    if report.established:
         fields.append(("order", ",".join(report.order.pairs_text()) or "discrete"))
     return fields
 
@@ -108,7 +110,7 @@ def machine_report(report: Report) -> str:
             line += f" witness={t.witness}"
         lines.append(line)
     for v in report.verdicts:
-        lines.append(_machine_peak_line(v, report.budget))
+        lines.append(_machine_peak_line(report, v))
     lines.append(
         f"VERDICT {report.criterion} {report.outcome} assumptions="
         + _bracket(report.assumptions)

@@ -93,19 +93,6 @@ def apply_all(s: Mapping[str, Term], terms: Iterable[Term]) -> tuple[Term, ...]:
     ])
 
 
-def compose(s1: Mapping[str, Term], s2: Mapping[str, Term]) -> Subst:
-    """Substitution equal to applying `s1` first, then `s2`."""
-    out: Subst = {}
-    for v, t in s1.items():
-        t2 = apply(s2, t)
-        if t2 != Var(v):
-            out[v] = t2
-    for v, t in s2.items():
-        if v not in s1 and t != Var(v):
-            out[v] = t
-    return out
-
-
 def _occurs(name: str, t: Term, bind: Subst) -> bool:
     stack = [t]
     while stack:

@@ -1,8 +1,11 @@
-"""Every private top-level name in chrdc is read somewhere.
+"""Every private top-level name, parameter and record field in chrdc is read.
 
 A private `def`, `class` or assignment at module level must be used by
 some code in `src/chrdc` outside its own definition: a name, an
-attribute or an import. Mentions in docstrings and comments do not count.
+attribute or an import. Each parameter must be read by its function's
+body, and each field of a `NamedTuple` record must be read as an
+attribute somewhere in `src/chrdc`. Mentions in docstrings and comments
+do not count.
 """
 
 from __future__ import annotations
@@ -87,4 +90,36 @@ def test_every_parameter_is_read():
         for path in sorted(SRC.glob("*.py"))
         for entry in _unread_parameters(ast.parse(path.read_text(encoding="utf-8")))
     ]
+    assert unread == []
+
+
+# Fields that nothing reads by name but that are part of a record's
+# identity: steps compare as tuples, and `engine.replay` looks a recorded
+# step up among the applicable ones by value, heads' positions included.
+_FIELDS_READ_BY_VALUE = {"LabeledStep.matched_kept", "LabeledStep.matched_removed"}
+
+
+def _record_fields(tree: ast.Module) -> list[str]:
+    """`Class.field` for each field of each `NamedTuple` class in `tree`."""
+    return [
+        f"{node.name}.{stmt.target.id}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        and any(isinstance(b, ast.Name) and b.id == "NamedTuple" for b in node.bases)
+        for stmt in node.body
+        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+    ]
+
+
+def test_every_record_field_is_read():
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))]
+    read = {
+        node.attr
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    fields = [field for tree in trees for field in _record_fields(tree)]
+    unread = [f for f in fields if f.split(".")[1] not in read and f not in _FIELDS_READ_BY_VALUE]
+    assert len(fields) > 30
     assert unread == []

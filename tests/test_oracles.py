@@ -17,6 +17,10 @@ Programs with propagation rules reach the targets that the engine builds
 by ordered insert rather than by `canonicalize`, which the tiny programs
 alone never do. Renaming the predicates changes the order those inserts
 sort into, and every state on a certificate must be in canonical form.
+
+Under `enumerate_orders` the order walk cuts branches and shares verdicts
+between orders, yet it must find a closing order exactly when a plain
+loop over every admissible order finds one.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from chrdc.orders import Partition, RulePreorder
 from chrdc.state import canonicalize, equivalent
 from chrdc.syntax import Atom, Eq, Program, Rule
 from chrdc.terms import Compound, Var
-from helpers import random_tiny_program, with_propagation
+from helpers import product_admissible_levels, random_tiny_program, with_propagation
 
 BUDGET = SearchBudget(6, 400)
 
@@ -87,9 +91,10 @@ def _decided(report) -> bool:
 
 def _peak_multiset(report) -> Counter:
     """Each peak's unordered pair of original rule names, and whether it closed."""
+    pairs = ((report.peaks[v.index], v.closed) for v in report.verdicts)
     return Counter(
-        (frozenset(name.removeprefix("m") for name in (v.rule_left, v.rule_right)), v.closed)
-        for v in report.verdicts
+        (frozenset(name.removeprefix("m") for name in (pk.rule_left, pk.rule_right)), closed)
+        for pk, closed in pairs
     )
 
 
@@ -200,3 +205,51 @@ def test_verdicts_with_propagation_rules_do_not_depend_on_predicate_names():
             assert mine.established == theirs.established
             compared += 1
     assert compared >= 70 and certificates >= 350
+
+
+def _enumerated(p: Program, coinductive: list[str]):
+    part = Partition.for_program(p, coinductive=coinductive)
+    return check_rule_decreasing(
+        p, part, None, BUDGET, enumerate_orders=True, assume_terminating=True
+    )
+
+
+def test_enumerated_orders_find_a_closing_order_exactly_when_one_exists():
+    # The walk cuts branches and reuses verdicts across orders; a plain
+    # loop over every admissible level map must agree with it wherever
+    # neither was cut off by a budget. Renaming and reordering the rules,
+    # or renaming the predicates, must not change the answer either.
+    rng = random.Random(7)
+    compared = established = invariant = certificates = 0
+    for _ in range(200):
+        p = random_tiny_program(rng)
+        names = p.rule_names()
+        coinductive = [n for n in names if rng.random() < 0.5]
+        mine = _enumerated(p, coinductive)
+        certificates += _replay_certificates(p, mine)
+        part = mine.partition
+        fixed = [
+            check_rule_decreasing(
+                p, part, RulePreorder.from_levels(names, dict(zip(names, levels))), BUDGET,
+                assume_terminating=True,
+            )
+            for levels in product_admissible_levels(names, part)
+        ]
+        certificates += sum(_replay_certificates(p, rep) for rep in fixed)
+        if not mine.order_search.truncated and all(_decided(rep) for rep in fixed):
+            assert mine.established == any(rep.established for rep in fixed)
+            compared += 1
+            established += mine.established
+        variants = (
+            (_renamed_reversed(p), ["m" + n for n in coinductive]),
+            (VARIANTS["predicates"](p), coinductive),
+        )
+        for q, renamed in variants:
+            theirs = _enumerated(q, renamed)
+            certificates += _replay_certificates(q, theirs)
+            if mine.order_search.truncated or theirs.order_search.truncated:
+                continue
+            if _decided(mine) and _decided(theirs):
+                assert mine.established == theirs.established
+                invariant += 1
+    assert compared >= 180 and established >= 80 and invariant >= 350 and certificates >= 100

@@ -379,9 +379,7 @@ def _coin_flip_star_search(seed: int):
                 sorted(live.intersection(auto.moves[1])),
             ]
         coin = random.Random(repr((seed, shape))).random() < 0.15
-        return analysis.PeakVerdict(
-            index, peak.rule_left, peak.rule_right, status if coin else "NOT_CLOSED"
-        )
+        return analysis.PeakVerdict(index, status if coin else "NOT_CLOSED")
 
     return search
 

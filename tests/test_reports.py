@@ -11,6 +11,7 @@ from chrdc.analysis import (
     check_rule_decreasing,
     check_strong_confluence,
 )
+from chrdc.config import load_config_file
 from chrdc.orders import AdmissibilityResult, Partition, RulePreorder, TerminationResult
 from chrdc.peaks import critical_peaks
 from chrdc.reports import (
@@ -20,7 +21,7 @@ from chrdc.reports import (
     peak_text,
     text_report,
 )
-from conftest import load
+from conftest import FIXTURES, load
 
 BUDGET = SearchBudget()
 
@@ -142,6 +143,26 @@ def test_a_report_cannot_claim_more_than_it_holds(leq):
     assert machine_report(rep).endswith("VERDICT rule_decreasing CONFLUENT assumptions=[]\n")
     # Without a partition a decreasing report still names its criterion.
     assert text_report(Report("decreasing")).endswith("verdict: CONFLUENT (rule_decreasing)\n")
+
+
+def test_an_enumerated_report_cannot_claim_an_order_it_did_not_find(philos):
+    # With one verdict opened by hand, the order search's fields must agree
+    # with the verdict: no order closed every peak, so none is named.
+    cfg = load_config_file(str(FIXTURES / "philos_enumerate.cfg"))
+    part = Partition.for_program(philos, cfg.inductive, cfg.coinductive)
+    held = check_rule_decreasing(
+        philos, part, None, SearchBudget(cfg.max_depth, cfg.max_states),
+        enumerate_orders=cfg.enumerate_orders, assume_terminating=cfg.assume_terminating,
+    )
+    assert "found=true order=eat>thk" in machine_report(held)
+    opened = held.verdicts[0]._replace(status=NOT_CLOSED, valley=None)
+    rep = held._replace(verdicts=(opened, *held.verdicts[1:]))
+    machine, text = machine_report(rep), text_report(rep)
+    assert machine.splitlines()[0] == "ADMISSIBLE enumerated orders_tried=3 found=false"
+    assert machine.endswith("VERDICT strongly_rule_decreasing NOT_ESTABLISHED assumptions=[]\n")
+    assert "admissible: yes orders_tried=3 found=false\n" in text
+    assert text.endswith("verdict: NOT_ESTABLISHED (strongly_rule_decreasing)\n")
+    assert "order=" not in machine and "order=" not in text
 
 
 def test_machine_grammar_survives_random_programs():

@@ -12,7 +12,6 @@ from chrdc.terms import (
     Compound,
     Var,
     apply,
-    compose,
     fresh_mapping,
     iter_vars,
     match,
@@ -210,11 +209,6 @@ def test_match_binds_pattern_side_only():
     assert got == {"X": a, "Y": Z}
     assert match([(leq(X, X), leq(a, b))]) is None
     assert match([(a, X)]) is None
-
-
-def test_compose_substitutions():
-    s = compose({"X": Var("Y")}, {"Y": a})
-    assert s == {"X": a, "Y": a}
 
 
 def test_fresh_mapping_avoids_and_is_injective():
