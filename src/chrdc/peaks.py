@@ -28,36 +28,54 @@ canonical form with both reducts renamed by its labelling when that
 labelling is its only one, else one canonical labelling of all three
 states read together.
 
-Overlaps that a symmetry of a rule maps onto earlier ones are skipped
-before their ancestor is built, the lex-leader rule of symmetry breaking
-(Crawford, Ginsberg, Luks and Roy, KR 1996). A head swap of a rule
-(`_head_swaps`, found once per rule) is a pair of its heads, both kept
-or both removed and of one predicate and arity, with a bijective
-renaming of the head variables (variables that no head holds stay fixed)
-that maps the heads onto the heads with those two exchanged, the guard
-and the built-in body onto themselves as sets of unordered equations,
-and the user body onto itself as a multiset. An overlap is skipped when
-one swap of either rule turns it into an overlap that `_overlaps` lists
-before it (`_swapped_earlier`). This is exact. The renaming maps the
-skipped overlap's equations, with both guards, onto the earlier one's,
-so that one unifies too and is processed first. Its ancestor is the
-skipped one's with the globals renamed and some atoms reordered, and
-since the swap maps its rule onto itself, each rule fires on the same
-atoms, kept or removed alike, to the same reducts up to that renaming.
-So the earlier overlap gives a peak with the same key, which
-deduplication has met before the skipped overlap comes, or no peak, and
-then neither does the skipped one. An earlier overlap that is itself
-skipped, or dropped for the atoms of one before it, passes this on to
-one earlier still, and an overlap missing from the `seen` set only costs
-a later one its firing. The peaks, their order and their ancestors are
-those of the unpruned walk. A rule whose only symmetries are longer
-cycles of heads is left unpruned.
+Overlaps that a symmetry maps onto earlier ones are left out before
+their ancestor is built, the lex-leader rule of symmetry breaking
+(Crawford, Ginsberg, Luks and Roy, KR 1996). For a rule with itself,
+the mirror of an overlap reads its head pairs from the other copy,
+`sorted(zip(sel2, sel1))`. A head swap of a rule (`_head_swaps`, found
+once per rule) is a pair of its heads, both kept or both removed and of
+one predicate and arity, with a bijective renaming of the head
+variables (variables that no head holds stay fixed) that maps the heads
+onto the heads with those two exchanged, the guard and the built-in
+body onto themselves as sets of unordered equations, and the user body
+onto itself as a multiset. An overlap is left out when its mirror or
+its image under one swap of either rule comes earlier in `_overlaps`'
+order. This is exact. The two copies are one rule renamed apart, so
+exchanging their variables maps an overlap's equations, with both
+guards, onto its mirror's; the mirror's ancestor is the overlap's with
+the globals renamed and atoms reordered, and its reducts are the
+overlap's exchanged, which a self peak's key does not tell apart. A
+swap's renaming likewise maps the overlap's equations onto the earlier
+one's, and since it maps its rule onto itself, each rule fires on the
+same atoms, kept or removed alike, to the same reducts up to that
+renaming. Either way the earlier overlap gives a peak with the same
+key, which deduplication has met before the left-out overlap comes, or
+no peak, and then neither does the left-out one. An earlier overlap
+that is itself left out, or dropped for the atoms of one before it,
+passes this on to one earlier still, and an overlap missing from the
+`seen` set only costs a later one its firing.
+
+The swaps are decided on prefixes inside `_overlaps`' walk, as in
+orderly generation (McKay, *Isomorph-free exhaustive generation*, J.
+Algorithms 26, 1998): the branch that places head k of a swap (h, k),
+h < k, is cut before it is unified when, for a swap of the first rule,
+h was passed over or is partnered with a later head than k is, or, for
+a swap of the second rule, h is not yet placed. The first rule's heads
+are placed in increasing order, so at that point the prefix fixes
+everything the whole-overlap test reads, and each overlap in a cut
+branch is one that the swap maps onto an earlier overlap: a cut branch
+holds no overlap that is first in its orbit. Conversely, each overlap
+that a swap maps onto an earlier one places k under such a prefix. The
+mirror reads the whole selection and is tested on each overlap listed.
+So the peaks, their order and their ancestors are those of the unpruned
+walk. A rule whose only symmetries are longer cycles of heads is left
+unpruned.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterator, NamedTuple
+from typing import Iterator, NamedTuple, Sequence
 
 from .engine import fire
 from .orders import Partition
@@ -145,14 +163,21 @@ def _peak_key(peak: CriticalPeak, symmetric: bool) -> tuple:
     return canonicalize(State(tuple(atoms), (), frozenset()))
 
 
-def _overlaps(c1: Rule, c2: Rule) -> list[tuple[tuple[int, ...], tuple[int, ...], Subst]]:
+def _overlaps(
+    c1: Rule, c2: Rule, swaps1: _Swaps = (), swaps2: _Swaps = (), mirror: bool = False
+) -> list[tuple[tuple[int, ...], tuple[int, ...], Subst]]:
     """Every overlap of two rules renamed apart whose equations, with both
     guards, unify: heads `sel1` of `c1` paired one to one with heads `sel2`
     of `c2`, and the unifier, which names each variable class by a head
     variable where it holds one. Heads pair only within a predicate and
     arity, and a branch ends at its first clash. Ordered by size, `sel1`,
     `sorted(sel2)`, then `sel2`, as a walk over equal-sized subsets and
-    their bijections would meet them."""
+    their bijections would meet them.
+
+    Leaves out each overlap that a head swap of `c1` (`swaps1`) or of
+    `c2` (`swaps2`) maps onto an earlier one, cutting its branch where
+    head k of a swap (h, k) is placed, and with `mirror`, for a rule with
+    itself, each overlap whose mirror image is earlier."""
     heads1, heads2 = c1.heads, c2.heads
     keep = frozenset(v for a in heads1 + heads2 for v in a.iter_vars())
     found: list[tuple[tuple, Subst]] = []
@@ -163,12 +188,22 @@ def _overlaps(c1: Rule, c2: Rule) -> list[tuple[tuple[int, ...], tuple[int, ...]
             for j, a2 in enumerate(heads2):
                 if j in sel2 or a2.pred != a1.pred or len(a2.args) != len(a1.args):
                     continue
+                # A swap (h, k) maps every overlap below placing head k at j
+                # onto an earlier one: for `c1` when head h was passed over
+                # or partners a head after j, for `c2` when h is not placed.
+                if any(k == i and (h not in sel1 or j < sel2[sel1.index(h)]) for h, k in swaps1):
+                    continue
+                if any(k == j and h not in sel2 for h, k in swaps2):
+                    continue
                 more = pairs + list(zip(a1.args, a2.args))
                 sigma = unify(more, keep)
                 if sigma is None:
                     continue
                 s1, s2 = sel1 + (i,), sel2 + (j,)
-                found.append(((len(s1), s1, sorted(s2), s2), sigma))
+                order = (s1, tuple(sorted(s2)), s2)
+                # The mirror pairs the same heads, read from the second copy.
+                if not mirror or (order[1], s1, tuple(t for _, t in sorted(zip(s2, s1)))) >= order:
+                    found.append(((len(s1), *order), sigma))
                 extend(i + 1, s1, s2, more)
 
     extend(0, (), (), [(g.lhs, g.rhs) for g in c1.guard + c2.guard])
@@ -214,7 +249,7 @@ def _rule_pairs(p: Program, q: Program) -> Iterator[tuple[Rule, Rule, bool]]:
 
 
 # Pairs of head positions, as `_head_swaps` finds them.
-_Swaps = list[tuple[int, int]]
+_Swaps = Sequence[tuple[int, int]]
 
 
 def _head_swaps(rule: Rule) -> _Swaps:
@@ -246,25 +281,6 @@ def _head_swaps(rule: Rule) -> _Swaps:
     return swaps
 
 
-def _swapped_earlier(
-    sel1: tuple[int, ...], sel2: tuple[int, ...], swaps1: _Swaps, swaps2: _Swaps
-) -> bool:
-    """Whether one head swap of the first rule (`swaps1`) or of the second
-    (`swaps2`) maps the overlap `sel1`/`sel2` onto one that `_overlaps`
-    lists before it."""
-    for i, j in swaps1:
-        if i in sel1 or j in sel1:
-            image = sorted(({i: j, j: i}.get(s, s), t) for s, t in zip(sel1, sel2))
-            if tuple(zip(*image)) < (sel1, sel2):
-                return True
-    for i, j in swaps2:
-        if i in sel2 or j in sel2:
-            image = tuple({i: j, j: i}.get(t, t) for t in sel2)
-            if (sorted(image), image) < (sorted(sel2), sel2):
-                return True
-    return False
-
-
 def _candidates(
     c1: Rule, c2: Rule, same_rule: bool, swaps1: _Swaps, swaps2: _Swaps
 ) -> Iterator[CriticalPeak]:
@@ -272,10 +288,8 @@ def _candidates(
     `swaps1` and `swaps2` are the rules' head swaps."""
     n_kept1, n_kept2 = len(c1.kept), len(c2.kept)
     seen: set[tuple] = set()
-    for sel1, sel2, sigma in _overlaps(c1, c2):
+    for sel1, sel2, sigma in _overlaps(c1, c2, swaps1, swaps2, same_rule):
         if all(i < n_kept1 for i in sel1) and all(j < n_kept2 for j in sel2):
-            continue
-        if _swapped_earlier(sel1, sel2, swaps1, swaps2):
             continue
         # The unifier arrives oriented, so the two sides of a self-overlap
         # match the same atoms exactly when its heads agree under it.

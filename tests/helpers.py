@@ -391,6 +391,52 @@ def random_ground_state(rng: random.Random, max_atoms: int = 3) -> State:
 
 
 # ---------------------------------------------------------------------------
+# Overlaps that a symmetry maps onto an earlier one, on whole overlaps
+
+def _overlap_order(pairs) -> tuple:
+    """Where the overlap with these (head of the first rule, head of the
+    second) pairs comes in the walk over sizes, subsets and bijections:
+    (size, first heads, second heads as a set, second heads in pair order)."""
+    sel1, sel2 = zip(*sorted(pairs))
+    return len(sel1), sel1, tuple(sorted(sel2)), sel2
+
+
+def lex_leader_skips(sel1, sel2, swaps1, swaps2, mirror: bool) -> bool:
+    """Whether the overlap pairing heads `sel1` with heads `sel2` is not
+    the least of its images: whether exchanging the heads of one pair in
+    `swaps1` (of the first rule) or in `swaps2` (of the second), or with
+    `mirror` reading every pair from the other copy of a rule paired with
+    itself, gives an overlap that comes earlier. Each image is built from
+    the whole set of head pairs."""
+    pairs = list(zip(sel1, sel2))
+    images = [[(b, a) for a, b in pairs]] if mirror else []
+    for h, k in swaps1:
+        exchange = {h: k, k: h}
+        images.append([(exchange.get(a, a), b) for a, b in pairs])
+    for h, k in swaps2:
+        exchange = {h: k, k: h}
+        images.append([(a, exchange.get(b, b)) for a, b in pairs])
+    own = _overlap_order(pairs)
+    return any(_overlap_order(image) < own for image in images)
+
+
+# ---------------------------------------------------------------------------
+# Counting calls
+
+def count_calls(monkeypatch, module, *names) -> Counter:
+    """Wrap each function `names` of `module` by `monkeypatch` so that every
+    call adds one to the returned counter under its name."""
+    calls: Counter = Counter()
+    for name in names:
+        def counting(*args, _f=getattr(module, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _f(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+# ---------------------------------------------------------------------------
 # Admissible total preorders by brute force
 
 @functools.lru_cache(maxsize=None)

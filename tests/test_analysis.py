@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -141,6 +142,33 @@ def _peak(rule_left, rule_right, ancestor, left, right):
         rule_left, rule_right, parse_state(ancestor),
         canonicalize(parse_state(left)), canonicalize(parse_state(right)),
     )
+
+
+def test_capped_accepts_traces_up_to_its_cap():
+    labels = ["a", "b"]
+    for n in range(4):
+        auto = capped(labels, n)
+        for length in range(6):
+            for trace in itertools.product(labels, repeat=length):
+                assert chrdc.analysis._accepts(auto, trace) == (length <= n), (n, trace)
+        assert not chrdc.analysis._accepts(auto, ["c"])
+    # A peak whose only closing takes three steps on the left.
+    program = parse_program("""
+    s @ go <=> a.
+    t @ go <=> d.
+    r1 @ a <=> b.
+    r2 @ b <=> c.
+    r3 @ c <=> d.
+    """)
+    (pk,) = critical_peaks(program, program)
+    assert (pk.rule_left, pk.rule_right) == ("s", "t")
+    verdicts = {}
+    for n in (2, 3):
+        side = (program, capped(program.rule_names(), n))
+        verdicts[n] = join_search(pk, (side, side), "JOINABLE", BUDGET)
+    assert verdicts[2].status == "NOT_CLOSED"
+    assert verdicts[3].status == "JOINABLE"
+    assert verdicts[3].valley.labels() == (["r1", "r2", "r3"], [])
 
 
 def test_early_stop_keeps_the_least_key_over_both_star_phases():

@@ -189,6 +189,18 @@ def test_size_measure_guards_apply_when_the_size_shrinks(rule, decreases):
     assert (res.status == "VERIFIED") == decreases
 
 
+def test_a_rule_that_rewrites_an_atom_into_itself_is_not_verified(tmp_path, capsys):
+    # `r` fires forever from any `p` atom: the measure keeps both its atom
+    # count and its size, so it must not decrease strictly.
+    text = "r @ p(X) <=> p(X).\n"
+    p = parse_program(text)
+    assert check_inductive_termination(p, Partition.for_program(p)).status != "VERIFIED"
+    program = tmp_path / "loop.chr"
+    program.write_text(text)
+    assert main(["check", "--mode", "local", str(program)]) == 1
+    assert "CONFLUENT" not in capsys.readouterr().out
+
+
 # ---------------------------------------------------------------------------
 # Admissible order enumeration and the order search
 

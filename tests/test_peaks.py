@@ -26,6 +26,8 @@ from chrdc.terms import Compound, Var, rename_apart
 from conftest import load
 from helpers import (
     CONSTANTS,
+    count_calls,
+    lex_leader_skips,
     peak_like,
     random_tiny_program,
     states_mod_globals,
@@ -270,44 +272,77 @@ def test_distinct_predicate_heads_cost_work_per_peak(monkeypatch):
     # ancestor is built once; the count pins the work beside the time bound.
     import chrdc.peaks
 
-    built = []
-
-    def counting(*args, _f=chrdc.peaks._ancestor):
-        built.append(args)
-        return _f(*args)
-
-    monkeypatch.setattr(chrdc.peaks, "_ancestor", counting)
+    calls = count_calls(monkeypatch, chrdc.peaks, "_ancestor")
     heads = ", ".join(f"c{i}(X{i},X{i + 1})" for i in range(8))
     p = parse_program(f"r @ {heads} <=> true.")
     start = time.perf_counter()
     peaks = critical_peaks(p, p)
     assert time.perf_counter() - start < 0.5
     assert len(peaks) == 234
-    assert len(built) == 234
+    assert calls["_ancestor"] == 234
 
 
 def test_symmetric_heads_cost_work_per_orbit(monkeypatch):
     # Each of the 720 orders of the six heads gives an overlap of the rule
     # with itself; without the head swaps that map one onto another the
-    # peaks of this rule take seconds. An ancestor is built per orbit that
-    # no swap maps onto an earlier overlap; the count pins the work beside
-    # the time bound.
+    # peaks of this rule take seconds. An ancestor is built per orbit of
+    # the swaps and the mirror, one per peak; the count pins the work
+    # beside the time bound.
     import chrdc.peaks
 
-    built = []
-
-    def counting(*args, _f=chrdc.peaks._ancestor):
-        built.append(args)
-        return _f(*args)
-
-    monkeypatch.setattr(chrdc.peaks, "_ancestor", counting)
+    calls = count_calls(monkeypatch, chrdc.peaks, "_ancestor")
     heads = ", ".join(f"e(X{i})" for i in range(6))
     p = parse_program(f"r @ {heads} <=> d(X0), d(X1).")
     start = time.perf_counter()
     peaks = critical_peaks(p, p)
     assert time.perf_counter() - start < 2
     assert len(peaks) == 38
-    assert len(built) == 52
+    assert calls["_ancestor"] == 38
+
+
+def test_seven_symmetric_heads_unify_few_overlaps(monkeypatch):
+    # The 7-head rule has 130,921 overlaps with itself. The walk cuts
+    # every branch that a head swap maps onto an earlier one before
+    # unifying it, so it unifies 67 overlaps and builds 48 ancestors for
+    # 48 peaks.
+    import chrdc.peaks
+
+    calls = count_calls(monkeypatch, chrdc.peaks, "unify", "_ancestor")
+    heads = ", ".join(f"e(X{i})" for i in range(7))
+    p = parse_program(f"r @ {heads} <=> d(X0), d(X1).")
+    start = time.perf_counter()
+    peaks = critical_peaks(p, p)
+    assert time.perf_counter() - start < 1
+    assert len(peaks) == 48
+    assert calls["unify"] == 67
+    assert calls["_ancestor"] == 48
+
+
+def test_chained_heads_key_fewer_peaks_than_they_emit(monkeypatch):
+    # No head swap holds here; the mirror alone halves the self-overlaps
+    # that reach an ancestor, and a key is built only for a peak whose
+    # shape an earlier peak has, 348 of them for 674 peaks.
+    import chrdc.peaks
+
+    calls = count_calls(monkeypatch, chrdc.peaks, "_ancestor", "_peak_key")
+    heads = ", ".join(f"c(X{i},X{i + 1})" for i in range(5))
+    p = parse_program(f"r @ {heads} <=> true.")
+    start = time.perf_counter()
+    peaks = critical_peaks(p, p)
+    assert time.perf_counter() - start < 2
+    assert len(peaks) == 674
+    assert (calls["_ancestor"], calls["_peak_key"]) == (800, 348)
+
+
+def test_philos_builds_no_key(philos, monkeypatch):
+    # The mirror pair was philos' only shape collision, so no key is built.
+    import chrdc.peaks
+
+    calls = count_calls(monkeypatch, chrdc.peaks, "_ancestor", "fire", "_peak_key")
+    start = time.perf_counter()
+    assert len(critical_peaks(philos, philos)) == 5
+    assert time.perf_counter() - start < 0.5
+    assert [calls[n] for n in ("_ancestor", "fire", "_peak_key")] == [5, 10, 0]
 
 
 def test_head_swaps_map_the_rule_onto_itself():
@@ -339,24 +374,18 @@ def test_head_swaps_map_the_rule_onto_itself():
 
 def test_head_swaps_save_work_on_leq(leq, monkeypatch):
     # Only antisymmetry's two heads swap onto each other; its overlaps
-    # that the swap maps onto earlier ones are skipped before their
-    # ancestor is built.
+    # that the swap maps onto earlier ones are cut before their ancestor
+    # is built. The mirror runs with or without the swaps.
     import chrdc.peaks
 
     assert [_head_swaps(r) for r in leq.rules] == [[], [], [(0, 1)], []]
     names = ("_ancestor", "fire", "_shape", "_peak_key")
-    calls = Counter()
-    for name in names:
-        def counting(*args, _f=getattr(chrdc.peaks, name), _name=name):
-            calls[_name] += 1
-            return _f(*args)
-
-        monkeypatch.setattr(chrdc.peaks, name, counting)
+    calls = count_calls(monkeypatch, chrdc.peaks, *names)
     pruned, pruned_calls = critical_peaks(leq, leq), [calls[n] for n in names]
     calls.clear()
     monkeypatch.setattr(chrdc.peaks, "_head_swaps", lambda rule: [])
     assert critical_peaks(leq, leq) == pruned
-    assert [calls[n] for n in names] == [25, 38, 16, 8]
+    assert [calls[n] for n in names] == [24, 36, 16, 8]
     assert pruned_calls == [15, 24, 12, 0]
 
 
@@ -417,38 +446,64 @@ def _peak_lines(peaks) -> list[str]:
     ]
 
 
-def test_head_swap_pruning_keeps_every_peak(monkeypatch):
-    # The peaks with the head swaps must be the peaks without them, in the
-    # same order and with the same ancestors, on programs where the swaps
-    # often hold and often fail by one condition.
-    import chrdc.peaks
-
+def _symmetry_pairs():
+    """Pairs of programs on which head swaps often hold and often fail by
+    one condition, and pairs of tiny programs with and without
+    propagation rules."""
     rng = random.Random(113)
-    pairs = [(p, p) for p in (_symmetric_program(rng) for _ in range(400))]
-    pairs += [
+    symmetric = [(p, p) for p in (_symmetric_program(rng) for _ in range(400))]
+    symmetric += [
         (_symmetric_program(rng), _renamed_m(_symmetric_program(rng))) for _ in range(60)
     ]
-    swapped_earlier = chrdc.peaks._swapped_earlier
-    hits = []
+    rng = random.Random(131)
+    tiny = [random_tiny_program(rng) for _ in range(150)]
+    return symmetric, [(p, p) for p in tiny + [with_propagation(p) for p in tiny[:75]]]
 
-    def recording(*args):
-        hits.append(swapped_earlier(*args))
-        return hits[-1]
 
-    monkeypatch.setattr(chrdc.peaks, "_swapped_earlier", recording)
-    pruned, pruning = [], 0
-    for p, q in pairs:
-        hits.clear()
-        pruned.append(critical_peaks(p, q))
-        pruning += any(hits)
-    monkeypatch.setattr(chrdc.peaks, "_head_swaps", lambda rule: [])
+def test_head_swap_pruning_keeps_every_peak(monkeypatch):
+    # The peaks with the head swaps and the mirror must be the peaks of the
+    # full walk, in the same order and with the same ancestors.
+    import chrdc.peaks
+
+    symmetric, tiny = _symmetry_pairs()
+    pairs = symmetric + tiny
+    cut = 0
+    for p, q in symmetric:
+        cut += any(
+            len(_overlaps(c1, c2, _head_swaps(c1), _head_swaps(c2))) < len(_overlaps(c1, c2))
+            for c1, c2, _ in _rule_pairs(p, q)
+        )
+    pruned = [critical_peaks(p, q) for p, q in pairs]
+    full_walk = chrdc.peaks._overlaps
+    monkeypatch.setattr(chrdc.peaks, "_overlaps", lambda c1, c2, *symmetries: full_walk(c1, c2))
     full = [critical_peaks(p, q) for p, q in pairs]
     assert [_peak_lines(x) for x in pruned] == [_peak_lines(x) for x in full]
     assert pruned == full
-    # With this seed the swaps skip an overlap for 138 of the 460 pairs,
-    # which have 1,760 peaks.
-    assert pruning >= 120
-    assert sum(map(len, full)) >= 1500
+    # With seed 113 the swaps cut an overlap for 141 of the 460 pairs of
+    # symmetric programs, which have 1,760 peaks.
+    assert cut >= 120
+    assert sum(map(len, full[: len(symmetric)])) >= 1500
+
+
+def test_cut_walk_leaves_out_exactly_the_lex_leader_skips():
+    # The oracle applies each symmetry to a whole overlap; the walk decides
+    # the swaps on a prefix and the mirror on each overlap it lists.
+    skipped = Counter()
+    symmetric, tiny = _symmetry_pairs()
+    for p, q in symmetric + tiny:
+        for c1, c2, same_rule in _rule_pairs(p, q):
+            swaps1, swaps2 = _head_swaps(c1), _head_swaps(c2)
+            full = _overlaps(c1, c2)
+            kept = [
+                o for o in full if not lex_leader_skips(o[0], o[1], swaps1, swaps2, same_rule)
+            ]
+            assert _overlaps(c1, c2, swaps1, swaps2, same_rule) == kept, (c1, c2)
+            for sel1, sel2, _ in full:
+                skipped["mirror"] += lex_leader_skips(sel1, sel2, (), (), same_rule)
+                skipped["swaps"] += lex_leader_skips(sel1, sel2, swaps1, swaps2, False)
+    # With these seeds the mirror skips 1,548 and the swaps 1,439 of the
+    # 8,977 overlaps.
+    assert skipped["mirror"] >= 1200 and skipped["swaps"] >= 1200
 
 
 def _every_rule_pair(p, q):
