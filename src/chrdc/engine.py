@@ -33,11 +33,7 @@ enumerated in full.
 Targets come from the source's `state.successors`, which builds each
 distinct target once and inserts the atoms of a propagation step in
 order where that is exact, so steps that add the same atoms share one
-target. The sort keys go from parent to child in the same semi-naive
-way: a child that its parent built by insert takes its atoms' keys
-from the parent's steps, and a match of a rule whose steps can be
-inserts carries its added atoms' keys, which an inherited match
-reuses. Steps and derivations are `NamedTuple` values, cheap to build
+target. Steps and derivations are `NamedTuple` values, cheap to build
 and compared in C.
 """
 
@@ -47,7 +43,7 @@ from functools import lru_cache
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
-from .state import CanonicalState, State, _atom_key, canonicalize, successors
+from .state import CanonicalState, State, canonicalize, successors
 from .syntax import Atom, Eq, Program, Rule
 from .terms import FRESH_PREFIX, Subst, Term, Var, apply, iter_vars, match, rename_apart
 
@@ -89,10 +85,7 @@ _Head = tuple[str, int, tuple[_Op, ...]]
 class _Plan(NamedTuple):
     """A rule renamed apart and compiled: its heads, kept then removed, and
     the template a match instantiates. `new_vars` tells whether the user
-    body holds a variable that no head holds; `inserts`, whether a step of
-    the rule keeps every head and adds neither built-ins nor new
-    variables, so that from a state with no locals and no residuals its
-    target is an ordered insert."""
+    body holds a variable that no head holds."""
 
     name: str
     n_kept: int
@@ -101,7 +94,6 @@ class _Plan(NamedTuple):
     body: tuple[Atom, ...]
     builtins: tuple[Eq, ...]
     new_vars: bool
-    inserts: bool
 
 
 def _fresh_names(state: State) -> frozenset[str]:
@@ -132,10 +124,9 @@ def _compiled(rule: Rule, fresh: frozenset[str]) -> _Plan:
                 ops.append((_GROUND, k, arg))
         heads.append((head.pred, len(head.args), tuple(ops)))
     new_vars = any(v not in bound for a in renamed.user_body for v in a.iter_vars())
-    inserts = renamed.is_propagation and not renamed.builtin_body and not new_vars
     return _Plan(
         renamed.name, len(renamed.kept), tuple(heads), renamed.guard,
-        renamed.user_body, renamed.builtin_body, new_vars, inserts,
+        renamed.user_body, renamed.builtin_body, new_vars,
     )
 
 
@@ -193,18 +184,18 @@ def _matches(
             yield used + (i,)
 
 
-# What a step adds: its atoms, its built-ins, and the atoms' sort keys or None.
-_Body = tuple[tuple[Atom, ...], tuple[Eq, ...], Optional[tuple[tuple, ...]]]
+# What a step adds: its atoms and its built-ins.
+_Body = tuple[tuple[Atom, ...], tuple[Eq, ...]]
 
 
-def _body(plan: _Plan, theta: Subst, keyed: bool = False) -> Optional[_Body]:
-    """What the step of `plan` with the bindings `theta` adds, with the
-    atoms' sort keys when `keyed`, or None when its guard fails."""
+def _body(plan: _Plan, theta: Subst) -> Optional[_Body]:
+    """What the step of `plan` with the bindings `theta` adds, or None when
+    its guard fails."""
     if plan.guard and any(apply(theta, e.lhs) != apply(theta, e.rhs) for e in plan.guard):
         return None
     atoms = tuple([a.subst(theta) for a in plan.body])
     builtins = plan.builtins and tuple([e.subst(theta) for e in plan.builtins])
-    return atoms, builtins, tuple(map(_atom_key, atoms)) if keyed else None
+    return atoms, builtins
 
 
 def _step(
@@ -233,7 +224,7 @@ def fire(
         if atom.pred != pred or len(atom.args) != arity or not _match_into(ops, atom.args, theta):
             return None
     body = _body(plan, theta)
-    return None if body is None else _step(plan, pos, body, successors(state)[0])
+    return None if body is None else _step(plan, pos, body, successors(state))
 
 
 class Steps(list):
@@ -241,11 +232,9 @@ class Steps(list):
     a call for a child needs to derive its steps from them: the program,
     the canonical source, the allowed rules (None for all), per rule of
     the program its matches that pass the guard as (positions, what the
-    step adds) or None for a rule not allowed, and the sort keys of each
-    target built by ordered insert, by target. A match of a rule whose
-    steps can be ordered inserts carries its added atoms' sort keys."""
+    step adds) or None for a rule not allowed."""
 
-    __slots__ = ("program", "source", "allowed", "fired", "keys")
+    __slots__ = ("program", "source", "allowed", "fired")
 
 
 def _inherited(
@@ -290,16 +279,15 @@ def applicable_steps(
 
     `parent` is this function's result for another state, such as one
     with a step to this one. The steps are derived from it where that is
-    exact and enumerated in full otherwise; the list is the same. A state
-    that the parent built by ordered insert takes its sort keys from it.
+    exact and enumerated in full otherwise; the list is the same.
     """
     cst = canonicalize(state)
     out = Steps()
     out.program, out.source, out.fired = program, cst, []
     out.allowed = allowed_set = None if allowed is None else frozenset(allowed)
-    target, out.keys = successors(cst, None if parent is None else parent.keys.get(cst))
     if cst.bottom:
         return out
+    target = successors(cst)
     # Every variable of a canonical state that is not a global is an `L` name.
     fresh = frozenset(g for g in cst.globals if g.startswith(FRESH_PREFIX))
     derived = _inherited(parent, program, cst, allowed_set)
@@ -310,13 +298,11 @@ def applicable_steps(
             out.fired.append(None)
             continue
         plan = _compiled(rule, fresh)
-        # Only an ordered insert reads the added atoms' keys; none starts from residuals.
-        keyed = plan.inserts and not cst.residuals
         theta: Subst = {}
         fired = [
             (pos, body)
             for pos in _matches(plan.heads, cst.atoms, theta, (), added)
-            if (body := _body(plan, theta, keyed)) is not None
+            if (body := _body(plan, theta)) is not None
         ]
         if derived is not None:
             kept = [(tuple([remap[i] for i in pos]), body) for pos, body in parent.fired[r]]

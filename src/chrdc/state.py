@@ -7,18 +7,16 @@ when their canonical forms are equal. To canonicalize, the built-in
 store is solved by `unify` keeping the globals, so each class of equal
 variables is named by its smallest global, or by its smallest member
 when it holds none. The solution is applied everywhere, the residual
-constraints on globals are kept, and the store is sorted. A state with
-no built-ins skips solving: its atoms are kept as they are.
+constraints on globals are kept, and the store is sorted by value:
+atoms and residuals are tuples, compared in C. A state with no
+built-ins skips solving: its atoms are kept as they are.
 
 Step targets come from `successors`, which builds each distinct target
 of one source once: steps that remove the same atoms and add the same
 atoms and built-ins share it. A target from a canonical state with no
 locals and no residuals, by a step that removes nothing and adds
 neither built-ins nor new variables, is the source with the new atoms
-inserted in order: there is nothing to solve, prune or label. Such a
-target has no locals either, and the insert has computed its atoms'
-sort keys, so `successors` hands those keys back and takes them in for
-that target as a source; the added atoms' keys may be handed in too.
+inserted in order: there is nothing to solve, prune or label.
 
 Locals get a canonical labelling by individualisation and refinement
 (McKay and Piperno, *Practical graph isomorphism II*, 2014), per
@@ -38,8 +36,8 @@ so the two are never equal.
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from typing import Callable, Iterator, Mapping, NamedTuple, Optional, Union
+from bisect import insort
+from typing import Callable, Iterator, Mapping, NamedTuple, Union
 
 from .syntax import Atom, Eq, conjunction_text
 from .terms import FRESH_PREFIX, Compound, Subst, Term, Var, fresh_mapping, unify
@@ -102,11 +100,10 @@ INCONSISTENT = CanonicalState(bottom=True)
 _LOCAL_PREFIX = "L"
 
 
-def _skeleton(t: Term, globs: Optional[frozenset[str]] = None) -> tuple:
-    """The term with every local blanked out; globals keep their names, and
-    with `globs` None every variable does."""
+def _skeleton(t: Term, globs: frozenset[str]) -> tuple:
+    """The term with every local blanked out; globals keep their names."""
     if isinstance(t, Var):
-        return (0, t.name) if globs is None or t.name in globs else (0,)
+        return (0, t.name) if t.name in globs else (0,)
     return (1, t.functor, tuple(_skeleton(a, globs) for a in t.args))
 
 
@@ -240,71 +237,53 @@ def canonicalize(s: Union[State, CanonicalState]) -> CanonicalState:
         renaming, _ = _canonical_renaming(atoms, residuals, globs)
         atoms = [a.subst(renaming) for a in atoms]
         residuals = [e.subst(renaming) for e in residuals]
-    atoms.sort(key=_atom_key)
-    residuals.sort(key=lambda e: (_skeleton(e.lhs), _skeleton(e.rhs)))
+    atoms.sort()
+    residuals.sort()
     return CanonicalState(tuple(atoms), tuple(residuals), globs)
 
 
-def _atom_key(a: Atom) -> tuple:
-    """The order of atoms in a canonical store. It keeps every variable
-    name, so atoms with equal keys are identical."""
-    return (a.pred, tuple(map(_skeleton, a.args)))
-
-
-def successors(
-    source: Union[State, CanonicalState], keys: Optional[list[tuple]] = None
-) -> tuple[Callable[..., CanonicalState], dict[CanonicalState, list[tuple]]]:
+def successors(source: Union[State, CanonicalState]) -> Callable[..., CanonicalState]:
     """The canonical target of a step from `source`, given the positions
-    of the atoms the step removes, the atoms and built-ins it adds, the
-    added atoms' sort keys (None when not known) and whether its rule's
-    user body holds a variable that no head holds; and a dict that holds
-    the sort keys of each target built by ordered insert.
+    of the atoms the step removes, the atoms and built-ins it adds and
+    whether its rule's user body holds a variable that no head holds.
 
     Each distinct (removed, atoms, built-ins) is built once and its target
     reused: steps that match other atoms often add the same ones. From a
     canonical source with no locals and no residuals, a step that removes
     nothing and adds neither built-ins nor new variables only inserts its
     atoms in order. There every matched variable is a global, so the added
-    atoms hold a new variable exactly when the body does. `keys`, when
-    given, are the sort keys of the source's atoms, and the source has no
-    locals; else both are found on the first such step. Every other target
+    atoms hold a new variable exactly when the body does. Whether the
+    source has locals is found on the first such step. Every other target
     is canonicalized.
     """
     state = source.as_state() if isinstance(source, CanonicalState) else source
     plain = isinstance(source, CanonicalState) and not state.builtins
     globs = state.globals
     built: dict[tuple, CanonicalState] = {}
-    inserted: dict[CanonicalState, list[tuple]] = {}
+    no_locals = None
 
     def target(
-        removed: tuple[int, ...],
-        atoms: tuple[Atom, ...],
-        builtins: tuple[Eq, ...],
-        added: Optional[tuple[tuple, ...]],
-        new_vars: bool,
+        removed: tuple[int, ...], atoms: tuple[Atom, ...], builtins: tuple[Eq, ...], new_vars: bool
     ) -> CanonicalState:
-        nonlocal keys  # False once the source is found to have locals
+        nonlocal no_locals
         memo = (removed, atoms, builtins)
         found = built.get(memo)
         if found is not None:
             return found
         if plain and not removed and not builtins and not new_vars:
-            if keys is None:
-                keys = globs.issuperset(state.iter_vars()) and list(map(_atom_key, state.atoms))
-            if keys is not False:
-                order, out = list(keys), list(state.atoms)
-                for a, k in zip(atoms, map(_atom_key, atoms) if added is None else added):
-                    i = bisect_right(order, k)
-                    order.insert(i, k)
-                    out.insert(i, a)
+            if no_locals is None:
+                no_locals = globs.issuperset(state.iter_vars())
+            if no_locals:
+                out = list(state.atoms)
+                for a in atoms:
+                    insort(out, a)
                 found = built[memo] = CanonicalState(tuple(out), (), globs)
-                inserted[found] = order
                 return found
         kept = tuple(a for i, a in enumerate(state.atoms) if i not in removed)
         found = built[memo] = canonicalize(State(kept + atoms, state.builtins + builtins, globs))
         return found
 
-    return target, inserted
+    return target
 
 
 def equivalent(s1: Union[State, CanonicalState], s2: Union[State, CanonicalState]) -> bool:

@@ -4,8 +4,9 @@ A private `def`, `class` or assignment at module level must be used by
 some code in `src/chrdc` outside its own definition: a name, an
 attribute or an import. Each parameter must be read by its function's
 body, and each field of a `NamedTuple` record must be read as an
-attribute somewhere in `src/chrdc`. Mentions in docstrings and comments
-do not count.
+attribute somewhere in `src/chrdc`, as must each name in a `__slots__`:
+by a read that is not a method call, and by `self.name` only within its
+own class. Mentions in docstrings and comments do not count.
 """
 
 from __future__ import annotations
@@ -122,4 +123,49 @@ def test_every_record_field_is_read():
     fields = [field for tree in trees for field in _record_fields(tree)]
     unread = [f for f in fields if f.split(".")[1] not in read and f not in _FIELDS_READ_BY_VALUE]
     assert len(fields) > 30
+    assert unread == []
+
+
+def _slots(tree: ast.Module) -> list[tuple[str, str]]:
+    """(class, name) for each name in each `__slots__` tuple in `tree`."""
+    return [
+        (node.name, name.value)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        for stmt in node.body
+        if isinstance(stmt, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "__slots__" for t in stmt.targets)
+        for name in ast.walk(stmt.value)
+        if isinstance(name, ast.Constant) and isinstance(name.value, str)
+    ]
+
+
+def _attribute_reads(tree: ast.Module) -> set[tuple[str, str]]:
+    """(owner, name) for each attribute read that is not a method call. The
+    owner is the enclosing class for a read of `self.name` and "" for any
+    other read: a `self` read in one class says nothing of another's slot."""
+    calls = {id(n.func) for n in ast.walk(tree) if isinstance(n, ast.Call)}
+    out = set()
+
+    def visit(node: ast.AST, cls: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if (
+                isinstance(child, ast.Attribute)
+                and isinstance(child.ctx, ast.Load)
+                and id(child) not in calls
+            ):
+                on_self = isinstance(child.value, ast.Name) and child.value.id == "self"
+                out.add((cls if on_self else "", child.attr))
+            visit(child, child.name if isinstance(child, ast.ClassDef) else cls)
+
+    visit(tree, "")
+    return out
+
+
+def test_every_slot_is_read():
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))]
+    reads = set().union(*map(_attribute_reads, trees))
+    slots = [slot for tree in trees for slot in _slots(tree)]
+    unread = [f"{c}.{n}" for c, n in slots if ("", n) not in reads and (c, n) not in reads]
+    assert slots
     assert unread == []

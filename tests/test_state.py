@@ -165,6 +165,17 @@ def test_canonicalize_is_a_fixpoint_on_random_states():
         assert equivalent(s, c.as_state())
 
 
+def test_a_canonical_store_is_sorted_by_value():
+    # Atoms compare as tuples: `+` and integer functors sort before
+    # variable names, and lower-case functors after them.
+    c = canonicalize(st("p(a), p(X), p(1), p(X+1) # globals: X"))
+    assert canonical_text(c) == "<p(X+1), p(1), p(X), p(a) # globals: X>"
+    rng = random.Random(29)
+    for _ in range(300):
+        c = canonicalize(random_state(rng))
+        assert list(c.atoms) == sorted(c.atoms)
+
+
 def test_equivalence_relation_properties_sampled():
     rng = random.Random(31)
     states = [random_state(rng) for _ in range(60)]
