@@ -107,9 +107,6 @@ class _Automaton(NamedTuple):
     start: Hashable = 0
     accepts: Optional[frozenset] = None
 
-    def labels(self, phase) -> Iterable[str]:
-        return self.moves[phase].keys()
-
     def next(self, phase, label) -> tuple:
         return self.moves[phase].get(label, ())
 
@@ -262,15 +259,15 @@ class _Side:
         for i, node in enumerate(level):
             if floors and decided(i):
                 return
-            allowed = self.auto.labels(node.phase)
-            if not allowed:
+            moves = self.auto.moves[node.phase]
+            if not moves:
                 continue
             steps = applicable_steps(
-                self.program, node.state, allowed, parents.get(id(node.parent))
+                self.program, node.state, moves.keys(), parents.get(id(node.parent))
             )
             self.expanded[id(node)] = steps
             for step in steps:
-                for phase in self.auto.next(node.phase, step.rule_name):
+                for phase in moves.get(step.rule_name, ()):
                     if (step.target, phase) in self.visited:
                         continue
                     self.visited.add((step.target, phase))

@@ -28,20 +28,24 @@ the child's, the globals are the same and the child's allowed rules are
 among the parent's. The parent's matches are kept, their positions
 moved by the merge; only matches that take an added atom are searched,
 and the two are merged per rule by position. Anything else is
-enumerated in full.
+enumerated in full. A derived child takes the rest of what its parent
+found: with the same globals it has the same fresh names, so the
+parent's plans are its own, and its atoms hold only globals exactly
+when the parent's and the added ones do, so only the added are walked.
 
 Targets come from the source's `state.successors`, which builds each
-distinct target once and inserts the atoms of a propagation step in
-order where that is exact, so steps that add the same atoms share one
-target. Steps and derivations are `NamedTuple` values, cheap to build
-and compared in C.
+distinct target once, so steps that add the same atoms share one
+target. A step of a rule that removes no head and adds neither
+built-ins nor new variables, from a store with no residuals whose atoms
+hold only globals, inserts its atoms in order. Steps and derivations
+are `NamedTuple` values, cheap to build and compared in C.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .state import CanonicalState, State, canonicalize, successors
 from .syntax import Atom, Eq, Program, Rule
@@ -84,8 +88,11 @@ _Head = tuple[str, int, tuple[_Op, ...]]
 
 class _Plan(NamedTuple):
     """A rule renamed apart and compiled: its heads, kept then removed, and
-    the template a match instantiates. `new_vars` tells whether the user
-    body holds a variable that no head holds."""
+    the template a match instantiates. `inserts` tells whether the rule
+    removes no head and adds neither built-ins nor a variable that no head
+    holds: from a store with no residuals whose atoms hold only globals,
+    every matched variable is a global, so its targets are the source with
+    the added atoms inserted in order."""
 
     name: str
     n_kept: int
@@ -93,7 +100,7 @@ class _Plan(NamedTuple):
     guard: tuple[Eq, ...]
     body: tuple[Atom, ...]
     builtins: tuple[Eq, ...]
-    new_vars: bool
+    inserts: bool
 
 
 def _fresh_names(state: State) -> frozenset[str]:
@@ -124,9 +131,10 @@ def _compiled(rule: Rule, fresh: frozenset[str]) -> _Plan:
                 ops.append((_GROUND, k, arg))
         heads.append((head.pred, len(head.args), tuple(ops)))
     new_vars = any(v not in bound for a in renamed.user_body for v in a.iter_vars())
+    inserts = not renamed.removed and not renamed.builtin_body and not new_vars
     return _Plan(
         renamed.name, len(renamed.kept), tuple(heads), renamed.guard,
-        renamed.user_body, renamed.builtin_body, new_vars,
+        renamed.user_body, renamed.builtin_body, inserts,
     )
 
 
@@ -157,8 +165,8 @@ def _matches(
     heads: Sequence[_Head],
     atoms: Sequence[Atom],
     theta: Subst,
-    used: tuple[int, ...] = (),
     added: Optional[Sequence[int]] = None,
+    used: tuple[int, ...] = (),
 ) -> Iterator[tuple[int, ...]]:
     """Injective assignments of heads to store positions, in lexicographic
     order, one per tuple of matched atoms: equal atoms sit side by side in a
@@ -166,7 +174,8 @@ def _matches(
     head took, so each tuple comes at its first positions. `theta` holds
     the bindings of the assignment just yielded. With `added`, only those
     that take one of its positions: the last head tries only them when no
-    earlier head took one."""
+    earlier head took one. The last head is tried in the loop of the head
+    before it, not in a generator of its own per match of that head."""
     (pred, arity, ops), rest = heads[0], heads[1:]
     for i in range(len(atoms)) if added is None or rest else added:
         atom = atoms[i]
@@ -176,12 +185,23 @@ def _matches(
             continue
         if not _match_into(ops, atom.args, theta):
             continue
-        if rest:
-            yield from _matches(
-                rest, atoms, theta, used + (i,), None if added is None or i in added else added
-            )
-        else:
-            yield used + (i,)
+        taken = used + (i,)
+        if not rest:
+            yield taken
+            continue
+        below = None if added is None or i in added else added
+        if len(rest) > 1:
+            yield from _matches(rest, atoms, theta, below, taken)
+            continue
+        last_pred, last_arity, last_ops = rest[0]
+        for j in range(len(atoms)) if below is None else below:
+            atom = atoms[j]
+            if atom.pred != last_pred or len(atom.args) != last_arity or j in taken:
+                continue
+            if j and atom == atoms[j - 1] and j - 1 not in taken:
+                continue
+            if _match_into(last_ops, atom.args, theta):
+                yield taken + (j,)
 
 
 # What a step adds: its atoms and its built-ins.
@@ -198,18 +218,6 @@ def _body(plan: _Plan, theta: Subst) -> Optional[_Body]:
     return atoms, builtins
 
 
-def _step(
-    plan: _Plan,
-    pos: tuple[int, ...],
-    body: _Body,
-    target: Callable[..., CanonicalState],
-) -> LabeledStep:
-    """The step of `plan` at `pos` that adds `body`, its target built by
-    the source's `successors`."""
-    kept, removed = pos[:plan.n_kept], pos[plan.n_kept:]
-    return LabeledStep(plan.name, kept, removed, target(removed, *body, plan.new_vars))
-
-
 def fire(
     rule: Rule, state: State, pos: tuple[int, ...], fresh: Optional[frozenset[str]] = None
 ) -> Optional[LabeledStep]:
@@ -224,17 +232,27 @@ def fire(
         if atom.pred != pred or len(atom.args) != arity or not _match_into(ops, atom.args, theta):
             return None
     body = _body(plan, theta)
-    return None if body is None else _step(plan, pos, body, successors(state))
+    if body is None:
+        return None
+    kept, removed = pos[:plan.n_kept], pos[plan.n_kept:]
+    return LabeledStep(plan.name, kept, removed, successors(state)(removed, *body, False))
 
 
 class Steps(list):
     """The steps from one state, as `applicable_steps` lists them, with what
     a call for a child needs to derive its steps from them: the program,
-    the canonical source, the allowed rules (None for all), per rule of
-    the program its matches that pass the guard as (positions, what the
-    step adds) or None for a rule not allowed."""
+    the canonical source, the allowed rules (None for all); per rule of
+    the program its plan and its matches that pass the guard as
+    (positions, what the step adds), both None for a rule not allowed;
+    and whether the source's atoms hold only globals, None when that was
+    neither inherited nor needed."""
 
-    __slots__ = ("program", "source", "allowed", "fired")
+    __slots__ = ("program", "source", "allowed", "plans", "fired", "no_locals")
+
+
+def _only_globals(atoms: Iterable[Atom], globs: frozenset[str]) -> bool:
+    """Whether `atoms` hold no variable but the globals `globs`."""
+    return all(globs.issuperset(a.iter_vars()) for a in atoms)
 
 
 def _inherited(
@@ -274,41 +292,67 @@ def applicable_steps(
     share a target; deduplication is the searcher's business. The
     inconsistent state is absorbing and reported as a fixpoint (no steps).
     Targets come from one `state.successors` of the canonical state: a
-    propagation step from a state with no locals and no residuals costs an
-    ordered insert.
+    step that removes nothing and adds neither built-ins nor new
+    variables, from a state with no residuals whose atoms hold only
+    globals, costs an ordered insert. Whether the atoms hold only globals
+    is found by a walk over them when the first such step comes.
 
     `parent` is this function's result for another state, such as one
     with a step to this one. The steps are derived from it where that is
-    exact and enumerated in full otherwise; the list is the same.
+    exact and enumerated in full otherwise; the list is the same. A
+    derived state also takes the parent's plans, and whether its atoms
+    hold only globals from the parent's answer and its added atoms.
     """
     cst = canonicalize(state)
     out = Steps()
-    out.program, out.source, out.fired = program, cst, []
+    out.program, out.source, out.plans, out.fired = program, cst, [], []
     out.allowed = allowed_set = None if allowed is None else frozenset(allowed)
+    out.no_locals = None
     if cst.bottom:
         return out
     target = successors(cst)
-    # Every variable of a canonical state that is not a global is an `L` name.
-    fresh = frozenset(g for g in cst.globals if g.startswith(FRESH_PREFIX))
+    globs = cst.globals
     derived = _inherited(parent, program, cst, allowed_set)
-    remap, added = derived or (None, None)
+    if derived is None:
+        # Every variable of a canonical state that is not a global is an `L` name.
+        fresh = frozenset(g for g in globs if g.startswith(FRESH_PREFIX))
+        remap = added = no_locals = None
+    else:
+        # The globals are the parent's, and so are the fresh names and plans.
+        remap, added = derived
+        no_locals = parent.no_locals and _only_globals([cst.atoms[i] for i in added], globs)
 
     for r, rule in enumerate(program.rules):
         if allowed_set is not None and rule.name not in allowed_set:
+            out.plans.append(None)
             out.fired.append(None)
             continue
-        plan = _compiled(rule, fresh)
+        plan = _compiled(rule, fresh) if derived is None else parent.plans[r]
         theta: Subst = {}
         fired = [
             (pos, body)
-            for pos in _matches(plan.heads, cst.atoms, theta, (), added)
+            for pos in _matches(plan.heads, cst.atoms, theta, added)
             if (body := _body(plan, theta)) is not None
         ]
         if derived is not None:
             kept = [(tuple([remap[i] for i in pos]), body) for pos, body in parent.fired[r]]
             fired = sorted(kept + fired, key=itemgetter(0)) if fired else kept
+        out.plans.append(plan)
         out.fired.append(fired)
-        out.extend([_step(plan, pos, body, target) for pos, body in fired])
+        if not fired:
+            continue
+        insert = False
+        if plan.inserts and not cst.residuals:
+            if no_locals is None:
+                no_locals = _only_globals(cst.atoms, globs)
+            insert = no_locals
+        name, n = plan.name, plan.n_kept
+        for pos, (atoms, builtins) in fired:
+            removed = pos[n:]
+            out.append(
+                LabeledStep(name, pos[:n], removed, target(removed, atoms, builtins, insert))
+            )
+    out.no_locals = no_locals
     return out
 
 

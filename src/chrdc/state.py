@@ -16,7 +16,8 @@ of one source once: steps that remove the same atoms and add the same
 atoms and built-ins share it. A target from a canonical state with no
 locals and no residuals, by a step that removes nothing and adds
 neither built-ins nor new variables, is the source with the new atoms
-inserted in order: there is nothing to solve, prune or label.
+inserted in order: there is nothing to solve, prune or label. The
+caller, which knows the step's rule, says when that holds.
 
 Locals get a canonical labelling by individualisation and refinement
 (McKay and Piperno, *Practical graph isomorphism II*, 2014), per
@@ -245,42 +246,35 @@ def canonicalize(s: Union[State, CanonicalState]) -> CanonicalState:
 def successors(source: Union[State, CanonicalState]) -> Callable[..., CanonicalState]:
     """The canonical target of a step from `source`, given the positions
     of the atoms the step removes, the atoms and built-ins it adds and
-    whether its rule's user body holds a variable that no head holds.
+    whether the target is the source with those atoms inserted in order.
 
     Each distinct (removed, atoms, built-ins) is built once and its target
-    reused: steps that match other atoms often add the same ones. From a
-    canonical source with no locals and no residuals, a step that removes
-    nothing and adds neither built-ins nor new variables only inserts its
-    atoms in order. There every matched variable is a global, so the added
-    atoms hold a new variable exactly when the body does. Whether the
-    source has locals is found on the first such step. Every other target
-    is canonicalized.
+    reused: steps that match other atoms often add the same ones. The
+    caller says when a target is an insert, which is exact when the source
+    is canonical with no residuals, its atoms and the added ones hold only
+    globals, and the step removes nothing and adds no built-ins. Every
+    other target is canonicalized.
     """
     state = source.as_state() if isinstance(source, CanonicalState) else source
-    plain = isinstance(source, CanonicalState) and not state.builtins
     globs = state.globals
     built: dict[tuple, CanonicalState] = {}
-    no_locals = None
 
     def target(
-        removed: tuple[int, ...], atoms: tuple[Atom, ...], builtins: tuple[Eq, ...], new_vars: bool
+        removed: tuple[int, ...], atoms: tuple[Atom, ...], builtins: tuple[Eq, ...], insert: bool
     ) -> CanonicalState:
-        nonlocal no_locals
         memo = (removed, atoms, builtins)
         found = built.get(memo)
         if found is not None:
             return found
-        if plain and not removed and not builtins and not new_vars:
-            if no_locals is None:
-                no_locals = globs.issuperset(state.iter_vars())
-            if no_locals:
-                out = list(state.atoms)
-                for a in atoms:
-                    insort(out, a)
-                found = built[memo] = CanonicalState(tuple(out), (), globs)
-                return found
-        kept = tuple(a for i, a in enumerate(state.atoms) if i not in removed)
-        found = built[memo] = canonicalize(State(kept + atoms, state.builtins + builtins, globs))
+        if insert:
+            out = list(state.atoms)
+            for a in atoms:
+                insort(out, a)
+            found = CanonicalState(tuple(out), (), globs)
+        else:
+            kept = tuple(a for i, a in enumerate(state.atoms) if i not in removed)
+            found = canonicalize(State(kept + atoms, state.builtins + builtins, globs))
+        built[memo] = found
         return found
 
     return target

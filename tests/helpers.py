@@ -244,13 +244,19 @@ def random_atom(rng: random.Random, var_pool: list[str], depth: int = 2) -> Atom
     return Atom(pred, tuple(random_term(rng, var_pool, depth) for _ in range(arity)))
 
 
-def random_state(rng: random.Random, max_atoms: int = 4) -> State:
+def random_state(rng: random.Random, max_atoms: int = 4, more_eqs: int = 0) -> State:
+    """Up to `max_atoms` atoms over four variables, some of them global,
+    and an equation with probability 0.4. One equation leaves at most one
+    residual; `more_eqs` adds that many more, drawn after it, so a caller
+    that does not ask for them draws what it always drew."""
     pool = ["X", "Y", "Z", "W"]
     atoms = tuple(
         random_atom(rng, pool, depth=1) for _ in range(rng.randint(0, max_atoms))
     )
     eqs = []
     if rng.random() < 0.4:
+        eqs.append(Eq(Var(rng.choice(pool)), random_term(rng, pool, 1)))
+    for _ in range(more_eqs):
         eqs.append(Eq(Var(rng.choice(pool)), random_term(rng, pool, 1)))
     used = sorted({v for a in atoms for v in a.iter_vars()}
                   | {v for e in eqs for v in e.iter_vars()})
@@ -590,7 +596,7 @@ def _plain_levels(program: Program, auto, root: CanonicalState, max_depth: int, 
     while len(levels) <= max_depth and added <= room:
         level = []
         for state, phase, steps in levels[-1]:
-            allowed = auto.labels(phase)
+            allowed = auto.moves[phase].keys()
             if not allowed:
                 continue
             for step in applicable_steps(program, state, allowed):

@@ -13,7 +13,7 @@ from chrdc.engine import (
     replay,
 )
 from chrdc.peaks import critical_peaks
-from chrdc.state import State, canonical_text, canonicalize, equivalent
+from chrdc.state import CanonicalState, State, canonical_text, canonicalize, equivalent
 from chrdc.syntax import Atom, Program, Rule, parse_program, parse_state
 from chrdc.terms import Compound, Var, iter_vars
 from conftest import load
@@ -410,9 +410,9 @@ def test_steps_that_add_the_same_atoms_share_one_target(monkeypatch):
     def recording(source):
         target = successors(source)
 
-        def record(removed, atoms, builtins, new_vars):
+        def record(removed, atoms, builtins, insert):
             added.append((removed, atoms, builtins))
-            return target(removed, atoms, builtins, new_vars)
+            return target(removed, atoms, builtins, insert)
 
         return record
 
@@ -503,10 +503,13 @@ def test_propagation_targets_skip_canonicalize_on_the_exhaust_peak(monkeypatch):
                 monkeypatch.setattr(module, "applicable_steps", counting_steps)
     check_local_confluence(program, SearchBudget(8, 40), assume_terminating=True)
     assert steps
-    # The targets built from scratch: 20 calls for 69 steps, 129 when every
-    # target was canonicalized; the other targets are ordered inserts.
+    # 20 calls for 69 steps, 129 when every target was canonicalized. Only
+    # the peak's two reducts are built from scratch; the other 18 calls
+    # are `applicable_steps` taking a state that is already canonical, and
+    # every step target is an ordered insert.
     assert len(steps) == 69
     assert len(calls) == 20
+    assert sum(not isinstance(args[0], CanonicalState) for args in calls) == 2
 
 
 # Rules over the `random_state` signature for the derived-steps property:
@@ -549,6 +552,7 @@ def test_derived_steps_are_the_first_of_each_class(monkeypatch):
     monkeypatch.setattr(chrdc.engine, "_inherited", recording)
     rng = random.Random(41)
     covered = set()
+    flags = Counter()  # the no-locals flags that derived children inherited
     for _ in range(120):
         program = with_propagation(random_tiny_program(rng))
         program = Program(program.rules + _KERNEL.rules)
@@ -575,8 +579,14 @@ def test_derived_steps_are_the_first_of_each_class(monkeypatch):
                 expected = first_of_class(injective_steps(_restricted(program, sub), child), child)
                 assert steps == expected
                 assert steps == applicable_steps(program, child, sub)
+                _assert_plans_for_own_fresh_names(program, child, sub, steps)
                 if not merges or merges[0] is None:
                     continue
+                if steps.no_locals is not None:
+                    only_globals = {v for a in child.atoms for v in a.iter_vars()} <= child.globals
+                    assert steps.no_locals == only_globals
+                    flags[only_globals] += 1
+                    flags["turned"] += bool(parent.no_locals and not only_globals)
                 _, added = merges[0]
                 if step is not None:
                     covered.add("simplification" if step.matched_removed else "propagation")
@@ -596,6 +606,23 @@ def test_derived_steps_are_the_first_of_each_class(monkeypatch):
         "propagation", "simplification", "equal atom inserted", "built-ins", "locals",
         "guards", "compound head arguments with repeated variables",
     }
+    # A derived child's flag is its parent's, checked on the added atoms
+    # only. Both answers occur (66 True, 50 False), and 4 children turn
+    # their parent's True into False by adding a local.
+    assert flags[True] >= 60 and flags[False] >= 40 and flags["turned"] >= 4
+
+
+def _assert_plans_for_own_fresh_names(program, state, allowed, steps):
+    """Each allowed rule's plan is the one compiled for the fresh names of
+    `state` itself, whatever parent the steps were derived from."""
+    from chrdc.engine import _compiled, _fresh_names
+
+    fresh = _fresh_names(canonicalize(state).as_state())
+    for rule, plan in zip(program.rules, steps.plans):
+        if allowed is None or rule.name in allowed:
+            assert plan == _compiled(rule, fresh)
+        else:
+            assert plan is None
 
 
 def test_compiled_head_plans_agree_with_match():
@@ -681,6 +708,38 @@ def test_exhaust_search_derives_steps_from_the_parent(monkeypatch):
     assert (full_tries, len(tries)) == (160, 91)
 
 
+def test_exhaust_search_walks_only_states_not_derived(monkeypatch):
+    # Whether a store's atoms hold only globals is found by a walk over
+    # them on a state enumerated in full, and taken from the parent and
+    # the added atoms on a derived one.
+    import chrdc.engine
+    from chrdc.analysis import SearchBudget, check_local_confluence
+
+    program = load("exhaust.chr")
+    inherited, only_globals = chrdc.engine._inherited, chrdc.engine._only_globals
+    calls = []  # per `applicable_steps` call: its source, whether derived, full walks
+
+    def recording_merge(parent, program, cst, allowed):
+        merge = inherited(parent, program, cst, allowed)
+        calls.append([cst, merge is not None, 0])
+        return merge
+
+    def counting_walks(atoms, globs):
+        atoms = list(atoms)
+        if atoms == list(calls[-1][0].atoms):
+            calls[-1][2] += 1
+        return only_globals(atoms, globs)
+
+    monkeypatch.setattr(chrdc.engine, "_inherited", recording_merge)
+    monkeypatch.setattr(chrdc.engine, "_only_globals", counting_walks)
+    check_local_confluence(program, SearchBudget(8, 40), assume_terminating=True)
+    assert len(calls) == 18
+    assert sum(derived for _, derived, _ in calls) == 14
+    assert all(walks <= 1 for _, _, walks in calls)
+    assert sum(walks for _, derived, walks in calls if derived) == 0
+    assert sum(walks for _, _, walks in calls) == 4
+
+
 def test_a_child_with_other_fresh_names_is_enumerated_in_full():
     # The parent renames `r` apart from no fresh name, so its body variable
     # is `_V1`; in the child `_V1` is a global, and an inherited step would
@@ -695,6 +754,9 @@ def test_a_child_with_other_fresh_names_is_enumerated_in_full():
         "<p(_V1), p(a), q(_V1, L0) # globals: _V1>",
         "<p(_V1), p(a), q(a, L0) # globals: _V1>",
     ]
+    # The child does not take the parent's plan, made for no fresh names.
+    _assert_plans_for_own_fresh_names(program, child, None, steps)
+    assert steps.plans != parent.plans
 
 
 def test_inserts_agree_with_canonicalize_on_integer_and_plus_terms(monkeypatch):
