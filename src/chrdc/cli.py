@@ -9,12 +9,16 @@
 mode. Exit codes: 0 established / done, 1 property not established, 2
 input or configuration error, including a term nested too deeply to
 process. Output is byte-identical across runs on identical inputs.
+
+`main` builds its argument parser once per process, on its first call,
+so a caller may call it repeatedly and pay for each call's own work.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 from typing import Optional
 
 from .analysis import (
@@ -131,7 +135,11 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of the process. Argparse reads `sys.stdout`,
+    `sys.stderr` and the terminal width when it prints, not when it is
+    built, so callers that swap the streams or resize the terminal share it."""
     parser = argparse.ArgumentParser(
         prog="chrdc",
         description="Confluence analyzer for CHR programs (decreasing diagrams).",
@@ -160,7 +168,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     p_run.add_argument("--steps", type=int, default=20)
     p_run.set_defaults(func=_cmd_run)
 
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: Optional[list[str]] = None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ParseError, ConfigError, ValueError, OSError) as exc:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import random
 import re
 import subprocess
@@ -7,7 +8,7 @@ import sys
 
 import pytest
 
-from chrdc.cli import main
+from chrdc.cli import _parser, main
 from chrdc.peaks import critical_peaks
 from conftest import FIXTURES, fixture_path, load
 
@@ -373,6 +374,90 @@ def test_a_bare_check_names_its_required_arguments_in_order(capsys):
         main(["check"])
     assert exc.value.code == 2
     assert "the following arguments are required: FILE, --mode\n" in capsys.readouterr().err
+
+
+def _in_process(*args):
+    """Exit code, stdout and stderr of `main(args)`, usage errors and
+    `--help` included, as a `chrdc` process would end them."""
+    from io import StringIO
+
+    out, err = StringIO(), StringIO()
+    stdout, stderr = sys.stdout, sys.stderr
+    sys.stdout, sys.stderr = out, err
+    try:
+        code = main(list(args))
+    except SystemExit as exc:
+        code = exc.code
+    finally:
+        sys.stdout, sys.stderr = stdout, stderr
+    return code, out.getvalue(), err.getvalue()
+
+
+def _fresh_process(*args):
+    done = subprocess.run(
+        [sys.executable, "-m", "chrdc.cli", *args], capture_output=True, text=True
+    )
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_main_builds_one_parser_per_process(monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    _parser.cache_clear()
+    calls = [
+        ("check", "--mode", "strong", fixture_path("leq.chr"), "--format", "machine"),
+        ("check",),
+        ("peaks", "--help"),
+        ("peaks", fixture_path("pminus.chr"), "--format", "machine"),
+    ]
+    codes = []
+    for k, call in enumerate(calls):
+        codes.append(_in_process(*call)[0])
+        if k == 0:
+            # The top-level parser and one per command.
+            assert built == ["chrdc", "chrdc peaks", "chrdc check", "chrdc run"]
+    assert codes == [1, 2, 0, 0]
+    assert len(built) == 4
+
+
+def test_repeated_calls_in_one_process_match_fresh_processes(tmp_path, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("[partition]\ninductive = nosuchrule\n")
+    golden = (
+        "check", "--mode", "decreasing", fixture_path("leq.chr"),
+        "--config", fixture_path("leq_decreasing.cfg"),
+    )
+    calls = [
+        golden,
+        ("check",),
+        ("check", "--mode", "decreasing", fixture_path("leq.chr"), "--config", str(cfg)),
+        ("peaks", fixture_path("pminus.chr")),
+        golden,
+    ]
+    results = [_in_process(*call) for call in calls]
+    assert [code for code, _, _ in results] == [0, 2, 2, 0, 0]
+    for call, result in zip(calls, results):
+        assert result == _fresh_process(*call), call
+
+
+def test_help_wraps_at_the_width_of_each_call(monkeypatch):
+    _parser.cache_clear()
+    helps = {}
+    for columns in ("40", "160", "40"):
+        monkeypatch.setenv("COLUMNS", columns)
+        result = _in_process("check", "--help")
+        assert result == _fresh_process("check", "--help"), columns
+        assert result[0] == 0
+        helps.setdefault(columns, result[1])
+        assert helps[columns] == result[1]
+    assert helps["40"].count("\n") > helps["160"].count("\n")
 
 
 def test_negative_steps_flag_exits_2():
