@@ -33,9 +33,9 @@ found: with the same globals it has the same fresh names, so the
 parent's plans are its own, and its atoms hold only globals exactly
 when the parent's and the added ones do, so only the added are walked.
 
-Targets come from the source's `state.successors`, which builds each
-distinct target once, so steps that add the same atoms share one
-target. A step of a rule that removes no head and adds neither
+Targets of `applicable_steps` come from the source's `state.successors`,
+which builds each distinct target once, so steps that add the same atoms
+share one target; `fire` builds its one target directly. A step of a rule that removes no head and adds neither
 built-ins nor new variables, from a store with no residuals whose atoms
 hold only globals, inserts its atoms in order. Steps and derivations
 are `NamedTuple` values, cheap to build and compared in C.
@@ -235,7 +235,10 @@ def fire(
     if body is None:
         return None
     kept, removed = pos[:plan.n_kept], pos[plan.n_kept:]
-    return LabeledStep(plan.name, kept, removed, successors(state)(removed, *body, False))
+    atoms, builtins = body
+    rest = tuple([a for i, a in enumerate(state.atoms) if i not in removed])
+    target = canonicalize(State(rest + atoms, state.builtins + builtins, state.globals))
+    return LabeledStep(plan.name, kept, removed, target)
 
 
 class Steps(list):

@@ -5,14 +5,17 @@ once; any other pair has no overlap. An overlap that keeps every head on
 both sides is no peak, as both steps leave the ancestor whole, so a pair
 of rules that both remove nothing is skipped too. A backtracking
 enumerator (`_overlaps`) pairs heads one to one, only within a predicate
-and arity, and unifies one pair at a time with both guards, ending a
-branch at its first clash. Overlaps come in the order of a plain walk
+and arity. It solves both guards once and extends the solved form of a
+branch's prefix by each head pair it places (`unify`'s `solved`), ending
+a branch at its first clash. Overlaps come in the order of a plain walk
 over sizes, subsets and bijections, which tactic selectors and peak
 indices depend on. A satisfiable, non-trivial overlap gives the
 ancestor: the instantiated heads, whose variables are the globals A, B,
 ... (a guard variable that no head holds is never in it, or that rule
-could not fire). The reducts are the engine's steps of the two rules
-from it (`engine.fire`); if either rule does not fire, there is no peak.
+could not fire). Each atom is substituted once, by the unifier composed
+with the naming of the globals. The reducts are the engine's steps of
+the two rules from it (`engine.fire`); if either rule does not fire,
+there is no peak.
 
 An overlap is dropped before firing when an earlier one of the rule pair
 had the same ancestor atoms and, for each rule, matched the same atoms by
@@ -23,10 +26,10 @@ rest are deduplicated up to one bijective renaming of the globals across
 the whole ancestor/left/right triple, and for a rule with itself up to
 mirror images too (the analyses are symmetric in the two sides). A peak
 gets its key (`_peak_key`) only when a peak kept before it has its shape
-(`_shape`), a cheap invariant of the key. The key is the ancestor's
-canonical form with both reducts renamed by its labelling when that
-labelling is its only one, else one canonical labelling of all three
-states read together.
+(`_shape`), a cheap invariant of the key built on plain tuples. The key
+is the ancestor's canonical form with both reducts renamed by its
+labelling when that labelling is its only one, else one canonical
+labelling of all three states read together.
 
 Overlaps that a symmetry maps onto earlier ones are left out before
 their ancestor is built, the lex-leader rule of symmetry breaking
@@ -74,6 +77,7 @@ unpruned.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterator, NamedTuple, Sequence
 
@@ -81,7 +85,9 @@ from .engine import fire
 from .orders import Partition
 from .state import CanonicalState, State, _canonical_renaming, canonicalize
 from .syntax import Atom, Program, Rule
-from .terms import Subst, Var, apply, fresh_mapping, iter_vars, match, rename_apart, unify
+from .terms import (
+    Subst, Term, Var, apply, fresh_mapping, iter_vars, match, rename_apart, unify,
+)
 
 
 class CriticalPeak(NamedTuple):
@@ -108,6 +114,12 @@ def _spreadsheet_name(i: int) -> str:
         i, r = divmod(i - 1, 26)
         name = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"[r] + name
     return name
+
+
+@lru_cache(maxsize=None)
+def _global(i: int) -> Var:
+    """The ancestor's global variable number `i`."""
+    return Var(_spreadsheet_name(i))
 
 
 def _peak_key(peak: CriticalPeak, symmetric: bool) -> tuple:
@@ -163,6 +175,11 @@ def _peak_key(peak: CriticalPeak, symmetric: bool) -> tuple:
     return canonicalize(State(tuple(atoms), (), frozenset()))
 
 
+def _head_vars(c1: Rule, c2: Rule) -> tuple[str, ...]:
+    """The variables of both rules' heads, in order of first occurrence."""
+    return tuple(dict.fromkeys(v for a in c1.heads + c2.heads for v in a.iter_vars()))
+
+
 def _overlaps(
     c1: Rule, c2: Rule, swaps1: _Swaps = (), swaps2: _Swaps = (), mirror: bool = False
 ) -> list[tuple[tuple[int, ...], tuple[int, ...], Subst]]:
@@ -172,17 +189,22 @@ def _overlaps(
     variable where it holds one. Heads pair only within a predicate and
     arity, and a branch ends at its first clash. Ordered by size, `sel1`,
     `sorted(sel2)`, then `sel2`, as a walk over equal-sized subsets and
-    their bijections would meet them.
+    their bijections would meet them. The guards are solved once, and each
+    branch extends the unifier of its prefix by the head pair it places.
 
     Leaves out each overlap that a head swap of `c1` (`swaps1`) or of
     `c2` (`swaps2`) maps onto an earlier one, cutting its branch where
     head k of a swap (h, k) is placed, and with `mirror`, for a rule with
     itself, each overlap whose mirror image is earlier."""
     heads1, heads2 = c1.heads, c2.heads
-    keep = frozenset(v for a in heads1 + heads2 for v in a.iter_vars())
+    keep = frozenset(_head_vars(c1, c2))
+    guards = [(g.lhs, g.rhs) for g in c1.guard + c2.guard]
+    solved = unify(guards, keep) if guards else {}
+    if solved is None:
+        return []
     found: list[tuple[tuple, Subst]] = []
 
-    def extend(start: int, sel1: tuple[int, ...], sel2: tuple[int, ...], pairs: list) -> None:
+    def extend(start: int, sel1: tuple[int, ...], sel2: tuple[int, ...], solved: Subst) -> None:
         for i in range(start, len(heads1)):
             a1 = heads1[i]
             for j, a2 in enumerate(heads2):
@@ -195,8 +217,7 @@ def _overlaps(
                     continue
                 if any(k == j and h not in sel2 for h, k in swaps2):
                     continue
-                more = pairs + list(zip(a1.args, a2.args))
-                sigma = unify(more, keep)
+                sigma = unify(zip(a1.args, a2.args), keep, solved)
                 if sigma is None:
                     continue
                 s1, s2 = sel1 + (i,), sel2 + (j,)
@@ -204,26 +225,32 @@ def _overlaps(
                 # The mirror pairs the same heads, read from the second copy.
                 if not mirror or (order[1], s1, tuple(t for _, t in sorted(zip(s2, s1)))) >= order:
                     found.append(((len(s1), *order), sigma))
-                extend(i + 1, s1, s2, more)
+                extend(i + 1, s1, s2, sigma)
 
-    extend(0, (), (), [(g.lhs, g.rhs) for g in c1.guard + c2.guard])
+    extend(0, (), (), solved)
     found.sort(key=lambda f: f[0])
     return [(order[1], order[3], sigma) for order, sigma in found]
 
 
 def _ancestor(
-    c1: Rule, c2: Rule, sel1: tuple[int, ...], sel2: tuple[int, ...], sigma: Subst
+    c1: Rule,
+    c2: Rule,
+    sel1: tuple[int, ...],
+    sel2: tuple[int, ...],
+    sigma: Subst,
+    head_vars: Sequence[str],
 ) -> tuple[State, tuple[int, ...], tuple[int, ...]]:
     """The ancestor of one overlap with unifier `sigma`, and the positions
-    of its atoms that the heads of `c1` and of `c2` match."""
+    of its atoms that the heads of `c1` and of `c2` match; `head_vars` is
+    `_head_vars(c1, c2)`. Each atom is substituted once, through `sigma`
+    composed with the naming of the globals."""
     heads1, heads2 = c1.heads, c2.heads
-    head_vars = dict.fromkeys(v for a in heads1 + heads2 for v in a.iter_vars())
-    names = {
-        g: Var(_spreadsheet_name(i)) for i, g in enumerate(v for v in head_vars if v not in sigma)
-    }
+    names = {g: _global(i) for i, g in enumerate([v for v in head_vars if v not in sigma])}
+    through = {v: apply(names, t) for v, t in sigma.items()}
+    through.update(names)
     unshared = [j for j in range(len(heads2)) if j not in sel2]
     ancestor = State(
-        tuple(a.subst(sigma).subst(names) for a in heads1 + tuple(heads2[j] for j in unshared)),
+        tuple(a.subst(through) for a in heads1 + tuple(heads2[j] for j in unshared)),
         (),
         frozenset(v.name for v in names.values()),
     )
@@ -240,12 +267,13 @@ def _rule_pairs(p: Program, q: Program) -> Iterator[tuple[Rule, Rule, bool]]:
     same_program = p is q
     for i1, r1 in enumerate(p.rules):
         c1 = rename_apart(set(), r1)
+        avoid = set(c1.variables())
         preds = {(a.pred, len(a.args)) for a in r1.heads}
         for i2, r2 in enumerate(q.rules):
             if same_program and i2 < i1 or r1.is_propagation and r2.is_propagation:
                 continue
             if any((a.pred, len(a.args)) in preds for a in r2.heads):
-                yield c1, rename_apart(set(c1.variables()), r2), same_program and i1 == i2
+                yield c1, rename_apart(avoid, r2), same_program and i1 == i2
 
 
 # Pairs of head positions, as `_head_swaps` finds them.
@@ -287,15 +315,21 @@ def _candidates(
     """The peaks of one rule pair in order, before key deduplication;
     `swaps1` and `swaps2` are the rules' head swaps."""
     n_kept1, n_kept2 = len(c1.kept), len(c2.kept)
+    head_vars = _head_vars(c1, c2)
+    # A rule with itself: each head variable of the first copy and its
+    # image in the second, which hold their heads' variables in one order.
+    n = len(head_vars) // 2
+    twins = [(Var(x), Var(y)) for x, y in zip(head_vars[:n], head_vars[n:])] if same_rule else ()
     seen: set[tuple] = set()
     for sel1, sel2, sigma in _overlaps(c1, c2, swaps1, swaps2, same_rule):
         if all(i < n_kept1 for i in sel1) and all(j < n_kept2 for j in sel2):
             continue
         # The unifier arrives oriented, so the two sides of a self-overlap
-        # match the same atoms exactly when its heads agree under it.
-        if same_rule and all(a.subst(sigma) == b.subst(sigma) for a, b in zip(c1.heads, c2.heads)):
+        # match the same atoms exactly when its heads agree under it, that
+        # is when each head variable and its image do.
+        if same_rule and all(sigma.get(x.name, x) == sigma.get(y.name, y) for x, y in twins):
             continue
-        ancestor, pos1, pos2 = _ancestor(c1, c2, sel1, sel2, sigma)
+        ancestor, pos1, pos2 = _ancestor(c1, c2, sel1, sel2, sigma, head_vars)
         matched = tuple(ancestor.atoms[i] for i in pos1), tuple(ancestor.atoms[j] for j in pos2)
         overlap = tuple(sorted(ancestor.atoms)), tuple(sorted(matched)) if same_rule else matched
         if overlap in seen:
@@ -308,26 +342,44 @@ def _candidates(
         yield CriticalPeak(c1.name, c2.name, ancestor, left.target, right.target)
 
 
+# A variable of a reduct in `_shape`: unlike every term, its first item
+# is not a functor, which is never empty.
+_BLANK = ("",)
+
+
+def _plain(terms: Sequence[Term], marks: dict[str, tuple]) -> tuple:
+    """`terms` as plain tuples, each variable replaced by its mark in
+    `marks`, or by `_BLANK` when it has none."""
+    return tuple([
+        marks.get(t.name, _BLANK) if isinstance(t, Var)
+        else (t.functor, _plain(t.args, marks)) if t.args else t
+        for t in terms
+    ])
+
+
 def _shape(peak: CriticalPeak, symmetric: bool) -> tuple:
-    """A cheap invariant of `_peak_key`: the ancestor's atoms with each
-    variable replaced by the argument places it occurs at, and each
-    reduct's atoms and residuals with every variable blanked out, the
-    reducts unordered when `symmetric`. Peaks with equal keys have equal
-    shapes."""
-
-    def marked(s: State, marks: Subst) -> tuple:
-        items = [*s.atoms, *(Atom("=", (e.lhs, e.rhs)) for e in s.builtins)]
-        return tuple(sorted(a.subst(marks) for a in items))
-
-    places: dict[str, list[str]] = {}
-    for a in peak.ancestor.atoms:
+    """A cheap invariant of `_peak_key`, on plain tuples: the ancestor's
+    atoms with each variable replaced by the argument places it occurs
+    at, and each reduct's atoms and residuals with every variable blanked
+    out, the reducts unordered when `symmetric`. Peaks with equal keys
+    have equal shapes."""
+    atoms = peak.ancestor.atoms
+    places: dict[str, list[tuple[str, int]]] = {}
+    for a in atoms:
         for k, t in enumerate(a.args):
             for v in iter_vars(t):
-                places.setdefault(v, []).append(f"{a.pred}/{k}")
-    ancestor = marked(peak.ancestor, {v: Var(" ".join(sorted(p))) for v, p in places.items()})
-    states = [c.as_state() for c in (peak.left, peak.right)]
-    reducts = tuple(marked(s, dict.fromkeys(s.iter_vars(), Var(""))) for s in states)
-    return ancestor, frozenset(reducts) if symmetric else reducts
+                places.setdefault(v, []).append((a.pred, k))
+    # A mark's first item is empty, so no term equals it or sorts with it.
+    marks = {v: ("", tuple(sorted(p))) for v, p in places.items()}
+    ancestor = sorted([(a.pred, _plain(a.args, marks)) for a in atoms])
+    reducts = tuple(
+        (c.bottom, tuple(sorted(
+            [(a.pred, _plain(a.args, {})) for a in c.atoms]
+            + [("=", _plain(e, {})) for e in c.residuals]
+        )))
+        for c in (peak.left, peak.right)
+    )
+    return tuple(ancestor), frozenset(reducts) if symmetric else reducts
 
 
 def critical_peaks(p: Program, q: Program) -> list[CriticalPeak]:

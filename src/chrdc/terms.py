@@ -122,7 +122,9 @@ def _resolve(t: Term, bind: Subst, memo: dict[str, Term]) -> Term:
 
 
 def unify(
-    pairs: Iterable[tuple[Term, Term]], keep: frozenset[str] = frozenset()
+    pairs: Iterable[tuple[Term, Term]],
+    keep: frozenset[str] = frozenset(),
+    solved: Optional[Subst] = None,
 ) -> Optional[Subst]:
     """Most general unifier of all pairs, or None on clash/occurs check.
 
@@ -132,8 +134,14 @@ def unify(
     then by name" is bound to the earlier, so each class of variables left
     equal is named by its first member. The result is therefore the same
     for any order or orientation of the pairs.
+
+    `solved` is this function's result for earlier pairs under the same
+    `keep`. It is extended by `pairs`, one equation at a time, as a solved
+    form is (Martelli and Montanari, TOPLAS 4, 1982), and not solved
+    again: it binds each variable to its final term and names each class
+    by its first member, so the result is that of all pairs together.
     """
-    bind: Subst = {}
+    bind: Subst = dict(solved) if solved else {}
     work = list(pairs)
     work.reverse()
     while work:
@@ -156,13 +164,9 @@ def unify(
             if l.functor != r.functor or len(l.args) != len(r.args):
                 return None
             work.extend(reversed(list(zip(l.args, r.args))))
+    # The occurs check leaves no cycle, so no variable resolves to itself.
     memo: dict[str, Term] = {}
-    out: Subst = {}
-    for v in bind:
-        t = _resolve(Var(v), bind, memo)
-        if t != Var(v):
-            out[v] = t
-    return out
+    return {v: _resolve(t, bind, memo) for v, t in bind.items()}
 
 
 def match(pairs: Iterable[tuple[Term, Term]], bind: Optional[Subst] = None) -> Optional[Subst]:

@@ -11,6 +11,7 @@ from chrdc.orders import Partition
 from chrdc.peaks import (
     CriticalPeak,
     _ancestor,
+    _head_vars,
     _head_swaps,
     _overlaps,
     _peak_key,
@@ -28,6 +29,8 @@ from helpers import (
     CONSTANTS,
     count_calls,
     lex_leader_skips,
+    naive_unify_pairs,
+    orient,
     peak_like,
     random_tiny_program,
     states_mod_globals,
@@ -209,7 +212,7 @@ def _fired_overlaps(c1, c2):
     """Every overlap of a renamed rule pair on which both rules fire, with
     no deduplication of any kind."""
     for sel1, sel2, sigma in _overlaps(c1, c2):
-        ancestor, pos1, pos2 = _ancestor(c1, c2, sel1, sel2, sigma)
+        ancestor, pos1, pos2 = _ancestor(c1, c2, sel1, sel2, sigma, _head_vars(c1, c2))
         left, right = fire(c1, ancestor, pos1), fire(c2, ancestor, pos2)
         if left is not None and right is not None:
             yield CriticalPeak(c1.name, c2.name, ancestor, left.target, right.target)
@@ -318,13 +321,33 @@ def test_seven_symmetric_heads_unify_few_overlaps(monkeypatch):
     assert calls["_ancestor"] == 48
 
 
+def _count_unified_pairs(monkeypatch) -> Counter:
+    """Wrap `unify` as `chrdc.peaks` calls it so that each call adds the
+    number of term pairs it is handed, under "pairs"."""
+    import chrdc.peaks
+
+    counted: Counter = Counter()
+
+    def counting(pairs, *args, _unify=chrdc.peaks.unify):
+        pairs = list(pairs)
+        counted["pairs"] += len(pairs)
+        return _unify(pairs, *args)
+
+    monkeypatch.setattr(chrdc.peaks, "unify", counting)
+    return counted
+
+
 def test_chained_heads_key_fewer_peaks_than_they_emit(monkeypatch):
     # No head swap holds here; the mirror alone halves the self-overlaps
     # that reach an ancestor, and a key is built only for a peak whose
-    # shape an earlier peak has, 348 of them for 674 peaks.
+    # shape an earlier peak has, 348 of them for 674 peaks. Each branch of
+    # the walk hands `unify` only the argument pairs of the head pair it
+    # places, 3,090 pairs in all (10,450 when each branch solved its whole
+    # prefix again).
     import chrdc.peaks
 
     calls = count_calls(monkeypatch, chrdc.peaks, "_ancestor", "_peak_key")
+    unified = _count_unified_pairs(monkeypatch)
     heads = ", ".join(f"c(X{i},X{i + 1})" for i in range(5))
     p = parse_program(f"r @ {heads} <=> true.")
     start = time.perf_counter()
@@ -332,17 +355,22 @@ def test_chained_heads_key_fewer_peaks_than_they_emit(monkeypatch):
     assert time.perf_counter() - start < 2
     assert len(peaks) == 674
     assert (calls["_ancestor"], calls["_peak_key"]) == (800, 348)
+    assert unified["pairs"] == 3090
 
 
 def test_philos_builds_no_key(philos, monkeypatch):
     # The mirror pair was philos' only shape collision, so no key is built.
+    # `unify` is handed 18 term pairs (40 when each branch solved its whole
+    # prefix again).
     import chrdc.peaks
 
     calls = count_calls(monkeypatch, chrdc.peaks, "_ancestor", "fire", "_peak_key")
+    unified = _count_unified_pairs(monkeypatch)
     start = time.perf_counter()
     assert len(critical_peaks(philos, philos)) == 5
     assert time.perf_counter() - start < 0.5
     assert [calls[n] for n in ("_ancestor", "fire", "_peak_key")] == [5, 10, 0]
+    assert unified["pairs"] == 18
 
 
 def test_head_swaps_map_the_rule_onto_itself():
@@ -504,6 +532,61 @@ def test_cut_walk_leaves_out_exactly_the_lex_leader_skips():
     # With these seeds the mirror skips 1,548 and the swaps 1,439 of the
     # 8,977 overlaps.
     assert skipped["mirror"] >= 1200 and skipped["swaps"] >= 1200
+
+
+def _head_pairings(c1, c2):
+    """Every nonempty one-to-one pairing of heads of `c1` with heads of `c2`
+    of one predicate and arity, as increasing `sel1` and its partners."""
+    heads1, heads2 = c1.heads, c2.heads
+    for size in range(1, min(len(heads1), len(heads2)) + 1):
+        for sel1 in itertools.combinations(range(len(heads1)), size):
+            for sel2 in itertools.permutations(range(len(heads2)), size):
+                if all(
+                    (heads1[i].pred, len(heads1[i].args)) == (heads2[j].pred, len(heads2[j].args))
+                    for i, j in zip(sel1, sel2)
+                ):
+                    yield sel1, sel2
+
+
+def test_overlap_unifiers_match_an_independent_oracle():
+    # The walk extends the unifier of a prefix by one head pair at a time.
+    # The oracle solves both guards and every paired head's arguments at
+    # once and re-orients the result: the full walk lists exactly the
+    # pairings the oracle solves, each with its unifier, and the cut walk
+    # lists some of them with the same unifiers.
+    rng = random.Random(151)
+    guarded = []
+    while len(guarded) < 40:
+        p = random_tiny_program(rng)
+        if any(r.guard for r in p.rules):
+            guarded.append((p, p))
+    symmetric, tiny = _symmetry_pairs()
+    checked = Counter()
+    for p, q in symmetric + tiny + guarded:
+        for c1, c2, same_rule in _rule_pairs(p, q):
+            keep = frozenset(v for a in c1.heads + c2.heads for v in a.iter_vars())
+            guards = [(g.lhs, g.rhs) for g in c1.guard + c2.guard]
+            expected = {}
+            for sel1, sel2 in _head_pairings(c1, c2):
+                pairs = guards + [
+                    pair
+                    for i, j in zip(sel1, sel2)
+                    for pair in zip(c1.heads[i].args, c2.heads[j].args)
+                ]
+                theta = naive_unify_pairs(pairs)
+                if theta is not None:
+                    expected[sel1, sel2] = orient(theta, keep)
+            listed = {(sel1, sel2): sigma for sel1, sel2, sigma in _overlaps(c1, c2)}
+            assert listed == expected, (c1, c2)
+            for sel1, sel2, sigma in _overlaps(c1, c2, _head_swaps(c1), _head_swaps(c2), same_rule):
+                assert sigma == expected[sel1, sel2], (c1, c2, sel1, sel2)
+            checked["overlaps"] += len(listed)
+            checked["guarded"] += len(listed) if guards else 0
+            checked["multi-pair"] += sum(len(sel1) > 1 for sel1, _ in listed)
+    # With these seeds the full walks list 9,149 overlaps: 4,921 pair two
+    # heads or more, and 4,196 come with a guard.
+    assert checked["overlaps"] >= 8000
+    assert checked["multi-pair"] >= 4000 and checked["guarded"] >= 3000
 
 
 def _every_rule_pair(p, q):
