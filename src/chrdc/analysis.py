@@ -196,6 +196,8 @@ class _Side:
         self.visited: set = {(root, auto.start)}
         # The steps of the last level's nodes, by node id, for their children.
         self.expanded: dict[int, Steps] = {}
+        # The root's steps, once it is expanded.
+        self.root_steps: Optional[Steps] = None
         self.exhausted = False
         self.truncated = False
         # The state the other side's last level may stop on: the root's,
@@ -266,6 +268,8 @@ class _Side:
                 self.program, node.state, moves.keys(), parents.get(id(node.parent))
             )
             self.expanded[id(node)] = steps
+            if node.parent is None:
+                self.root_steps = steps
             for step in steps:
                 for phase in moves.get(step.rule_name, ()):
                     if (step.target, phase) in self.visited:
@@ -284,6 +288,14 @@ class _Side:
                     if decided(i + 1):
                         return
 
+    def root_has_step(self) -> bool:
+        """Whether the program has a step from the root: read off the root's
+        expansion when that allowed every rule, and enumerated otherwise."""
+        steps = self.root_steps
+        if steps is None or not (steps.allowed is None or steps.allowed.issuperset(self.index)):
+            steps = applicable_steps(self.program, self.levels[0][0].state)
+        return bool(steps)
+
     def derivation(self, node: _Node) -> Derivation:
         """The derivation from the root to `node`, read off its parents."""
         steps: list[LabeledStep] = []
@@ -301,8 +313,9 @@ def _closing_search(
     sides: tuple[tuple[Program, _Automaton], tuple[Program, _Automaton]],
     peak: CriticalPeak,
     budget: SearchBudget,
-) -> tuple[Optional[Valley], bool]:
-    """Minimal valley between the peak's reducts, plus a definite-failure flag.
+) -> tuple[Optional[Valley], bool, tuple[_Side, _Side]]:
+    """Minimal valley between the peak's reducts, plus a definite-failure
+    flag and the two sides searched.
 
     At each total depth, the splits are compared from 0 up, and the least
     (left key, right key) over all their valleys wins. Split 0 pairs the
@@ -340,12 +353,12 @@ def _closing_search(
         if candidates:
             # min keeps the first found among equal keys
             lnode, rnode = min(candidates, key=lambda c: (left.key(c[0]), right.key(c[1])))
-            return Valley(left.derivation(lnode), right.derivation(rnode)), False
+            return Valley(left.derivation(lnode), right.derivation(rnode)), False, (left, right)
         # A stopped side has all its levels; past their summed depths no
         # pair of levels is left to compare.
         stopped = [side.truncated or side.exhausted for side in (left, right)]
         if all(stopped) and total >= len(left.levels) + len(right.levels) - 2:
-            return None, left.exhausted and right.exhausted
+            return None, left.exhausted and right.exhausted, (left, right)
 
 
 # ---------------------------------------------------------------------------
@@ -374,17 +387,14 @@ def join_search(
         )
         attempts.insert(0, (tactic_sides, ("tactic",)))
     for attempt, shown in attempts:
-        valley, exhausted = _closing_search(attempt, peak, budget)
+        valley, exhausted, searched = _closing_search(attempt, peak, budget)
         if valley is not None and all(
             _accepts(auto, labels) for (_, auto), labels in zip(sides, valley.labels())
         ):
             break
     if valley is None:
-        shown = tuple(
-            note
-            for note, (prog, _), reduct in zip(notes, sides, (peak.left, peak.right))
-            if not applicable_steps(prog, reduct)
-        )
+        # The last attempt searched `sides` themselves.
+        shown = tuple(note for note, side in zip(notes, searched) if not side.root_has_step())
     return PeakVerdict(
         index, NOT_CLOSED if valley is None else status, valley, shown, exhausted
     )

@@ -11,14 +11,22 @@ store is kept, so the relation is faithfully the abstract one and
 derivations can loop.
 
 Renaming apart picks only fresh (`FRESH_PREFIX`) names, so a rule is
-renamed once per set of fresh names in the state, and compiled then, as
-CHR compilers compile head matching per rule (Holzbaur, García de la
-Banda, Stuckey and Duck, TPLP 5, 2005). The plan gives each head
-argument one instruction: bind a variable met first, compare with a
+renamed once per set of fresh names in the state, and compiled then into
+Python source, as CHR compilers turn each rule's heads into host code
+(Holzbaur, García de la Banda, Stuckey and Duck, TPLP 5, 2005; Schrijvers
+and Demoen, CHR 2004). The generated matcher has one loop per head, the
+first head outermost, over the atoms of its predicate and arity, and
+per head argument one test: bind a variable met first, compare with a
 bound variable, compare with a ground term, or `terms.match` a compound
-that holds variables. The renamed guard and body are the template that
-a match instantiates. A head is tried only on atoms of its predicate and
-arity, depth first, the first head outermost.
+that holds variables. A match whose guard holds builds the body's atoms
+and built-ins directly. `applicable_steps`, `fire` and `replay` all run
+it, the last two at fixed positions. Its source holds no program text:
+predicates, terms and variable names are namespace constants. Two bounds
+hold for any rule, below CPython's limits of 20 nested blocks and 200
+nested brackets: at most `_HEADS_PER_FUNCTION` loops nest in one
+function, and the next heads go on in another; and a term is never
+written out, so brackets nest only a few levels. Rules of one shape
+share one code object.
 
 Which rules match where, and what they add, depend only on a state's
 atoms and its fresh names. So a child's steps are derived from its
@@ -35,21 +43,23 @@ when the parent's and the added ones do, so only the added are walked.
 
 Targets of `applicable_steps` come from the source's `state.successors`,
 which builds each distinct target once, so steps that add the same atoms
-share one target; `fire` builds its one target directly. A step of a rule that removes no head and adds neither
-built-ins nor new variables, from a store with no residuals whose atoms
-hold only globals, inserts its atoms in order. Steps and derivations
-are `NamedTuple` values, cheap to build and compared in C.
+share one target; `fire` builds its one target directly. A step of a
+rule that removes no head and adds neither built-ins nor new variables,
+from a store with no residuals whose atoms hold only globals, inserts
+its atoms in order. Steps and derivations are `NamedTuple` values, cheap
+to build and compared in C.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from operator import itemgetter
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
+from types import CodeType
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 from .state import CanonicalState, State, canonicalize, successors
 from .syntax import Atom, Eq, Program, Rule
-from .terms import FRESH_PREFIX, Subst, Term, Var, apply, iter_vars, match, rename_apart
+from .terms import FRESH_PREFIX, Term, Var, apply, iter_vars, match, rename_apart
 
 
 class ReplayError(Exception):
@@ -77,30 +87,144 @@ class Derivation(NamedTuple):
         return [s.rule_name for s in self.steps]
 
 
-# The instruction for one head argument: bind a variable met first, compare
-# with a bound variable, compare with a ground term, match a compound. An
-# instruction is (kind, argument index, operand); a head is its predicate,
-# its arity and one instruction per argument.
-_BIND, _BOUND, _GROUND, _MATCH = range(4)
-_Op = tuple[int, int, object]
-_Head = tuple[str, int, tuple[_Op, ...]]
+# What a step adds: its atoms and its built-ins.
+_Body = tuple[tuple[Atom, ...], tuple[Eq, ...]]
 
 
 class _Plan(NamedTuple):
-    """A rule renamed apart and compiled: its heads, kept then removed, and
-    the template a match instantiates. `inserts` tells whether the rule
-    removes no head and adds neither built-ins nor a variable that no head
-    holds: from a store with no residuals whose atoms hold only globals,
-    every matched variable is a global, so its targets are the source with
-    the added atoms inserted in order."""
+    """A rule renamed apart and compiled. `run(atoms, added=None,
+    fixed=None, skip=True)` is its generated matcher, whose text is
+    `source`: it lists (positions, what the step adds) for each match of
+    the heads, kept then removed, that passes the guard, in the order of
+    the positions. With `added`, only matches that take one of those
+    positions; with `fixed`, only the match at those positions; without
+    `skip`, a head may take a copy of an equal atom whose predecessor no
+    earlier head took. `inserts` tells
+    whether the rule removes no head and adds neither built-ins nor a
+    variable that no head holds: from a store with no residuals whose
+    atoms hold only globals, every matched variable is a global, so its
+    targets are the source with the added atoms inserted in order."""
 
     name: str
     n_kept: int
-    heads: tuple[_Head, ...]
-    guard: tuple[Eq, ...]
-    body: tuple[Atom, ...]
-    builtins: tuple[Eq, ...]
     inserts: bool
+    source: str
+    run: Callable[..., list[tuple[tuple[int, ...], _Body]]]
+
+
+# Heads matched in one generated function; the rest go on in the next, so
+# a rule of any length stays below CPython's limit of 20 nested loops.
+_HEADS_PER_FUNCTION = 8
+
+
+def _generated(rule: Rule) -> tuple[str, dict[str, object]]:
+    """The source of the matcher of the renamed `rule`, and the namespace it
+    runs in. Each predicate, ground term and variable name is a namespace
+    constant `c0`, ..., and each head variable a local `v0`, ..., so the
+    source holds no program text. A compound that holds variables is
+    matched by `terms.match` and built by `terms.apply`, so no term nests
+    the source's brackets."""
+    namespace: dict[str, object] = {
+        "apply": apply, "match": match, "new": tuple.__new__, "Atom": Atom, "Eq": Eq,
+    }
+    consts: dict[tuple[type, object], str] = {}
+
+    def const(value: object) -> str:
+        # Keyed by type as well: an atom equals the compound of its items.
+        name = consts.setdefault((type(value), value), f"c{len(consts)}")
+        namespace[name] = value
+        return name
+
+    ident: dict[str, str] = {}  # head variable -> its local, once bound
+    lines: list[str] = []
+    pad = ""  # the indentation of the current head's loop body
+
+    def bind(v: str, value: str) -> None:
+        ident[v] = f"v{len(ident)}"
+        lines.append(f"{pad}{ident[v]} = {value}")
+
+    def held(names: Iterable[str]) -> list[str]:
+        return [v for v in dict.fromkeys(names) if v in ident]
+
+    def tup(items: Sequence[str]) -> str:
+        return "(" + ", ".join(items) + ("," if len(items) == 1 else "") + ")"
+
+    def term(t: Term) -> str:
+        if isinstance(t, Var) and t.name in ident:
+            return ident[t.name]
+        bound = held(iter_vars(t))
+        if not bound:
+            return const(t)
+        return f"apply({{{', '.join(f'{const(v)}: {ident[v]}' for v in bound)}}}, {const(t)})"
+
+    def built(items: Sequence[Union[Atom, Eq]]) -> str:
+        if not items:
+            return "()"
+        if not held(v for item in items for v in item.iter_vars()):
+            return const(tuple(items))
+        return tup([
+            const(a) if not held(a.iter_vars())
+            else f"new(Eq, ({term(a.lhs)}, {term(a.rhs)}))" if isinstance(a, Eq)
+            else f"new(Atom, ({const(a.pred)}, {tup([term(t) for t in a.args])}))"
+            for a in items
+        ])
+
+    heads, n = rule.heads, len(rule.heads)
+    # Head k's loop runs over `dk`: every position, or the one fixed for it.
+    domains = [f"d{k}" for k in range(n)]
+    lines += [
+        "def step(atoms, added=None, fixed=None, skip=True):",
+        "    out = []",
+        "    if fixed is None:",
+        f"        {' = '.join(domains)} = range(len(atoms))",
+        "    else:",
+        f"        {', '.join(domains)} = {', '.join(f'fixed[{k}:{k + 1}]' for k in range(n))}",
+    ]
+    depth = 1
+    for k, head in enumerate(heads):
+        if k and k % _HEADS_PER_FUNCTION == 0:
+            # The next function takes what the loops so far have bound.
+            params = ["atoms", "added", "skip", "out"] + domains[k:]
+            params += [f"i{j}" for j in range(k)] + list(ident.values())
+            lines.append("    " * depth + f"step{k}({', '.join(params)})")
+            lines += ["    return out", "", f"def step{k}({', '.join(params)}):"]
+            depth = 1
+        pad = "    " * (depth + 1)
+        earlier = range(k)
+        domain = domains[k]
+        if k == n - 1:
+            # With `added`, the last head takes only added atoms, unless an
+            # earlier head took one.
+            domain += " if added is None" + "".join(f" or i{j} in added" for j in earlier)
+            domain += " else added"
+        lines += [
+            "    " * depth + f"for i{k} in {domain}:",
+            f"{pad}a{k} = atoms[i{k}]",
+            f"{pad}p, t{k} = a{k}",
+            f"{pad}if p != {const(head.pred)} or len(t{k}) != {len(head.args)}"
+            + "".join(f" or i{k} == i{j}" for j in earlier) + ": continue",
+            f"{pad}if skip and i{k} and a{k} == atoms[i{k} - 1]"
+            + "".join(f" and i{k} - 1 != i{j}" for j in earlier) + ": continue",
+        ]
+        for j, arg in enumerate(head.args):
+            x = f"t{k}[{j}]"
+            if isinstance(arg, Var) and arg.name not in ident:
+                bind(arg.name, x)
+            elif isinstance(arg, Var) or not any(iter_vars(arg)):
+                lines.append(f"{pad}if {x} != {term(arg)}: continue")
+            else:
+                tests = "".join(f" or m[{const(v)}] != {ident[v]}" for v in held(iter_vars(arg)))
+                lines.append(f"{pad}m = match((({const(arg)}, {x}),))")
+                lines.append(f"{pad}if m is None{tests}: continue")
+                for v in dict.fromkeys(iter_vars(arg)):
+                    if v not in ident:
+                        bind(v, f"m[{const(v)}]")
+        depth += 1
+    lines += [f"{pad}if {term(e.lhs)} != {term(e.rhs)}: continue" for e in rule.guard]
+    adds = f"({built(rule.user_body)}, {built(rule.builtin_body)})"
+    lines.append("    " * depth + f"out.append(({tup([f'i{k}' for k in range(n)])}, {adds}))")
+    lines.append("    return out")
+    return "\n".join(lines) + "\n", namespace
 
 
 def _fresh_names(state: State) -> frozenset[str]:
@@ -108,114 +232,26 @@ def _fresh_names(state: State) -> frozenset[str]:
 
 
 @lru_cache(maxsize=1024)
+def _code(source: str) -> CodeType:
+    """The compiled `source`: rules of one shape share it, and so does one
+    rule renamed apart from other fresh names, since a matcher holds no
+    program text. Its file name holds the hash of `source`, since
+    profilers tell functions apart by file, line and name."""
+    return compile(source, f"<generated matcher {hash(source) & 0xFFFFFFFF:08x}>", "exec")
+
+
+@lru_cache(maxsize=1024)
 def _compiled(rule: Rule, fresh: frozenset[str]) -> _Plan:
     """`rule` renamed apart from a state whose fresh names are `fresh`, and
     compiled; renaming picks only fresh names, so it cannot capture any
-    other. A compound's operand is the pattern and its variables bound
-    before it."""
+    other."""
     renamed = rename_apart(set(fresh), rule)
-    bound: set[str] = set()
-    heads = []
-    for head in renamed.heads:
-        ops: list[_Op] = []
-        for k, arg in enumerate(head.args):
-            if isinstance(arg, Var):
-                ops.append((_BOUND if arg.name in bound else _BIND, k, arg.name))
-                bound.add(arg.name)
-                continue
-            names = dict.fromkeys(iter_vars(arg))
-            if names:
-                ops.append((_MATCH, k, (arg, tuple(v for v in names if v in bound))))
-                bound.update(names)
-            else:
-                ops.append((_GROUND, k, arg))
-        heads.append((head.pred, len(head.args), tuple(ops)))
+    source, namespace = _generated(renamed)
+    exec(_code(source), namespace)
+    bound = {v for a in renamed.heads for v in a.iter_vars()}
     new_vars = any(v not in bound for a in renamed.user_body for v in a.iter_vars())
     inserts = not renamed.removed and not renamed.builtin_body and not new_vars
-    return _Plan(
-        renamed.name, len(renamed.kept), tuple(heads), renamed.guard,
-        renamed.user_body, renamed.builtin_body, inserts,
-    )
-
-
-def _match_into(ops: Sequence[_Op], args: Sequence[Term], theta: Subst) -> bool:
-    """Whether one head's plan matches an atom's `args`, binding in `theta`
-    the variables the head meets first. A failed match may leave some of
-    them bound; no earlier head holds them, and the next try rebinds them."""
-    for op, k, x in ops:
-        a = args[k]
-        if op == _BIND:
-            theta[x] = a
-        elif op == _BOUND:
-            if theta[x] != a:
-                return False
-        elif op == _GROUND:
-            if x != a:
-                return False
-        else:
-            pattern, prior = x
-            found = match(((pattern, a),))
-            if found is None or any(found[v] != theta[v] for v in prior):
-                return False
-            theta.update(found)
-    return True
-
-
-def _matches(
-    heads: Sequence[_Head],
-    atoms: Sequence[Atom],
-    theta: Subst,
-    added: Optional[Sequence[int]] = None,
-    used: tuple[int, ...] = (),
-) -> Iterator[tuple[int, ...]]:
-    """Injective assignments of heads to store positions, in lexicographic
-    order, one per tuple of matched atoms: equal atoms sit side by side in a
-    canonical store, and a head skips a copy whose predecessor no earlier
-    head took, so each tuple comes at its first positions. `theta` holds
-    the bindings of the assignment just yielded. With `added`, only those
-    that take one of its positions: the last head tries only them when no
-    earlier head took one. The last head is tried in the loop of the head
-    before it, not in a generator of its own per match of that head."""
-    (pred, arity, ops), rest = heads[0], heads[1:]
-    for i in range(len(atoms)) if added is None or rest else added:
-        atom = atoms[i]
-        if atom.pred != pred or len(atom.args) != arity or i in used:
-            continue
-        if i and atom == atoms[i - 1] and i - 1 not in used:
-            continue
-        if not _match_into(ops, atom.args, theta):
-            continue
-        taken = used + (i,)
-        if not rest:
-            yield taken
-            continue
-        below = None if added is None or i in added else added
-        if len(rest) > 1:
-            yield from _matches(rest, atoms, theta, below, taken)
-            continue
-        last_pred, last_arity, last_ops = rest[0]
-        for j in range(len(atoms)) if below is None else below:
-            atom = atoms[j]
-            if atom.pred != last_pred or len(atom.args) != last_arity or j in taken:
-                continue
-            if j and atom == atoms[j - 1] and j - 1 not in taken:
-                continue
-            if _match_into(last_ops, atom.args, theta):
-                yield taken + (j,)
-
-
-# What a step adds: its atoms and its built-ins.
-_Body = tuple[tuple[Atom, ...], tuple[Eq, ...]]
-
-
-def _body(plan: _Plan, theta: Subst) -> Optional[_Body]:
-    """What the step of `plan` with the bindings `theta` adds, or None when
-    its guard fails."""
-    if plan.guard and any(apply(theta, e.lhs) != apply(theta, e.rhs) for e in plan.guard):
-        return None
-    atoms = tuple([a.subst(theta) for a in plan.body])
-    builtins = plan.builtins and tuple([e.subst(theta) for e in plan.builtins])
-    return atoms, builtins
+    return _Plan(renamed.name, len(renamed.kept), inserts, source, namespace["step"])
 
 
 def fire(
@@ -226,16 +262,19 @@ def fire(
     do not match or the guard fails. Match positions index `state.atoms`.
     `fresh` is the state's fresh names, found by a walk over it if None."""
     plan = _compiled(rule, _fresh_names(state) if fresh is None else fresh)
-    theta: Subst = {}
-    for (pred, arity, ops), i in zip(plan.heads, pos):
-        atom = state.atoms[i]
-        if atom.pred != pred or len(atom.args) != arity or not _match_into(ops, atom.args, theta):
-            return None
-    body = _body(plan, theta)
-    if body is None:
+    return _fired(plan, state, pos, False)
+
+
+def _fired(plan: _Plan, state: State, pos: tuple[int, ...], skip: bool) -> Optional[LabeledStep]:
+    """The step of `plan` at `pos`, built by its matcher with the positions
+    fixed; with `skip`, None as well where a head takes a copy of an equal
+    atom whose predecessor no earlier head took, as `applicable_steps`
+    does. Its one target is canonicalized directly."""
+    found = plan.run(state.atoms, None, pos, skip)
+    if not found:
         return None
+    ((_, (atoms, builtins)),) = found
     kept, removed = pos[:plan.n_kept], pos[plan.n_kept:]
-    atoms, builtins = body
     rest = tuple([a for i, a in enumerate(state.atoms) if i not in removed])
     target = canonicalize(State(rest + atoms, state.builtins + builtins, state.globals))
     return LabeledStep(plan.name, kept, removed, target)
@@ -331,12 +370,7 @@ def applicable_steps(
             out.fired.append(None)
             continue
         plan = _compiled(rule, fresh) if derived is None else parent.plans[r]
-        theta: Subst = {}
-        fired = [
-            (pos, body)
-            for pos in _matches(plan.heads, cst.atoms, theta, added)
-            if (body := _body(plan, theta)) is not None
-        ]
+        fired = plan.run(cst.atoms, added)
         if derived is not None:
             kept = [(tuple([remap[i] for i in pos]), body) for pos, body in parent.fired[r]]
             fired = sorted(kept + fired, key=itemgetter(0)) if fired else kept
@@ -364,11 +398,18 @@ def replay(program: Program, derivation: Derivation) -> CanonicalState:
 
     Each recorded step (rule, match positions and target) must be one of
     `applicable_steps` from the current state; otherwise the certificate
-    is corrupt and ReplayError is raised.
+    is corrupt and ReplayError is raised. The rules of the step's name are
+    fired at its positions, with the first-copy skip of `applicable_steps`.
     """
     cur = canonicalize(derivation.source)
     for i, step in enumerate(derivation.steps):
-        if step not in applicable_steps(program, cur, [step.rule_name]):
+        state, pos = cur.as_state(), step.matched_kept + step.matched_removed
+        fired = not cur.bottom and all(0 <= p < len(cur.atoms) for p in pos) and any(
+            _fired(_compiled(rule, _fresh_names(state)), state, pos, True) == step
+            for rule in program.rules
+            if rule.name == step.rule_name and len(rule.heads) == len(pos)
+        )
+        if not fired:
             raise ReplayError(f"step {i} ({step.rule_name}) is not a step from its source")
         cur = step.target
     return cur

@@ -509,16 +509,34 @@ def oracle_step(rule: Rule, source: CanonicalState, pos) -> Optional[LabeledStep
 
 def injective_steps(program: Program, source: CanonicalState) -> list[LabeledStep]:
     """Every step from the canonical `source`: each rule in program order,
-    at every tuple of distinct store positions in lexicographic order
-    (`itertools.permutations`). Equal atoms give one step per copy."""
+    at every tuple of distinct store positions in lexicographic order, as
+    `itertools.permutations` lists them. Equal atoms give one step per
+    copy. A prefix of positions whose heads the oracle matcher cannot
+    match is not extended: `oracle_step` rejects every tuple that starts
+    with it, and a rule of many heads would otherwise take factorial time."""
     if source.bottom:
         return []
+    state = source.as_state()
     out = []
-    for rule in program.rules:
-        for pos in itertools.permutations(range(len(source.atoms)), len(rule.heads)):
+
+    def extend(rule: Rule, heads, pos: tuple[int, ...], theta: dict) -> None:
+        if len(pos) == len(heads):
             step = oracle_step(rule, source, pos)
             if step is not None:
                 out.append(step)
+            return
+        head = heads[len(pos)]
+        for i, atom in enumerate(state.atoms):
+            if i in pos or (atom.pred, len(atom.args)) != (head.pred, len(head.args)):
+                continue
+            bind: Optional[dict] = theta
+            for pat, tgt in zip(head.args, atom.args):
+                bind = _match_into(pat, tgt, bind)
+            if bind is not None:
+                extend(rule, heads, pos + (i,), bind)
+
+    for rule in program.rules:
+        extend(rule, rename_apart(state.all_vars(), rule).heads, (), {})
     return out
 
 

@@ -503,12 +503,12 @@ def test_propagation_targets_skip_canonicalize_on_the_exhaust_peak(monkeypatch):
                 monkeypatch.setattr(module, "applicable_steps", counting_steps)
     check_local_confluence(program, SearchBudget(8, 40), assume_terminating=True)
     assert steps
-    # 20 calls for 69 steps, 129 when every target was canonicalized. Only
-    # the peak's two reducts are built from scratch; the other 18 calls
+    # 18 calls for 65 steps, 125 when every target was canonicalized. Only
+    # the peak's two reducts are built from scratch; the other 16 calls
     # are `applicable_steps` taking a state that is already canonical, and
     # every step target is an ordered insert.
-    assert len(steps) == 69
-    assert len(calls) == 20
+    assert len(steps) == 65
+    assert len(calls) == 18
     assert sum(not isinstance(args[0], CanonicalState) for args in calls) == 2
 
 
@@ -626,7 +626,7 @@ def _assert_plans_for_own_fresh_names(program, state, allowed, steps):
 
 
 def test_compiled_head_plans_agree_with_match():
-    from chrdc.engine import _BIND, _BOUND, _GROUND, _MATCH, _compiled, _match_into
+    from chrdc.engine import _compiled
     from chrdc.terms import match, rename_apart
 
     rng = random.Random(43)
@@ -650,28 +650,45 @@ def test_compiled_head_plans_agree_with_match():
             return theta[t.name]
         return Compound(t.functor, tuple(instance(x, theta) for x in t.args))
 
-    outcomes = set()  # (instruction, matched)
+    def kinds(heads):
+        """What the matcher does with each head argument: bind a variable
+        met first, compare with a bound variable, compare with a ground
+        term, or match a compound that holds variables."""
+        seen = set()
+        for head in heads:
+            for arg in head.args:
+                names = list(iter_vars(arg))
+                if isinstance(arg, Var):
+                    yield "bound" if arg.name in seen else "bind"
+                else:
+                    yield "match" if names else "ground"
+                seen.update(names)
+
+    outcomes = set()  # (what the matcher does with an argument, matched)
     for _ in range(600):
         heads = tuple(
             Atom(pred, tuple(pattern() for _ in range(n)))
             for pred, n in rng.sample([("p", 1), ("q", 2), ("r", 3)], rng.randint(1, 2))
         )
-        rule = Rule("h", (), heads, (), (), ())
+        # The body shows the matcher's bindings of the head variables.
+        names = sorted({v for h in heads for v in h.iter_vars()})
+        rule = Rule("h", (), heads, (), (Atom("b", tuple(Var(v) for v in names)),), ())
         renamed = rename_apart(set(), rule)
         plan = _compiled(rule, frozenset())
         theta = {v: rng.choice([a, b, Var("G"), Compound("g", (a, Var("H")))]) for v in "XYZ"}
-        atoms = [Atom(h.pred, tuple(instance(t, theta) for t in h.args)) for h in heads]
+        atoms = tuple(Atom(h.pred, tuple(instance(t, theta) for t in h.args)) for h in heads)
         expected = match(
             [(p, t) for h, at in zip(renamed.heads, atoms) for p, t in zip(h.args, at.args)]
         )
-        bound = {}
-        ok = all(_match_into(ops, at.args, bound) for (_, _, ops), at in zip(plan.heads, atoms))
+        found = plan.run(atoms, None, tuple(range(len(atoms))), False)
+        ok = bool(found)
         assert ok == (expected is not None)
         if ok:
-            assert bound == expected
-        outcomes.update((op, ok) for _, _, ops in plan.heads for op, _, _ in ops)
-    kinds = (_BIND, _BOUND, _GROUND, _MATCH)
-    assert outcomes == {(op, ok) for op in kinds for ok in (True, False)}
+            [(pos, ((body,), builtins))] = found
+            assert (pos, builtins) == (tuple(range(len(atoms))), ())
+            assert body.args == tuple(expected[v.name] for v in renamed.user_body[0].args)
+        outcomes.update((kind, ok) for kind in kinds(heads))
+    assert outcomes == {(k, ok) for k in ("bind", "bound", "ground", "match") for ok in (True, False)}
 
 
 def test_exhaust_search_derives_steps_from_the_parent(monkeypatch):
@@ -679,33 +696,41 @@ def test_exhaust_search_derives_steps_from_the_parent(monkeypatch):
     from chrdc.analysis import SearchBudget, check_local_confluence
 
     program = load("exhaust.chr")
-    inherited, match_into = chrdc.engine._inherited, chrdc.engine._match_into
-    merges, tries = [], []
+    inherited, compiled = chrdc.engine._inherited, chrdc.engine._compiled
+    merges = []
+    offered = []  # per matcher call: the store's size and how many atoms its last head may take
 
     def recording_merge(parent, *args):
         merges.append((parent, inherited(parent, *args)))
         return merges[-1][1]
 
-    def counting_tries(*args):
-        tries.append(args)
-        return match_into(*args)
+    def counting(plan):
+        def run(atoms, added=None, *rest):
+            offered.append((len(atoms), len(atoms) if added is None else len(added)))
+            return plan.run(atoms, added, *rest)
+
+        return plan._replace(run=run)
 
     def search():
-        tries.clear()
+        offered.clear()
         return check_local_confluence(program, SearchBudget(8, 40), assume_terminating=True)
 
-    monkeypatch.setattr(chrdc.engine, "_match_into", counting_tries)
+    monkeypatch.setattr(chrdc.engine, "_compiled", lambda *args: counting(compiled(*args)))
     monkeypatch.setattr(chrdc.engine, "_inherited", lambda *args: None)
-    full, full_tries = search(), len(tries)
+    full, full_offered = search(), list(offered)
     monkeypatch.setattr(chrdc.engine, "_inherited", recording_merge)
     assert search() == full
     # Every expansion below a root has a parent, and each child, made by a
     # propagation step, holds its parent's atoms: its heads are matched
     # only where they take an added atom.
-    assert len(merges) == 18
+    assert len(merges) == 16
     assert sum(parent is not None for parent, _ in merges) == 14
     assert sum(merge is not None for _, merge in merges) == 14
-    assert (full_tries, len(tries)) == (160, 91)
+    # In full, the last head of each rule's matcher may take every atom of
+    # the store; in each of the 14 derived expansions, only the added ones.
+    assert all(store == tried for store, tried in full_offered)
+    assert sum(store > tried for store, tried in offered) == 14 * len(program.rules)
+    assert (sum(t for _, t in full_offered), sum(t for _, t in offered)) == (221, 62)
 
 
 def test_exhaust_search_walks_only_states_not_derived(monkeypatch):
@@ -733,11 +758,11 @@ def test_exhaust_search_walks_only_states_not_derived(monkeypatch):
     monkeypatch.setattr(chrdc.engine, "_inherited", recording_merge)
     monkeypatch.setattr(chrdc.engine, "_only_globals", counting_walks)
     check_local_confluence(program, SearchBudget(8, 40), assume_terminating=True)
-    assert len(calls) == 18
+    assert len(calls) == 16
     assert sum(derived for _, derived, _ in calls) == 14
     assert all(walks <= 1 for _, _, walks in calls)
     assert sum(walks for _, derived, walks in calls if derived) == 0
-    assert sum(walks for _, _, walks in calls) == 4
+    assert sum(walks for _, _, walks in calls) == 2
 
 
 def test_a_child_with_other_fresh_names_is_enumerated_in_full():
@@ -787,3 +812,85 @@ def test_inserts_agree_with_canonicalize_on_integer_and_plus_terms(monkeypatch):
     assert len(level) == 20
     # The steps of the 1 + 3 + 8 children were derived from their parents'.
     assert sum(m is not None for m in merges) == 12
+
+
+def _assert_steps_match_the_oracle_and_replay(program, text):
+    source = canonicalize(parse_state(text))
+    steps = applicable_steps(program, source)
+    assert steps == first_of_class(injective_steps(program, source), source)
+    for step in steps:
+        assert replay(program, Derivation(source, (step,))) == step.target
+    return steps
+
+
+def test_a_rule_of_25_chained_heads_steps_as_the_oracle():
+    # More heads than CPython nests loops in one function. A loop at a3
+    # gives two more chains, and a copy of the first link repeats a class.
+    program = parse_program("r @ " + ", ".join(f"c(X{k}, X{k + 1})" for k in range(25)) + " <=> true.")
+    links = [f"c(a{k}, a{k + 1})" for k in range(25)] + ["c(a3, a3)", "c(a0, a1)"]
+    steps = _assert_steps_match_the_oracle_and_replay(program, ", ".join(links) + " # globals:")
+    assert [len(step.target.atoms) for step in steps] == [2, 2, 2]
+    assert "step24(" in steps.plans[0].source
+
+
+def test_a_rule_with_a_term_nested_150_deep_steps_as_the_oracle():
+    deep = "X"
+    for _ in range(150):
+        deep = f"f({deep})"
+    ground = deep.replace("X", "a")
+    program = parse_program(
+        f"grow @ p(X) ==> q({deep}), X = {ground}.\nshrink @ q({ground}) \\ p(X) <=> X = a | q(X).\n"
+    )
+    steps = _assert_steps_match_the_oracle_and_replay(program, f"p(a), p(b), q({ground}) # globals:")
+    assert [s.rule_name for s in steps] == ["grow", "grow", "shrink"]
+
+
+# Every name in a generated matcher: these keywords and names, and
+# generated identifiers made of one of a few letters and a number.
+_MATCHER_NAMES = {
+    "def", "for", "in", "if", "else", "is", "not", "or", "and", "continue", "return", "None",
+    "True", "step", "atoms", "added", "fixed", "skip", "out", "append", "range", "len", "i",
+    "p", "m", "apply", "match", "new", "Atom", "Eq",
+}
+
+
+def _assert_only_generated_text(source):
+    import io
+    import re
+    import tokenize
+
+    layout = {tokenize.OP, tokenize.NEWLINE, tokenize.NL, tokenize.INDENT, tokenize.DEDENT,
+              tokenize.ENDMARKER}
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type == tokenize.NAME:
+            assert tok.string in _MATCHER_NAMES or re.fullmatch(r"(step|[acditv])[0-9]+", tok.string), tok
+        elif tok.type == tokenize.NUMBER:
+            assert tok.string.isdigit(), tok
+        else:
+            assert tok.type in layout, tok
+
+
+def test_generated_matchers_hold_no_program_text():
+    from chrdc.engine import _compiled
+
+    hostile = parse_program(
+        "import @ exec(__class__, lambda) \\ lambda(__class__, X) <=> X = __class__ | "
+        "import(X, exec), X = def(__import__).\n"
+        "lambda @ import(__import__, Y) ==> exec(__import__, def(Y)).\n"
+    )
+    steps = _assert_steps_match_the_oracle_and_replay(
+        hostile, "exec(a, lambda), lambda(a, a), import(b, c) # globals:"
+    )
+    assert [s.rule_name for s in steps] == ["import", "lambda"]
+    rng = random.Random(47)
+    programs = [hostile, _KERNEL, _ONE_PREDICATE] + [
+        with_propagation(random_tiny_program(rng)) for _ in range(60)
+    ]
+    sources = set()
+    for program in programs:
+        for rule in program.rules:
+            for fresh in (frozenset(), frozenset({"_V0", "_V2"})):
+                sources.add(_compiled(rule, fresh).source)
+    for source in sources:
+        _assert_only_generated_text(source)
+    assert len(sources) > 80

@@ -13,11 +13,15 @@ from __future__ import annotations
 import contextlib
 import io
 import pathlib
+from collections import Counter
 
 import pytest
 
 from chrdc.cli import main
+from chrdc.state import equivalent
+from chrdc.syntax import Program
 from conftest import FIXTURES, fixture_path
+from helpers import first_of_class, injective_steps
 
 GOLDEN = FIXTURES / "golden"
 
@@ -79,6 +83,45 @@ def test_report_matches_golden(name, fmt):
     code, out = _run(argv + ["--format", fmt])
     assert code == expected_code
     assert out == _golden_path(name, fmt).read_text(encoding="utf-8")
+
+
+def test_closed_verdicts_replay_through_the_oracle(monkeypatch):
+    # `engine.replay` shares the generated matcher with the search that
+    # found each valley, so the oracle checks every step instead: it must
+    # be the first of its class among the injective steps of its source.
+    import chrdc.cli
+
+    reports, programs = [], []
+    emit, parse = chrdc.cli.emit_report, chrdc.cli.parse_program_file
+    monkeypatch.setattr(chrdc.cli, "emit_report", lambda r, fmt: reports.append(r) or emit(r, fmt))
+    monkeypatch.setattr(
+        chrdc.cli, "parse_program_file", lambda *a: programs.append(parse(*a)) or programs[-1]
+    )
+    checked = Counter()
+    for name in sorted(SCENARIOS):
+        reports.clear()
+        programs.clear()
+        _run(SCENARIOS[name][0])
+        [report] = reports
+        # A modular valley takes q-steps on the left and p-steps on the right.
+        sides = (programs[-1], programs[0]) if report.mode == "modular" else (programs[0],) * 2
+        for verdict in report.verdicts:
+            if not verdict.closed:
+                continue
+            peak = report.peaks[verdict.index]
+            meets = []
+            for program, reduct, derivation in zip(sides, (peak.left, peak.right), verdict.valley):
+                assert derivation.source == reduct
+                cur = reduct
+                for step in derivation.steps:
+                    rules = Program(tuple(r for r in program.rules if r.name == step.rule_name))
+                    assert step in first_of_class(injective_steps(rules, cur), cur)
+                    cur = step.target
+                    checked["steps"] += 1
+                meets.append(cur)
+            assert equivalent(*meets)
+            checked["verdicts"] += 1
+    assert checked == {"verdicts": 61, "steps": 161}
 
 
 if __name__ == "__main__":
